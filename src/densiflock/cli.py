@@ -216,6 +216,8 @@ def sweep_runs(
 
     Per-run failures land in the row's error column without aborting the rest.
     """
+    if "seed" in grid:
+        raise ConfigError("--set seed: run seeds derive from the master seed; use --seed")
     keys = list(grid)
     if not keys:
         return []

@@ -7,6 +7,7 @@ rejected with the offending line or key named.  ``parse_config`` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .domains import Domain
@@ -82,7 +83,10 @@ def _convert(key: str, raw: str, lineno: int):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "false"):
@@ -94,7 +98,10 @@ def _convert(key: str, raw: str, lineno: int):
             return raw
         return raw
     except ValueError:
-        expected = kind if kind != "choice" else "one of " + "|".join(allowed)
+        if kind == "choice":
+            expected = "one of " + "|".join(allowed)
+        else:
+            expected = "finite float" if kind == "float" else kind
         raise ConfigError(
             f"line {lineno}: key '{key}' expects {expected}, got {raw!r}"
         ) from None

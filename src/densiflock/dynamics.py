@@ -58,9 +58,6 @@ class MPolicy:
         if not self.kappa > 0:
             raise ConfigError("kappa must be > 0")
 
-    def value(self, N: int, i: int, set_size: int) -> float:
-        return m_value(self, N, i, set_size)
-
     def m_star(self, N: int) -> float:
         """Analytic infimum of M over neighborhood sizes 1..N."""
         if self.kind == "constant":
@@ -188,37 +185,50 @@ class EnsembleState:
 
 @dataclass(eq=False)
 class NeighborTable:
-    """Per-particle neighbor index sets (each sorted ascending).
+    """Per-particle neighbor index sets in compressed sparse row (CSR) form.
 
-    source_time records the delayed time whose positions produced the table.
+    Set i is indices[indptr[i]:indptr[i + 1]], sorted ascending.  source_time
+    records the delayed time whose positions produced the table.
     """
 
-    sets: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
     source_time: float = 0.0
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray, source_time: float = 0.0) -> "NeighborTable":
+        """Table whose set i holds every k with mask[i, k] true."""
+        mask = np.asarray(mask, dtype=bool)
+        indptr = np.zeros(len(mask) + 1, dtype=np.intp)
+        np.cumsum(mask.sum(axis=1), out=indptr[1:])
+        return cls(indptr, np.nonzero(mask)[1], source_time)
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return len(self.indptr) - 1
+
+    @property
+    def sets(self) -> list[np.ndarray]:
+        return np.split(self.indices, self.indptr[1:-1])
 
     def sizes(self) -> np.ndarray:
-        return np.array([len(s) for s in self.sets], dtype=int)
+        return np.diff(self.indptr)
 
     def contains(self, i: int, k: int) -> bool:
         """True when particle k belongs to the neighbor set of particle i."""
-        s = self.sets[i]
+        s = self.indices[self.indptr[i] : self.indptr[i + 1]]
         j = np.searchsorted(s, k)
         return bool(j < len(s) and s[j] == k)
 
     def membership_matrix(self) -> np.ndarray:
         """Boolean (n, n) matrix with row i marking the members of set i."""
         out = np.zeros((self.n, self.n), dtype=bool)
-        for i, s in enumerate(self.sets):
-            out[i, s] = True
+        out[np.repeat(np.arange(self.n), self.sizes()), self.indices] = True
         return out
 
     def same_as(self, other: "NeighborTable") -> bool:
-        return self.n == other.n and all(
-            np.array_equal(a, b) for a, b in zip(self.sets, other.sets)
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(
+            self.indices, other.indices
         )
 
 
@@ -227,6 +237,37 @@ def _check_positions(positions) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("non-finite coordinates")
     return x
+
+
+# One membership rule per model, shared by the neighbor_sets_* functions and
+# the integrator's per-step topology.
+
+
+def di_mask(delayed_positions: np.ndarray, delta: float, m: int, dist) -> np.ndarray:
+    """Open delta-balls, kept only where the ball holds more than m particles (self counted)."""
+    inside = dist(delayed_positions, delayed_positions) < delta
+    return inside & (inside.sum(axis=1) > m)[:, None]
+
+
+def cs_delta_mask(positions: np.ndarray, delta: float, dist) -> np.ndarray:
+    """Closed delta-balls."""
+    return dist(positions, positions) <= delta
+
+
+def cs_q_mask(positions: np.ndarray, q: int, dist) -> np.ndarray:
+    """The q closest other particles; distance ties break toward the lower index."""
+    d = dist(positions, positions).copy()
+    np.fill_diagonal(d, np.inf)
+    # Stable sort keeps equal distances in index order.
+    order = np.argsort(d, axis=1, kind="stable")[:, :q]
+    mask = np.zeros(d.shape, dtype=bool)
+    mask[np.arange(len(d))[:, None], order] = True
+    return mask
+
+
+def cs_mask(n: int) -> np.ndarray:
+    """Everyone, self included (harmless: v_i - v_i = 0)."""
+    return np.ones((n, n), dtype=bool)
 
 
 def neighbor_sets_di(
@@ -247,12 +288,7 @@ def neighbor_sets_di(
     if m < 1:
         raise ConfigError("m must be >= 1")
     x = _check_positions(delayed_positions)
-    inside = dist(x, x) < delta
-    counts = inside.sum(axis=1)
-    active = counts > m
-    empty = np.empty(0, dtype=int)
-    sets = [np.flatnonzero(inside[i]) if active[i] else empty for i in range(len(x))]
-    return NeighborTable(sets, source_time)
+    return NeighborTable.from_mask(di_mask(x, delta, m, dist), source_time)
 
 
 def neighbor_sets_cs_delta(
@@ -262,9 +298,7 @@ def neighbor_sets_cs_delta(
     if not delta > 0:
         raise ConfigError("delta must be > 0")
     x = _check_positions(positions)
-    inside = dist(x, x) <= delta
-    sets = [np.flatnonzero(inside[i]) for i in range(len(x))]
-    return NeighborTable(sets, source_time)
+    return NeighborTable.from_mask(cs_delta_mask(x, delta, dist), source_time)
 
 
 def neighbor_sets_cs_q(
@@ -272,21 +306,14 @@ def neighbor_sets_cs_q(
 ) -> NeighborTable:
     """The q other particles closest to i; distance ties break toward the lower index."""
     x = _check_positions(positions)
-    n = len(x)
-    if not 1 <= q <= n - 1:
+    if not 1 <= q <= len(x) - 1:
         raise ConfigError("q must satisfy 1 <= q <= n-1")
-    d = dist(x, x).copy()
-    np.fill_diagonal(d, np.inf)
-    # Stable sort keeps equal distances in index order.
-    order = np.argsort(d, axis=1, kind="stable")[:, :q]
-    sets = [np.sort(order[i]) for i in range(n)]
-    return NeighborTable(sets, source_time)
+    return NeighborTable.from_mask(cs_q_mask(x, q, dist), source_time)
 
 
 def neighbor_sets_all(n: int, source_time: float = 0.0) -> NeighborTable:
     """Complete table used by the all-to-all cs model (self included, harmless)."""
-    everyone = np.arange(n)
-    return NeighborTable([everyone.copy() for _ in range(n)], source_time)
+    return NeighborTable.from_mask(cs_mask(n), source_time)
 
 
 def neighbor_sets_di_grid(
@@ -325,8 +352,7 @@ def neighbor_sets_di_grid(
         buckets.setdefault(cell, []).append(i)
 
     offsets = list(product((-1, 0, 1), repeat=dim))
-    empty = np.empty(0, dtype=int)
-    sets: list[np.ndarray] = []
+    mask = np.zeros((n, n), dtype=bool)
     for i in range(n):
         seen: set[tuple] = set()
         candidates: list[int] = []
@@ -344,8 +370,9 @@ def neighbor_sets_di_grid(
         if L is not None:
             diff -= L * np.round(diff / L)
         inside = cand[np.einsum("ij,ij->i", diff, diff) < delta * delta]
-        sets.append(np.sort(inside) if len(inside) > m else empty)
-    return NeighborTable(sets, source_time)
+        if len(inside) > m:
+            mask[i, inside] = True
+    return NeighborTable.from_mask(mask, source_time)
 
 
 def neighbor_sets_di_ghost(
@@ -375,45 +402,48 @@ def neighbor_sets_di_ghost(
     owner = np.concatenate(owners)
 
     inside = euclidean_distances(x, allx) < delta
-    counts = inside.sum(axis=1)
-    empty = np.empty(0, dtype=int)
-    sets = [
-        np.sort(owner[inside[i]]) if counts[i] > m else empty for i in range(n)
-    ]
-    return NeighborTable(sets, source_time)
+    rows, cols = np.nonzero(inside & (inside.sum(axis=1) > m)[:, None])
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows, owner[cols]] = True
+    return NeighborTable.from_mask(mask, source_time)
+
+
+# One coupling formula: a = (W - diag(W 1)) v, with W the membership scaled
+# row-wise by M(N, i, #N_i), times psi(|x_i - x_k|) for the cs family.
+
+
+def member_weights(mask: np.ndarray, policy: MPolicy, N: int) -> np.ndarray:
+    """W[i, k] = M(N, i, #N_i) where mask[i, k] holds, else 0."""
+    return mask * _policy_values(policy, N, mask.sum(axis=1))[:, None]
+
+
+def stage_force(weights: np.ndarray, pair_weight=None):
+    """Force a(x, v) with a_i = sum_k W_ik (v_k - v_i) over a frozen membership.
+
+    W is weights, multiplied elementwise by pair_weight(x) when given (the cs
+    family's distance weight, re-evaluated at each call's positions).  The
+    diagonal term cancels automatically.
+    """
+    if pair_weight is None:
+        row = weights.sum(axis=1, keepdims=True)
+        return lambda _x, v: weights @ v - row * v
+
+    def force(x, v):
+        w = weights * pair_weight(x)
+        return w @ v - w.sum(axis=1, keepdims=True) * v
+
+    return force
 
 
 def di_weight_matrix(table: NeighborTable, policy: MPolicy, N: int) -> np.ndarray:
     """Dense weight matrix W with W[i, k] = M(N, i, #N_i) for k in set i, else 0."""
-    mvals = _policy_values(policy, N, table.sizes())
-    return table.membership_matrix() * mvals[:, None]
-
-
-def _coupling_acceleration(weights: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    # a_i = sum_k W_ik (v_k - v_i); the diagonal term cancels automatically.
-    return weights @ velocities - weights.sum(axis=1, keepdims=True) * velocities
+    return member_weights(table.membership_matrix(), policy, N)
 
 
 def acceleration_di(state: EnsembleState, table: NeighborTable, policy: MPolicy) -> np.ndarray:
     """Gated consensus force a_i = sum_{k in N_i} M(N, i, #N_i) (v_k - v_i)."""
-    w = di_weight_matrix(table, policy, state.n)
-    return _coupling_acceleration(w, state.velocities)
-
-
-def cs_weight_matrix(
-    positions: np.ndarray,
-    table: NeighborTable,
-    policy: MPolicy,
-    alpha: float = 0.5,
-    dist=euclidean_distances,
-    psi=None,
-) -> np.ndarray:
-    """Weight matrix M_i * psi(dist) over the table membership."""
-    n = len(table.sets)
-    mvals = _policy_values(policy, n, table.sizes())
-    d = dist(positions, positions)
-    weights = psi(d) if psi is not None else alignment_weight(d, alpha)
-    return table.membership_matrix() * weights * mvals[:, None]
+    force = stage_force(di_weight_matrix(table, policy, state.n))
+    return force(state.positions, state.velocities)
 
 
 def acceleration_cs(
@@ -428,8 +458,10 @@ def acceleration_cs(
 
     psi overrides the built-in (1 + s)^(-alpha) weight when given.
     """
-    w = cs_weight_matrix(state.positions, table, policy, alpha, dist, psi)
-    return _coupling_acceleration(w, state.velocities)
+    weight = psi if psi is not None else (lambda s: alignment_weight(s, alpha))
+    weights = member_weights(table.membership_matrix(), policy, state.n)
+    force = stage_force(weights, lambda x: weight(dist(x, x)))
+    return force(state.positions, state.velocities)
 
 
 def velocity_diameter(state: EnsembleState) -> float:

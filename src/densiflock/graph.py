@@ -99,14 +99,10 @@ def strongly_connected_components(g: InteractionDigraph) -> ClusterLabeling:
         csr_matrix(g.adjacency()), directed=True, connection="strong"
     )
     # Canonical labels: cluster ids ordered by their smallest node index.
-    order = {}
-    labels = np.empty(g.n, dtype=int)
-    for node in range(g.n):
-        c = raw[node]
-        if c not in order:
-            order[c] = len(order)
-        labels[node] = order[c]
-    return ClusterLabeling(labels, n)
+    _, first = np.unique(raw, return_index=True)
+    rank = np.empty(n, dtype=int)
+    rank[np.argsort(first)] = np.arange(n)
+    return ClusterLabeling(rank[raw], n)
 
 
 def is_r_densely_packed(

@@ -12,24 +12,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Domain, min_image_distance  # noqa: F401  (re-exported surface)
+from .domains import Domain
 from .dynamics import (
     EnsembleState,
     ModelParams,
     NeighborTable,
     alignment_weight,
-    di_weight_matrix,
-    neighbor_sets_all,
-    neighbor_sets_cs_delta,
-    neighbor_sets_cs_q,
-    neighbor_sets_di,
+    cs_delta_mask,
+    cs_mask,
+    cs_q_mask,
+    di_mask,
+    member_weights,
+    stage_force,
     total_momentum,
     velocity_diameter,
-    _policy_values,
 )
 from .errors import IntegrationFault
 from .graph import ClusterLabeling, build_digraph, strongly_connected_components
-from .scenarios import ScenarioSpec, initial_state
+from .scenarios import ScenarioSpec, initial_state, step_count
 
 
 class DelayBuffer:
@@ -111,134 +111,43 @@ class TrajectoryRecord:
 
 
 # ---------------------------------------------------------------------------
-# Per-step topology
+# One step engine: the topology is frozen for the step, RK4 runs under it.
 
 
-def _table_from_rows(rows: list[np.ndarray], t: float) -> NeighborTable:
-    return NeighborTable(rows, source_time=t)
-
-
-class _StepTopology:
-    """Membership mask and weights of one step, shared by stages and samples."""
-
-    __slots__ = ("mask", "sizes", "mvals", "source_time")
-
-    def __init__(self, mask: np.ndarray, sizes: np.ndarray, mvals: np.ndarray, t: float):
-        self.mask = mask
-        self.sizes = sizes
-        self.mvals = mvals
-        self.source_time = t
-
-    def table(self) -> NeighborTable:
-        empty = np.empty(0, dtype=int)
-        rows = [
-            np.flatnonzero(row) if size else empty
-            for row, size in zip(self.mask, self.sizes)
-        ]
-        return _table_from_rows(rows, self.source_time)
-
-
-def _step_topology(
+def _step_mask(
     params: ModelParams, positions: np.ndarray, buffer: DelayBuffer, domain: Domain, t: float
-) -> _StepTopology:
+) -> tuple[np.ndarray, float]:
+    """Membership of the step starting at time t, and the time its positions date from."""
     metric = domain.distances
-    policy = params.policy()
     if params.model == "di":
-        delayed = buffer.delayed()
-        inside = metric(delayed, delayed) < params.delta
-        counts = inside.sum(axis=1)
-        active = counts > params.m
-        mask = inside & active[:, None]
-        sizes = np.where(active, counts, 0)
-        return _StepTopology(
-            mask, sizes, _policy_values(policy, params.N, sizes), buffer.delayed_time()
-        )
+        return di_mask(buffer.delayed(), params.delta, params.m, metric), buffer.delayed_time()
     if params.model == "cs":
-        n = params.N
-        mask = np.ones((n, n), dtype=bool)
-        sizes = np.full(n, n)
-    elif params.model == "cs_delta":
-        mask = metric(positions, positions) <= params.delta
-        sizes = mask.sum(axis=1)
-    else:  # cs_q
-        d = metric(positions, positions).copy()
-        np.fill_diagonal(d, np.inf)
-        order = np.argsort(d, axis=1, kind="stable")[:, : params.q]
-        mask = np.zeros(d.shape, dtype=bool)
-        mask[np.arange(len(d))[:, None], order] = True
-        sizes = np.full(len(d), params.q)
-    return _StepTopology(mask, sizes, _policy_values(policy, params.N, sizes), t)
+        return cs_mask(params.N), t
+    if params.model == "cs_delta":
+        return cs_delta_mask(positions, params.delta, metric), t
+    return cs_q_mask(positions, params.q, metric), t
 
 
 def neighbor_table_for_step(
     params: ModelParams, state: EnsembleState, buffer: DelayBuffer, domain: Domain
 ) -> NeighborTable:
     """Table in effect for the step starting at state.t."""
-    metric = domain.distances
-    if params.model == "di":
-        return neighbor_sets_di(
-            buffer.delayed(), params.delta, params.m, dist=metric,
-            source_time=buffer.delayed_time(),
-        )
-    if params.model == "cs":
-        return neighbor_sets_all(params.N, source_time=state.t)
-    if params.model == "cs_delta":
-        return neighbor_sets_cs_delta(
-            state.positions, params.delta, dist=metric, source_time=state.t
-        )
-    return neighbor_sets_cs_q(state.positions, params.q, dist=metric, source_time=state.t)
+    return NeighborTable.from_mask(*_step_mask(params, state.positions, buffer, domain, state.t))
 
 
-def _accel_from_topology(params: ModelParams, topo: _StepTopology, domain: Domain):
+def _stage_force(params: ModelParams, mask: np.ndarray, domain: Domain):
     """Stage-callable a(x, v) with the step's membership frozen."""
+    weights = member_weights(mask, params.policy(), params.N)
     if params.model == "di":
-        w = topo.mask * topo.mvals[:, None]
-        row = w.sum(axis=1, keepdims=True)
-
-        def accel(_x, v):
-            return w @ v - row * v
-
-        return accel
-
-    membership = topo.mask
-    mvals = topo.mvals[:, None]
-    metric = domain.distances
-    alpha = params.alpha
-
-    def accel(x, v):
-        w = membership * alignment_weight(metric(x, x), alpha) * mvals
-        return w @ v - w.sum(axis=1, keepdims=True) * v
-
-    return accel
+        return stage_force(weights)
+    metric, alpha = domain.distances, params.alpha
+    return stage_force(weights, lambda x: alignment_weight(metric(x, x), alpha))
 
 
-def _acceleration_fn(params: ModelParams, table: NeighborTable, domain: Domain):
-    """Stage-callable a(x, v) built from an explicit table."""
-    policy = params.policy()
-    if params.model == "di":
-        w = di_weight_matrix(table, policy, params.N)
-        row = w.sum(axis=1, keepdims=True)
-
-        def accel(_x, v):
-            return w @ v - row * v
-
-        return accel
-
-    membership = table.membership_matrix()
-    mvals = _policy_values(policy, params.N, table.sizes())[:, None]
-    metric = domain.distances
-    alpha = params.alpha
-
-    def accel(x, v):
-        w = membership * alignment_weight(metric(x, x), alpha) * mvals
-        return w @ v - w.sum(axis=1, keepdims=True) * v
-
-    return accel
-
-
-def _rk4_arrays(x: np.ndarray, v: np.ndarray, dt: float, accel):
-    """The four-stage update: velocity stages use the model force, position
-    stages the staged velocities."""
+def _advance(x: np.ndarray, v: np.ndarray, dt: float, accel, domain: Domain, step: int):
+    """One RK4 step: velocity stages use the model force, position stages the
+    staged velocities.  Returns wrapped positions and velocities; non-finite
+    output raises IntegrationFault for the given step."""
     kv1 = accel(x, v) * dt
     kx1 = v * dt
     kv2 = accel(x + kx1 / 2, v + kv1 / 2) * dt
@@ -249,7 +158,9 @@ def _rk4_arrays(x: np.ndarray, v: np.ndarray, dt: float, accel):
     kx4 = (v + kv3) * dt
     v_next = v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6
     x_next = x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6
-    return x_next, v_next
+    if not (np.isfinite(x_next).all() and np.isfinite(v_next).all()):
+        raise IntegrationFault(step)
+    return domain.wrap(x_next), v_next
 
 
 def rk4_step(
@@ -268,17 +179,18 @@ def rk4_step(
     if not dt > 0:
         raise ValueError("dt must be > 0")
     if table is None:
-        table = neighbor_table_for_step(params, state, buffer, domain)
-    accel = _acceleration_fn(params, table, domain)
-    x_next, v_next = _rk4_arrays(state.positions, state.velocities, dt, accel)
-    if not (np.isfinite(x_next).all() and np.isfinite(v_next).all()):
-        raise IntegrationFault(int(round(state.t / dt)))
-    return EnsembleState(state.t + dt, domain.wrap(x_next), v_next)
+        mask, _ = _step_mask(params, state.positions, buffer, domain, state.t)
+    else:
+        mask = table.membership_matrix()
+    accel = _stage_force(params, mask, domain)
+    x, v = _advance(
+        state.positions, state.velocities, dt, accel, domain, int(round(state.t / dt))
+    )
+    return EnsembleState(state.t + dt, x, v)
 
 
-def _sample(step, t, x, v, unwrapped, delayed, topo: _StepTopology, params) -> TrajectorySample:
+def _sample(step, t, x, v, unwrapped, delayed, table: NeighborTable, params) -> TrajectorySample:
     state = EnsembleState(t, x, v)
-    table = topo.table()
     digraph = build_digraph(table, params.policy(), params.N)
     labels = strongly_connected_components(digraph)
     return TrajectorySample(
@@ -317,28 +229,25 @@ def simulate(
         raise ValueError("sample_every must be >= 1")
     x = domain.wrap(initial.positions)
     v = initial.velocities.copy()
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     buffer = DelayBuffer(params.h_steps, x, t0=0.0)
     unwrapped = x.copy()
 
     record = TrajectoryRecord(spec)
     for step in range(n_steps + 1):
         t = step * dt
-        topo = _step_topology(params, x, buffer, domain, t)
+        mask, source_time = _step_mask(params, x, buffer, domain, t)
         if step % sample_every == 0 or step == n_steps:
+            table = NeighborTable.from_mask(mask, source_time)
             record.samples.append(
-                _sample(step, t, x, v, unwrapped, buffer.delayed(), topo, params)
+                _sample(step, t, x, v, unwrapped, buffer.delayed(), table, params)
             )
         if step == n_steps:
             break
-        accel = _accel_from_topology(params, topo, domain)
-        x_next, v_next = _rk4_arrays(x, v, dt, accel)
-        if not (np.isfinite(x_next).all() and np.isfinite(v_next).all()):
-            raise IntegrationFault(step)
-        wrapped = domain.wrap(x_next)
+        wrapped, v = _advance(x, v, dt, _stage_force(params, mask, domain), domain, step)
         unwrapped += domain.shortest_displacement(wrapped, x)
         buffer.push(wrapped, (step + 1) * dt)
-        x, v = wrapped, v_next
+        x = wrapped
     return record
 
 

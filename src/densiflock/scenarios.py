@@ -39,6 +39,20 @@ DEFAULT_CHAIN_SPACING = 0.95
 DEFAULT_CHAIN_GAP = 8.0
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of dt steps that end exactly at t_end.
+
+    A horizon between grid points would silently be rounded to one of them,
+    so it is rejected.
+    """
+    steps = t_end / dt
+    if not (math.isfinite(steps) and steps >= 0 and math.isclose(steps, round(steps))):
+        raise ConfigError(
+            f"t_end must be a finite whole number of dt steps, got t_end={t_end!r}, dt={dt!r}"
+        )
+    return round(steps)
+
+
 @dataclass
 class ScenarioSpec:
     """Declarative description of one run: model, domain, horizon, generator."""
@@ -67,6 +81,7 @@ class ScenarioSpec:
             raise ConfigError("dt must be > 0")
         if self.t_end < 0:
             raise ConfigError("t_end must be >= 0")
+        step_count(self.t_end, self.dt)
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
         if not self.name:
@@ -87,10 +102,10 @@ class ScenarioSpec:
             rows = GROUP_SHAPE_ROWS[self.shape]
             if self.n_cluster % rows != 0:
                 raise ConfigError(f"shape {self.shape!r} needs n divisible by {rows}")
+        if self.scenario == "random_clusters" and not self.domain.is_periodic:
+            raise ConfigError("scenario random_clusters requires domain = periodic")
         if self.scenario == "random_clusters" and self.margin is not None:
-            if self.margin < 0 or (
-                self.domain.is_periodic and 2 * self.margin >= self.domain.L
-            ):
+            if self.margin < 0 or 2 * self.margin >= self.domain.L:
                 raise ConfigError("margin must satisfy 0 <= margin < L/2")
         if self.domain.is_periodic and self.params.delta is not None:
             if not self.domain.L > 2 * self.params.delta:

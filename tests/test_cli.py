@@ -224,6 +224,27 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
 
 
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("t_end = 1.0", "t_end = nan", "t_end"),
+        ("t_end = 1.0", "t_end = inf", "t_end"),
+        ("L = 25.0", "L = inf", "L"),
+        ("domain = periodic\nL = 25.0", "domain = unbounded", "domain"),
+        ("t_end = 1.0", "t_end = 0.015", "t_end"),  # would overrun to 0.02
+        ("t_end = 1.0", "t_end = 0.025", "t_end"),  # would stop short at 0.02
+    ],
+    ids=["t_end-nan", "t_end-inf", "L-inf", "unbounded-random-clusters", "t_end-overrun",
+         "t_end-short"],
+)
+def test_run_rejects_bad_values_naming_the_key(tmp_path, capsys, old, new, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_RUN.replace(old, new) + f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- sweeps ------------------------------------------------------------------------
 
 
@@ -249,6 +270,15 @@ def test_sweep_grid_rows_and_determinism(tmp_path):
     lines = read(out).splitlines()
     assert lines[0] == "run,beta,v_c,seed,regime,final_mom0,final_mom1,final_clusters,error"
     assert len(lines) == 3
+
+
+def test_sweep_rejects_seed_as_grid_key(tmp_path, capsys):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(THREE_BODY)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--set", "seed=5,6", "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_records_failures_without_aborting():

@@ -7,6 +7,7 @@ from densiflock import (
     EnsembleState,
     ModelParams,
     MPolicy,
+    NeighborTable,
     acceleration_cs,
     acceleration_di,
     density_ratio,
@@ -119,6 +120,21 @@ def test_di_grid_and_ghost_match_min_image(n, seed):
     ghost = neighbor_sets_di_ghost(pos, delta, 2, L=L)
     assert scan.same_as(grid)
     assert scan.same_as(ghost)
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 10_000), p=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_table_from_mask_round_trips(n, seed, p):
+    mask = np.random.default_rng(seed).random((n, n)) < p
+    table = NeighborTable.from_mask(mask, source_time=0.5)
+    assert table.n == n and table.source_time == 0.5
+    assert table_as_lists(table) == [list(np.flatnonzero(row)) for row in mask]
+    assert list(table.sizes()) == list(mask.sum(axis=1))
+    assert np.array_equal(table.membership_matrix(), mask)
+    assert all(table.contains(i, k) == mask[i, k] for i in range(n) for k in range(n))
+    assert table.same_as(NeighborTable.from_mask(mask.copy()))
+    if mask.any():
+        assert not table.same_as(NeighborTable.from_mask(np.zeros_like(mask)))
 
 
 # --- cs-family neighbor sets ----------------------------------------------

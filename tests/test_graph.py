@@ -130,6 +130,18 @@ def test_scc_matches_transitive_closure(n, seed, p):
             assert (labels.labels[i] == labels.labels[j]) == (oracle[i] == oracle[j])
 
 
+@given(n=st.integers(1, 12), seed=st.integers(0, 100_000), p=st.floats(0.05, 0.9))
+@settings(max_examples=60, deadline=None)
+def test_scc_labels_equal_canonical_oracle(n, seed, p):
+    # Cluster ids are numbered by their smallest member, exactly as the oracle does.
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < p
+    np.fill_diagonal(adj, False)
+    labels = strongly_connected_components(digraph_from_phi(adj.astype(float)))
+    assert list(labels.labels) == scc_oracle_labels(adj)
+    assert labels.cluster_count == max(scc_oracle_labels(adj)) + 1
+
+
 # --- packedness ----------------------------------------------------------------
 
 

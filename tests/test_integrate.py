@@ -186,6 +186,12 @@ def test_zero_horizon_records_initial_state_only():
     assert record.samples[0].t == 0.0
 
 
+@pytest.mark.parametrize("t_end", [0.015, 0.025, -0.01, np.nan, np.inf])
+def test_simulate_rejects_horizon_off_the_step_grid(t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        simulate(_blob_state(), _di_params(5, m=2), Domain.unbounded(), 0.01, t_end)
+
+
 def test_sample_times_are_exact_grid_multiples():
     state = _blob_state()
     record = simulate(state, _di_params(5, m=2), Domain.unbounded(), 0.01, 0.5, sample_every=7)
