@@ -24,8 +24,6 @@ from .dynamics import (
     neighbor_sets_cs_delta,
     neighbor_sets_cs_q,
     neighbor_sets_di,
-    neighbor_sets_di_ghost,
-    neighbor_sets_di_grid,
     total_momentum,
     velocity_diameter,
 )

@@ -261,10 +261,10 @@ def write_sweep_csv(rows: list[SweepRow], keys: list[str], path: Path) -> None:
 ORACLE_SPEC = dict(n=10, v_c=1.0, beta=7.5, gamma=8.75, delta=8.7)
 
 
-def oracle_run(dt: float = 1e-3, t_end: float = 10.0, sample_every: int = 100) -> tuple:
-    """Three-body run whose topology stays fixed, plus its closed-form solution.
+def oracle_run(dt: float = 1e-3) -> tuple:
+    """Three-body run to t = 10 whose topology stays fixed, plus its closed-form solution.
 
-    Geometry is chosen so neither separation happens before t_end; the edge
+    Geometry is chosen so neither separation happens before t = 10; the edge
     member's simulated velocity can then be compared pointwise against the
     reduced solution.  Returns (record, solution, max_abs_error).
     """
@@ -277,8 +277,8 @@ def oracle_run(dt: float = 1e-3, t_end: float = 10.0, sample_every: int = 100) -
         ),
         domain=Domain.unbounded(),
         dt=dt,
-        t_end=t_end,
-        sample_every=sample_every,
+        t_end=10.0,
+        sample_every=100,
         seed=1,
         n_cluster=n,
         beta=ORACLE_SPEC["beta"],
@@ -294,24 +294,19 @@ def oracle_run(dt: float = 1e-3, t_end: float = 10.0, sample_every: int = 100) -
     return record, sol, float(err)
 
 
-def lattice_state(
-    nx: int = 3, ny: int = 3, spacing: float = 1.0, vel_scale: float = 0.05, seed: int = 3
-) -> EnsembleState:
-    """Rectangular lattice with small seeded velocities, used by the lattice checks."""
-    xs = np.arange(nx) * spacing
-    ys = np.arange(ny) * spacing
-    gx, gy = np.meshgrid(xs, ys)
+def lattice_state(spacing: float = 1.0) -> EnsembleState:
+    """3x3 lattice with small seeded velocities, used by the lattice checks."""
+    gx, gy = np.meshgrid(np.arange(3) * spacing, np.arange(3) * spacing)
     positions = np.column_stack([gx.ravel(), gy.ravel()])
-    rng = np.random.default_rng(seed)
-    velocities = rng.uniform(-vel_scale, vel_scale, size=positions.shape)
+    velocities = np.random.default_rng(3).uniform(-0.05, 0.05, size=positions.shape)
     return EnsembleState(0.0, positions, velocities)
 
 
-def momentum_experiment(t_end: float = 50.0, dt: float = 0.01) -> float:
+def momentum_experiment(t_end: float = 50.0) -> float:
     """Max momentum drift of a packed 3x3 lattice under flat normalization."""
     state = lattice_state(spacing=0.8)
     params = ModelParams(model="di", N=9, m=3, delta=2.0, kappa=1.0, m_policy="flat")
-    record = simulate(state, params, Domain.unbounded(), dt, t_end, sample_every=10)
+    record = simulate(state, params, Domain.unbounded(), 0.01, t_end, sample_every=10)
     mom = record.momentum_series()
     return float(np.abs(mom - mom[0]).max())
 
@@ -328,14 +323,12 @@ class CertificateOutcome:
     certificate_holds: bool
 
 
-def certificate_experiment(
-    margin: float = 1.5, t_end: float = 100.0, dt: float = 0.01
-) -> CertificateOutcome:
+def certificate_experiment(t_end: float = 100.0) -> CertificateOutcome:
     """Drive a 3x3 lattice above the flocking-certificate threshold and measure.
 
     Spacing equals r = delta/2; lambda2 comes from the lattice's influence
-    graph; kappa is then set so M_* exceeds 2/(lambda2 (delta - r)) by the
-    given margin.  The fitted decay rate of max_i |v_i - v_mean| over the
+    graph; kappa is then set so M_* exceeds 2/(lambda2 (delta - r)) by a
+    factor of 1.5.  The fitted decay rate of max_i |v_i - v_mean| over the
     first half of the decay is compared against M_* lambda2.
     """
     delta, m, r = 2.0, 3, 1.0
@@ -345,12 +338,12 @@ def certificate_experiment(
     table = neighbor_sets_di(state.positions, delta, m)
     lam2 = fiedler_value(build_digraph(table, MPolicy("flat", 1.0), n))
     threshold = 2.0 / (lam2 * (delta - r))
-    kappa = margin * n * threshold  # flat policy: M_* = kappa / n
+    kappa = 1.5 * n * threshold  # flat policy: M_* = kappa / n
     params = ModelParams(model="di", N=n, m=m, delta=delta, kappa=kappa, m_policy="flat")
     m_star = m_star_analytic(params.policy(), n)
     cert = flocking_certificate(r, delta, m_star, lam2)
 
-    record = simulate(state, params, Domain.unbounded(), dt, t_end, sample_every=10)
+    record = simulate(state, params, Domain.unbounded(), 0.01, t_end, sample_every=10)
     packed = all(
         is_r_densely_packed(
             s.delayed_positions, np.arange(n), delta, m
@@ -403,7 +396,7 @@ class CheckResult:
         )
 
 
-def verify_suite(tol_scale: float = 1.0, quick: bool = True) -> list[CheckResult]:
+def verify_suite(tol_scale: float = 1.0) -> list[CheckResult]:
     """Invariant battery mirroring the acceptance checks; tol_scale < 1 tightens."""
     checks: list[CheckResult] = []
 
@@ -416,7 +409,7 @@ def verify_suite(tol_scale: float = 1.0, quick: bool = True) -> list[CheckResult
         params=ModelParams(model="di", N=64, m=3, delta=2.0, kappa=1.0),
         domain=Domain.periodic(25.0),
         dt=0.01,
-        t_end=30.0 if quick else 150.0,
+        t_end=30.0,
         sample_every=1,
         seed=7,
         margin=2.0,

@@ -32,8 +32,8 @@ class Domain:
         if self.kind not in ("unbounded", "periodic"):
             raise ConfigError(f"unknown domain kind {self.kind!r}")
         if self.kind == "periodic":
-            if self.L is None or not self.L > 0:
-                raise ConfigError("periodic domain requires side length L > 0")
+            if self.L is None or not 0 < self.L < np.inf:
+                raise ConfigError("periodic domain requires a finite side length L > 0")
         elif self.L is not None:
             raise ConfigError("unbounded domain takes no side length")
 

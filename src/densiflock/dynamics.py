@@ -14,7 +14,6 @@ Four velocity-alignment rules share one state representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -201,7 +200,8 @@ class NeighborTable:
         mask = np.asarray(mask, dtype=bool)
         indptr = np.zeros(len(mask) + 1, dtype=np.intp)
         np.cumsum(mask.sum(axis=1), out=indptr[1:])
-        return cls(indptr, np.nonzero(mask)[1], source_time)
+        # nonzero's column array is a strided view; csgraph needs it contiguous.
+        return cls(indptr, np.ascontiguousarray(np.nonzero(mask)[1]), source_time)
 
     @property
     def n(self) -> int:
@@ -316,105 +316,17 @@ def neighbor_sets_all(n: int, source_time: float = 0.0) -> NeighborTable:
     return NeighborTable.from_mask(cs_mask(n), source_time)
 
 
-def neighbor_sets_di_grid(
-    delayed_positions,
-    delta: float,
-    m: int,
-    L: float | None = None,
-    source_time: float = 0.0,
-) -> NeighborTable:
-    """Cell-list variant of the gated neighbor search; identical tables.
-
-    Pass L for a periodic box (minimum-image distances); leave it None on
-    the unbounded plane.  Cells have side >= delta, so candidates only come
-    from the surrounding cell block.
-    """
-    if not delta > 0:
-        raise ConfigError("delta must be > 0")
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    x = _check_positions(delayed_positions)
-    n, dim = x.shape
-
-    if L is None:
-        origin = x.min(axis=0)
-        cells = np.floor((x - origin) / delta).astype(int)
-        n_cells = None
-    else:
-        x = np.mod(x, L)
-        per_axis = max(int(L // delta), 1)
-        size = L / per_axis
-        cells = np.minimum(np.floor(x / size).astype(int), per_axis - 1)
-        n_cells = per_axis
-
-    buckets: dict[tuple, list[int]] = {}
-    for i, cell in enumerate(map(tuple, cells)):
-        buckets.setdefault(cell, []).append(i)
-
-    offsets = list(product((-1, 0, 1), repeat=dim))
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        seen: set[tuple] = set()
-        candidates: list[int] = []
-        for off in offsets:
-            key = tuple(
-                (c + o) % n_cells if n_cells is not None else c + o
-                for c, o in zip(cells[i], off)
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.extend(buckets.get(key, ()))
-        cand = np.array(candidates, dtype=int)
-        diff = x[cand] - x[i]
-        if L is not None:
-            diff -= L * np.round(diff / L)
-        inside = cand[np.einsum("ij,ij->i", diff, diff) < delta * delta]
-        if len(inside) > m:
-            mask[i, inside] = True
-    return NeighborTable.from_mask(mask, source_time)
-
-
-def neighbor_sets_di_ghost(
-    delayed_positions, delta: float, m: int, L: float, source_time: float = 0.0
-) -> NeighborTable:
-    """Mirror-copy realization of the periodic gated neighbor rule.
-
-    The box is extended by a band of width delta holding shifted copies of
-    boundary particles; plain Euclidean search over base plus copies then
-    matches the minimum-image tables whenever L > 2*delta.
-    """
-    if not L > 2 * delta:
-        raise ConfigError("ghost construction requires L > 2*delta")
-    x = np.mod(_check_positions(delayed_positions), L)
-    n, dim = x.shape
-    points = [x]
-    owners = [np.arange(n)]
-    for off in product((-L, 0.0, L), repeat=dim):
-        if all(o == 0 for o in off):
-            continue
-        shifted = x + np.asarray(off)
-        keep = ((shifted > -delta) & (shifted < L + delta)).all(axis=1)
-        if keep.any():
-            points.append(shifted[keep])
-            owners.append(np.flatnonzero(keep))
-    allx = np.vstack(points)
-    owner = np.concatenate(owners)
-
-    inside = euclidean_distances(x, allx) < delta
-    rows, cols = np.nonzero(inside & (inside.sum(axis=1) > m)[:, None])
-    mask = np.zeros((n, n), dtype=bool)
-    mask[rows, owner[cols]] = True
-    return NeighborTable.from_mask(mask, source_time)
-
-
 # One coupling formula: a = (W - diag(W 1)) v, with W the membership scaled
 # row-wise by M(N, i, #N_i), times psi(|x_i - x_k|) for the cs family.
 
 
-def member_weights(mask: np.ndarray, policy: MPolicy, N: int) -> np.ndarray:
-    """W[i, k] = M(N, i, #N_i) where mask[i, k] holds, else 0."""
-    return mask * _policy_values(policy, N, mask.sum(axis=1))[:, None]
+def member_weights(mask: np.ndarray, policy: MPolicy, N: int) -> tuple[np.ndarray, float]:
+    """W[i, k] = M(N, i, #N_i) where mask[i, k] holds, else 0, and the radius
+    rho = max_i sum_{k != i} W_ik of the Gershgorin disc |z + rho| <= rho that
+    holds the spectrum of W - diag(W 1)."""
+    sizes = mask.sum(axis=1)
+    m = _policy_values(policy, N, sizes)
+    return mask * m[:, None], float((m * (sizes - mask.diagonal())).max())
 
 
 def stage_force(weights: np.ndarray, pair_weight=None):
@@ -437,7 +349,7 @@ def stage_force(weights: np.ndarray, pair_weight=None):
 
 def di_weight_matrix(table: NeighborTable, policy: MPolicy, N: int) -> np.ndarray:
     """Dense weight matrix W with W[i, k] = M(N, i, #N_i) for k in set i, else 0."""
-    return member_weights(table.membership_matrix(), policy, N)
+    return member_weights(table.membership_matrix(), policy, N)[0]
 
 
 def acceleration_di(state: EnsembleState, table: NeighborTable, policy: MPolicy) -> np.ndarray:
@@ -459,7 +371,7 @@ def acceleration_cs(
     psi overrides the built-in (1 + s)^(-alpha) weight when given.
     """
     weight = psi if psi is not None else (lambda s: alignment_weight(s, alpha))
-    weights = member_weights(table.membership_matrix(), policy, state.n)
+    weights, _ = member_weights(table.membership_matrix(), policy, state.n)
     force = stage_force(weights, lambda x: weight(dist(x, x)))
     return force(state.positions, state.velocities)
 

@@ -19,14 +19,11 @@ from .dynamics import MPolicy, NeighborTable, _policy_values
 
 @dataclass(eq=False)
 class InteractionDigraph:
-    """Weight matrix Phi (who influences whom) and M-scaled degree vector."""
+    """Sparse weight matrix Phi (who influences whom) and M-scaled degree vector."""
 
     n: int
-    phi: np.ndarray
+    phi: csr_matrix
     degrees: np.ndarray
-
-    def adjacency(self) -> np.ndarray:
-        return self.phi > 0
 
 
 @dataclass(eq=False)
@@ -84,20 +81,21 @@ def m_star_realized(table: NeighborTable, policy: MPolicy, N: int) -> float | No
 
 
 def build_digraph(table: NeighborTable, policy: MPolicy, N: int) -> InteractionDigraph:
-    """Digraph with phi[i, k] = M_i / M_* for k in set i; degrees are M-scaled set sizes."""
+    """Digraph with phi[i, k] = M_i / M_* for k in set i; degrees are M-scaled set sizes.
+
+    Phi is CSR over the table's own indptr/indices.
+    """
     m_star = m_star_analytic(policy, N)
     sizes = table.sizes()
     mvals = _policy_values(policy, N, sizes)
-    phi = table.membership_matrix() * (mvals / m_star)[:, None]
-    degrees = sizes * mvals / m_star
-    return InteractionDigraph(N, phi, degrees)
+    data = np.repeat(mvals / m_star, sizes)
+    phi = csr_matrix((data, table.indices, table.indptr), shape=(N, N))
+    return InteractionDigraph(N, phi, sizes * mvals / m_star)
 
 
 def strongly_connected_components(g: InteractionDigraph) -> ClusterLabeling:
     """SCC partition of the influence digraph, labeled by ascending minimal member."""
-    n, raw = connected_components(
-        csr_matrix(g.adjacency()), directed=True, connection="strong"
-    )
+    n, raw = connected_components(g.phi, directed=True, connection="strong")
     # Canonical labels: cluster ids ordered by their smallest node index.
     _, first = np.unique(raw, return_index=True)
     rank = np.empty(n, dtype=int)
@@ -143,6 +141,22 @@ def is_r_densely_packed(
     )
 
 
+def _dense_block(phi: csr_matrix, nodes: np.ndarray) -> np.ndarray:
+    """phi[nodes][:, nodes] as a dense array, read from the CSR arrays."""
+    local = np.full(phi.shape[1], -1)
+    local[nodes] = np.arange(len(nodes))
+    starts = phi.indptr[nodes]
+    lengths = phi.indptr[nodes + 1] - starts
+    rows = np.repeat(np.arange(len(nodes)), lengths)
+    # Where each selected row's entries sit in indices/data.
+    pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    cols = local[phi.indices[pos]]
+    keep = cols >= 0
+    block = np.zeros((len(nodes), len(nodes)))
+    block[rows[keep], cols[keep]] = phi.data[pos[keep]]
+    return block
+
+
 def fiedler_value(g: InteractionDigraph, cluster=None) -> float:
     """Second-smallest eigenvalue of L = D - Phi restricted to the cluster.
 
@@ -154,7 +168,7 @@ def fiedler_value(g: InteractionDigraph, cluster=None) -> float:
     cluster = np.asarray(cluster, dtype=int)
     if cluster.size < 2:
         raise ValueError("fiedler_value needs a cluster with at least 2 nodes")
-    sub = g.phi[np.ix_(cluster, cluster)]
+    sub = _dense_block(g.phi, cluster)
     scale = max(1.0, float(np.abs(sub).max()))
     if np.abs(sub - sub.T).max() > 1e-12 * scale:
         raise ValueError("cluster restriction of the weight matrix is not symmetric")

@@ -135,19 +135,36 @@ def neighbor_table_for_step(
     return NeighborTable.from_mask(*_step_mask(params, state.positions, buffer, domain, state.t))
 
 
-def _stage_force(params: ModelParams, mask: np.ndarray, domain: Domain):
-    """Stage-callable a(x, v) with the step's membership frozen."""
-    weights = member_weights(mask, params.policy(), params.N)
+# Largest c for which the Gershgorin disc |z + c| <= c lies inside the RK4
+# stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (rounded down).
+RK4_DISC_RADIUS = 1.3926467
+
+
+def _advance(
+    x: np.ndarray, v: np.ndarray, dt: float, params: ModelParams, mask: np.ndarray,
+    domain: Domain, step: int,
+):
+    """One RK4 step with the membership mask frozen: velocity stages use the
+    model force, position stages the staged velocities.  Returns wrapped
+    positions and velocities.
+
+    Raises IntegrationFault for the given step when dt * rho leaves the RK4
+    stability disc, rho being the Gershgorin radius of the step's weights
+    (psi <= 1, so it also bounds the cs family's staged weights), or when the
+    output is non-finite.
+    """
+    weights, rho = member_weights(mask, params.policy(), params.N)
+    if dt * rho > RK4_DISC_RADIUS:
+        raise IntegrationFault(
+            step,
+            f"unstable step {step}: h*rho = {dt * rho:.6g} exceeds the RK4 "
+            f"stability limit {RK4_DISC_RADIUS}",
+        )
     if params.model == "di":
-        return stage_force(weights)
-    metric, alpha = domain.distances, params.alpha
-    return stage_force(weights, lambda x: alignment_weight(metric(x, x), alpha))
-
-
-def _advance(x: np.ndarray, v: np.ndarray, dt: float, accel, domain: Domain, step: int):
-    """One RK4 step: velocity stages use the model force, position stages the
-    staged velocities.  Returns wrapped positions and velocities; non-finite
-    output raises IntegrationFault for the given step."""
+        accel = stage_force(weights)
+    else:
+        metric, alpha = domain.distances, params.alpha
+        accel = stage_force(weights, lambda pos: alignment_weight(metric(pos, pos), alpha))
     kv1 = accel(x, v) * dt
     kx1 = v * dt
     kv2 = accel(x + kx1 / 2, v + kv1 / 2) * dt
@@ -182,9 +199,8 @@ def rk4_step(
         mask, _ = _step_mask(params, state.positions, buffer, domain, state.t)
     else:
         mask = table.membership_matrix()
-    accel = _stage_force(params, mask, domain)
     x, v = _advance(
-        state.positions, state.velocities, dt, accel, domain, int(round(state.t / dt))
+        state.positions, state.velocities, dt, params, mask, domain, int(round(state.t / dt))
     )
     return EnsembleState(state.t + dt, x, v)
 
@@ -244,7 +260,7 @@ def simulate(
             )
         if step == n_steps:
             break
-        wrapped, v = _advance(x, v, dt, _stage_force(params, mask, domain), domain, step)
+        wrapped, v = _advance(x, v, dt, params, mask, domain, step)
         unwrapped += domain.shortest_displacement(wrapped, x)
         buffer.push(wrapped, (step + 1) * dt)
         x = wrapped

@@ -224,6 +224,19 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
 
 
+def test_unstable_run_exits_with_integration_fault(tmp_path, capsys):
+    # h*rho = 20 here; without the stability check the velocity diameter
+    # grows from 8.1 to about 2e12 and the run exits 0.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "scenario = chain\nmodel = di\nm_policy = constant\nkappa = 500\n"
+        f"delta_variant = 2\nt_end = 1.0\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "h*rho = 20" in err and "1.39" in err
+
+
 @pytest.mark.parametrize(
     "old,new,key",
     [

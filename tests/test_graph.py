@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from densiflock import (
     InteractionDigraph,
@@ -22,7 +23,7 @@ from densiflock import (
 
 def digraph_from_phi(phi):
     phi = np.asarray(phi, dtype=float)
-    return InteractionDigraph(len(phi), phi, phi.sum(axis=1))
+    return InteractionDigraph(len(phi), csr_matrix(phi), phi.sum(axis=1))
 
 
 def scc_oracle_labels(adj):
@@ -49,7 +50,7 @@ def scc_oracle_labels(adj):
 def test_build_digraph_empty_sets():
     table = neighbor_sets_di([[0.0, 0.0], [9.0, 0.0]], 1.0, 3)
     g = build_digraph(table, MPolicy("per_neighbor", 1.0), 2)
-    assert np.all(g.phi == 0)
+    assert np.all(g.phi.toarray() == 0)
     assert np.all(g.degrees == 0)
 
 
@@ -58,7 +59,7 @@ def test_build_digraph_fully_mixed_per_neighbor():
     table = neighbor_sets_di(pos, 2.0, 3)
     g = build_digraph(table, MPolicy("per_neighbor", 1.0), 4)
     # All set sizes are 4 = N, so every M_i equals M_* and phi is the ones block.
-    assert np.all(g.phi == 1.0)
+    assert np.all(g.phi.toarray() == 1.0)
     assert np.all(g.degrees == 4.0)
 
 
@@ -66,16 +67,19 @@ def test_build_digraph_collinear_asymmetric():
     pos = [[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]]
     table = neighbor_sets_di(pos, 1.0, 2)
     g = build_digraph(table, MPolicy("per_neighbor", 1.0), 3)
-    assert np.all(g.phi[0] == 0) and np.all(g.phi[2] == 0)
-    assert np.count_nonzero(g.phi[1]) == 3
-    assert not np.array_equal(g.phi, g.phi.T)
+    phi = g.phi.toarray()
+    assert np.all(phi[0] == 0) and np.all(phi[2] == 0)
+    assert np.count_nonzero(phi[1]) == 3
+    assert not np.array_equal(phi, phi.T)
 
 
 def test_build_digraph_row_consistency():
     pos = np.random.default_rng(5).uniform(0, 3, (10, 2))
     table = neighbor_sets_di(pos, 1.5, 2)
     g = build_digraph(table, MPolicy("per_neighbor", 1.0), 10)
-    assert np.allclose(g.degrees, g.phi.sum(axis=1))
+    assert np.allclose(g.degrees, g.phi.toarray().sum(axis=1))
+    assert isinstance(g.phi, csr_matrix)
+    assert g.phi.nnz == table.sizes().sum()
 
 
 def test_m_star_variants():
@@ -233,7 +237,8 @@ def test_packed_clusters_induce_symmetric_connected_digraphs():
         found += 1
         table = neighbor_sets_di(pos, delta, m)
         g = build_digraph(table, MPolicy("per_neighbor", 1.0), n)
-        assert np.array_equal(g.phi > 0, (g.phi > 0).T)
+        phi = g.phi.toarray()
+        assert np.array_equal(phi > 0, (phi > 0).T)
         labels = strongly_connected_components(g)
         assert labels.cluster_count == 1
     assert found >= 10

@@ -18,6 +18,8 @@ from densiflock import (
     simulate,
 )
 from densiflock.dynamics import di_weight_matrix
+from densiflock.errors import ConfigError
+from densiflock.integrate import RK4_DISC_RADIUS
 
 
 # --- delay buffer ------------------------------------------------------------
@@ -69,6 +71,11 @@ def test_wrap_maps_into_box():
     domain = Domain.periodic(10.0)
     wrapped = domain.wrap(np.array([[10.0, -0.1], [23.5, 5.0]]))
     assert np.allclose(wrapped, [[0.0, 9.9], [3.5, 5.0]])
+
+
+def test_periodic_box_side_must_be_finite():
+    with pytest.raises(ConfigError, match="L"):
+        Domain.periodic(float("inf"))
 
 
 # --- single steps ----------------------------------------------------------------
@@ -207,6 +214,35 @@ def test_integration_fault_reports_step():
         with pytest.raises(IntegrationFault) as info:
             simulate(state, params, Domain.unbounded(), 1.0, 10.0)
     assert info.value.step >= 0
+
+
+def test_rk4_disc_radius_is_the_stability_limit():
+    # Bisect for the largest c with the disc |z + c| <= c inside |R(z)| <= 1,
+    # R the RK4 stability polynomial; by the maximum principle the boundary
+    # circle decides.
+    theta = np.linspace(0.0, 2 * np.pi, 100_001)
+
+    def inside(c):
+        z = -c + c * np.exp(1j * theta)
+        return np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max() <= 1 + 1e-12
+
+    lo, hi = 1.0, 2.0
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    assert lo == pytest.approx(1.39265, abs=1e-5)
+    assert lo - 1e-6 < RK4_DISC_RADIUS <= lo
+
+
+def test_unstable_step_size_raises_fault():
+    # Constant kappa = 10 on a 5-particle blob: rho = 40, so dt = 0.05 gives
+    # h*rho = 2 beyond the limit while dt = 0.03 gives 1.2 within it.
+    state = _blob_state()
+    params = _di_params(5, m=2, kappa=10.0, m_policy="constant")
+    simulate(state, params, Domain.unbounded(), 0.03, 0.3)
+    with pytest.raises(IntegrationFault, match=r"h\*rho = 2 .*1\.39") as info:
+        simulate(state, params, Domain.unbounded(), 0.05, 0.5)
+    assert info.value.step == 0
 
 
 def test_unwrapped_positions_accumulate_across_wraps():
