@@ -85,23 +85,13 @@ def _int_v_b_minus_v_a(sol: ReducedSolution, t: float) -> float:
     )
 
 
-def _gap_limit(integral, sol: ReducedSolution) -> float:
-    """|integral| at t -> infinity (both exponentials vanish)."""
-    if integral is _int_v_b_minus_v_c:
-        return abs(sol.A / sol.r1 + sol.B / sol.r2)
-    n = float(sol.N)
-    return abs(
-        sol.A * (1.0 / sol.r1 + 1.0 / n) / (n + sol.r1)
-        + sol.B * (1.0 / sol.r2 + 1.0 / n) / (n + sol.r2)
-    )
-
-
 def _contact_loss_time(offset: float, delta: float, integral, sol: ReducedSolution):
     """First t with offset + |integral(t)| = delta, or None when never reached."""
     budget = delta - offset
     if budget <= 0:
         return 0.0
-    if _gap_limit(integral, sol) <= budget:
+    # The gap's limit: every exponential in the closed form vanishes at t = inf.
+    if abs(integral(sol, math.inf)) <= budget:
         return None
     f = lambda t: abs(integral(sol, t)) - budget
     hi = 1.0

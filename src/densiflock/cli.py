@@ -86,24 +86,20 @@ def write_diagnostics_csv(record: TrajectoryRecord, path: Path) -> None:
 
 def write_clusters_csv(record: TrajectoryRecord, path: Path) -> None:
     """Per-cluster rows; packedness only for the gated model, lambda2 only
-    for symmetric cluster subgraphs of at least two nodes."""
+    for symmetric cluster subgraphs of at least two nodes.
+
+    A gated cluster is delta-densely packed iff all its members are gated on:
+    an SCC is connected through edges that join delta-close delayed positions,
+    and a ball holding more than m particles is what gates its center on."""
     params = record.spec.params
     policy = params.policy()
     with open(path, "w", newline="\n") as f:
         f.write("t,cluster_id,size,is_delta_packed,lambda2\n")
         for sample in record.samples:
             digraph = build_digraph(sample.table, policy, params.N)
+            gated_on = sample.table.sizes() > 0
             for cid, members in enumerate(sample.labels.clusters()):
-                packed = ""
-                if params.model == "di":
-                    report = is_r_densely_packed(
-                        sample.delayed_positions,
-                        members,
-                        params.delta,
-                        params.m,
-                        dist=record.spec.domain.distances,
-                    )
-                    packed = "true" if report.is_packed else "false"
+                packed = _fmt(bool(gated_on[members].all())) if params.model == "di" else ""
                 lam = ""
                 if len(members) >= 2:
                     try:

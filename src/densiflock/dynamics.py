@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .domains import euclidean_distances
 from .errors import ConfigError
@@ -115,16 +116,13 @@ class ModelParams:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.N < 1:
             raise ConfigError("n must be >= 1")
-        if not self.kappa > 0:
-            raise ConfigError("kappa must be > 0")
         if not self.alpha > 0:
             raise ConfigError("alpha must be > 0")
         if self.h_steps < 1:
             raise ConfigError("h_steps must be >= 1")
         if self.m_policy is None:
             self.m_policy = DEFAULT_POLICY[self.model]
-        if self.m_policy not in POLICY_KINDS:
-            raise ConfigError(f"unknown m_policy {self.m_policy!r}")
+        self.policy()  # checks m_policy and kappa
 
         needs_delta = self.model in ("di", "cs_delta")
         if needs_delta:
@@ -171,10 +169,6 @@ class EnsembleState:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
     def mean_position(self) -> np.ndarray:
         return self.positions.mean(axis=0)
 
@@ -198,10 +192,12 @@ class NeighborTable:
     def from_mask(cls, mask: np.ndarray, source_time: float = 0.0) -> "NeighborTable":
         """Table whose set i holds every k with mask[i, k] true."""
         mask = np.asarray(mask, dtype=bool)
-        indptr = np.zeros(len(mask) + 1, dtype=np.intp)
+        # scipy.sparse's own index dtype, so CSR matrices over these arrays
+        # share them; int32 would wrap once the entry count can reach 2**31.
+        itype = np.int32 if mask.size < 2**31 else np.intp
+        indptr = np.zeros(len(mask) + 1, dtype=itype)
         np.cumsum(mask.sum(axis=1), out=indptr[1:])
-        # nonzero's column array is a strided view; csgraph needs it contiguous.
-        return cls(indptr, np.ascontiguousarray(np.nonzero(mask)[1]), source_time)
+        return cls(indptr, np.nonzero(mask)[1].astype(itype), source_time)
 
     @property
     def n(self) -> int:
@@ -380,10 +376,7 @@ def velocity_diameter(state: EnsembleState) -> float:
     """Largest pairwise velocity difference norm; zero at consensus."""
     if state.n < 2:
         return 0.0
-    v = state.velocities
-    diff = v[:, None, :] - v[None, :, :]
-    # sqrt is monotone, so the max of squared norms gives the exact answer.
-    return float(np.sqrt((diff * diff).sum(axis=-1).max()))
+    return float(pdist(state.velocities).max())
 
 
 def total_momentum(state: EnsembleState) -> np.ndarray:

@@ -128,7 +128,7 @@ def is_r_densely_packed(
     to_all = dist(x[cluster], x)
     min_ball_count = int((to_all < r).sum(axis=1).min())
 
-    within = dist(x[cluster], x[cluster]) < r
+    within = to_all[:, cluster] < r
     n_comp, _ = connected_components(csr_matrix(within), directed=False)
     connected = bool(n_comp == 1)
 

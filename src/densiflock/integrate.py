@@ -16,6 +16,7 @@ from .domains import Domain
 from .dynamics import (
     EnsembleState,
     ModelParams,
+    MPolicy,
     NeighborTable,
     alignment_weight,
     cs_delta_mask,
@@ -93,10 +94,6 @@ class TrajectoryRecord:
     spec: ScenarioSpec | None
     samples: list[TrajectorySample] = field(default_factory=list)
 
-    @property
-    def seed(self) -> int | None:
-        return self.spec.seed if self.spec is not None else None
-
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
 
@@ -105,9 +102,6 @@ class TrajectoryRecord:
 
     def momentum_series(self) -> np.ndarray:
         return np.array([s.momentum for s in self.samples])
-
-    def cluster_counts(self) -> np.ndarray:
-        return np.array([s.n_clusters for s in self.samples])
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +135,8 @@ RK4_DISC_RADIUS = 1.3926467
 
 
 def _advance(
-    x: np.ndarray, v: np.ndarray, dt: float, params: ModelParams, mask: np.ndarray,
-    domain: Domain, step: int,
+    x: np.ndarray, v: np.ndarray, dt: float, params: ModelParams, policy: MPolicy,
+    mask: np.ndarray, domain: Domain, step: int,
 ):
     """One RK4 step with the membership mask frozen: velocity stages use the
     model force, position stages the staged velocities.  Returns wrapped
@@ -153,7 +147,7 @@ def _advance(
     (psi <= 1, so it also bounds the cs family's staged weights), or when the
     output is non-finite.
     """
-    weights, rho = member_weights(mask, params.policy(), params.N)
+    weights, rho = member_weights(mask, policy, params.N)
     if dt * rho > RK4_DISC_RADIUS:
         raise IntegrationFault(
             step,
@@ -200,14 +194,15 @@ def rk4_step(
     else:
         mask = table.membership_matrix()
     x, v = _advance(
-        state.positions, state.velocities, dt, params, mask, domain, int(round(state.t / dt))
+        state.positions, state.velocities, dt, params, params.policy(), mask, domain,
+        int(round(state.t / dt)),
     )
     return EnsembleState(state.t + dt, x, v)
 
 
-def _sample(step, t, x, v, unwrapped, delayed, table: NeighborTable, params) -> TrajectorySample:
+def _sample(step, t, x, v, unwrapped, delayed, table: NeighborTable, policy) -> TrajectorySample:
     state = EnsembleState(t, x, v)
-    digraph = build_digraph(table, params.policy(), params.N)
+    digraph = build_digraph(table, policy, table.n)
     labels = strongly_connected_components(digraph)
     return TrajectorySample(
         step=step,
@@ -248,6 +243,7 @@ def simulate(
     n_steps = step_count(t_end, dt)
     buffer = DelayBuffer(params.h_steps, x, t0=0.0)
     unwrapped = x.copy()
+    policy = params.policy()
 
     record = TrajectoryRecord(spec)
     for step in range(n_steps + 1):
@@ -256,11 +252,11 @@ def simulate(
         if step % sample_every == 0 or step == n_steps:
             table = NeighborTable.from_mask(mask, source_time)
             record.samples.append(
-                _sample(step, t, x, v, unwrapped, buffer.delayed(), table, params)
+                _sample(step, t, x, v, unwrapped, buffer.delayed(), table, policy)
             )
         if step == n_steps:
             break
-        wrapped, v = _advance(x, v, dt, params, mask, domain, step)
+        wrapped, v = _advance(x, v, dt, params, policy, mask, domain, step)
         unwrapped += domain.shortest_displacement(wrapped, x)
         buffer.push(wrapped, (step + 1) * dt)
         x = wrapped

@@ -64,7 +64,6 @@ class ScenarioSpec:
     t_end: float = 30.0
     sample_every: int = 10
     seed: int = 0
-    name: str = ""
     # Generator fields; None when the scenario does not use them.
     n_cluster: int | None = None
     beta: float | None = None
@@ -84,8 +83,6 @@ class ScenarioSpec:
         step_count(self.t_end, self.dt)
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
-        if not self.name:
-            self.name = self.scenario
         if self.scenario == "three_body":
             self._validate_three_body()
         if self.scenario == "group_vs_individual":

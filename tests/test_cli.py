@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from densiflock import ConfigError, parse_config, run_simulation, serialize_config
+from densiflock import (
+    ConfigError,
+    is_r_densely_packed,
+    parse_config,
+    run_simulation,
+    serialize_config,
+)
 from densiflock.cli import (
     cmd_run,
     main,
@@ -203,6 +209,31 @@ margin = 11.0
     assert big, "expected one dense cluster"
     assert big[0][3] == "true"
     assert float(big[0][4]) > 0  # symmetric flat cluster carries a spectrum
+
+
+def test_clusters_csv_packedness_matches_geometric_test(tmp_path):
+    # The writer reads packedness off the gate; recompute it geometrically.
+    runs = [
+        BASE_RUN.replace("n = 16", "n = 40").replace("L = 25.0", "L = 15.0") + "h_steps = 3\n",
+        "scenario = chain\nmodel = di\ndelta_variant = 2\nt_end = 5.0\n",
+    ]
+    kinds = set()
+    for i, text in enumerate(runs):
+        out = tmp_path / str(i)
+        config = parse_config(text + f"output_dir = {out}\n")
+        cmd_run(config)
+        rows = [line.split(",") for line in read(out / "clusters.csv").splitlines()[1:]]
+        params, dist = config.spec.params, config.spec.domain.distances
+        expected = []
+        for s in run_simulation(config.spec).samples:
+            for members in s.labels.clusters():
+                packed = is_r_densely_packed(
+                    s.delayed_positions, members, params.delta, params.m, dist=dist
+                ).is_packed
+                expected.append("true" if packed else "false")
+                kinds.add("cluster" if len(members) > 1 else f"singleton {packed}")
+        assert [r[3] for r in rows] == expected
+    assert kinds == {"cluster", "singleton True", "singleton False"}
 
 
 def test_write_plot_data_empty_record(tmp_path):

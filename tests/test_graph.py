@@ -80,6 +80,8 @@ def test_build_digraph_row_consistency():
     assert np.allclose(g.degrees, g.phi.toarray().sum(axis=1))
     assert isinstance(g.phi, csr_matrix)
     assert g.phi.nnz == table.sizes().sum()
+    assert np.shares_memory(g.phi.indices, table.indices)
+    assert np.shares_memory(g.phi.indptr, table.indptr)
 
 
 def test_m_star_variants():
