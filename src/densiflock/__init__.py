@@ -9,18 +9,14 @@ from .analytic import (
     reduced_solution,
 )
 from .config import RunConfig, parse_config, serialize_config
-from .domains import Domain, euclidean_distances, min_image_distance
+from .domains import Domain, euclidean_distances
 from .dynamics import (
     EnsembleState,
     ModelParams,
     MPolicy,
     NeighborTable,
-    acceleration_cs,
-    acceleration_di,
     alignment_weight,
     density_ratio,
-    m_value,
-    neighbor_sets_all,
     neighbor_sets_cs_delta,
     neighbor_sets_cs_q,
     neighbor_sets_di,
@@ -32,15 +28,11 @@ from .graph import (
     ClusterLabeling,
     FlockingCertificate,
     InteractionDigraph,
-    PackedReport,
     build_digraph,
-    decay_rate_fit,
     fiedler_value,
     flocking_certificate,
     is_r_densely_packed,
     log_linear_fit,
-    m_star_analytic,
-    m_star_realized,
     strongly_connected_components,
 )
 from .integrate import (
@@ -49,7 +41,6 @@ from .integrate import (
     TrajectorySample,
     neighbor_table_for_step,
     rk4_step,
-    run_simulation,
     simulate,
 )
 from .scenarios import (
@@ -67,6 +58,7 @@ from .scenarios import (
     initial_state,
     momentum_estimate,
     predict_three_body,
+    run_simulation,
 )
 
 __version__ = "0.1.0"

@@ -25,14 +25,14 @@ from .graph import (
     flocking_certificate,
     is_r_densely_packed,
     log_linear_fit,
-    m_star_analytic,
 )
-from .integrate import TrajectoryRecord, run_simulation, simulate
+from .integrate import TrajectoryRecord, simulate
 from .scenarios import (
     ScenarioSpec,
     classify_chain,
     classify_group,
     classify_three_body,
+    run_simulation,
 )
 
 EXIT_OK = 0
@@ -212,6 +212,8 @@ def sweep_runs(
 
     Per-run failures land in the row's error column without aborting the rest.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if "seed" in grid:
         raise ConfigError("--set seed: run seeds derive from the master seed; use --seed")
     keys = list(grid)
@@ -223,7 +225,8 @@ def sweep_runs(
         for i, combo in enumerate(combos)
     ]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at once, so never more than runs.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]
@@ -336,7 +339,7 @@ def certificate_experiment(t_end: float = 100.0) -> CertificateOutcome:
     threshold = 2.0 / (lam2 * (delta - r))
     kappa = 1.5 * n * threshold  # flat policy: M_* = kappa / n
     params = ModelParams(model="di", N=n, m=m, delta=delta, kappa=kappa, m_policy="flat")
-    m_star = m_star_analytic(params.policy(), n)
+    m_star = params.policy().m_star(n)
     cert = flocking_certificate(r, delta, m_star, lam2)
 
     record = simulate(state, params, Domain.unbounded(), 0.01, t_end, sample_every=10)
@@ -464,6 +467,8 @@ def _parse_set_args(pairs: list[str]) -> dict[str, list[str]]:
             raise ConfigError(f"--set expects key=v1,v2,..., got {pair!r}")
         key, _, values = pair.partition("=")
         key = key.strip()
+        if key in grid:
+            raise ConfigError(f"--set {key}: key given more than once")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not grid[key]:
             raise ConfigError(f"--set {key}: no values given")

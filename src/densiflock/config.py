@@ -197,17 +197,12 @@ def parse_config(text: str) -> RunConfig:
         t_end = _DEFAULT_T_END.get(scenario)
         if t_end is None:  # three_body: horizon scales with the consensus rate
             t_end = 3.0 * (n_cluster + 1)
-    if t_end < 0:
-        raise ConfigError("key 't_end': must be >= 0")
-    dt = values.get("dt", 0.01)
-    if not dt > 0:
-        raise ConfigError("key 'dt': must be > 0")
 
     spec = ScenarioSpec(
         scenario=scenario,
         params=params,
         domain=domain,
-        dt=dt,
+        dt=values.get("dt", 0.01),
         t_end=float(t_end),
         sample_every=values.get("sample_every", 10),
         seed=values.get("seed", 0),

@@ -71,8 +71,3 @@ class Domain:
         if self.is_periodic:
             diff -= self.L * np.round(diff / self.L)
         return diff
-
-
-def min_image_distance(a, b, domain: Domain) -> float:
-    """Distance between two points under the domain metric."""
-    return float(domain.distances(np.atleast_2d(a), np.atleast_2d(b))[0, 0])

@@ -58,43 +58,21 @@ class MPolicy:
         if not self.kappa > 0:
             raise ConfigError("kappa must be > 0")
 
+    def values(self, N: int, sizes) -> np.ndarray:
+        """M(N, i, #N_i) for each particle's set size #N_i; 0 where the set is empty."""
+        sizes = np.asarray(sizes)
+        if self.kind == "per_neighbor":
+            return np.divide(self.kappa, sizes, out=np.zeros(len(sizes)), where=sizes > 0)
+        scale = self.kappa / N if self.kind == "flat" else self.kappa
+        return np.where(sizes > 0, scale, 0.0)
+
     def m_star(self, N: int) -> float:
-        """Analytic infimum of M over neighborhood sizes 1..N."""
-        if self.kind == "constant":
-            return self.kappa
-        return self.kappa / N
+        """Infimum of M over neighborhood sizes 1..N (attained at size N)."""
+        return float(self.values(N, [N])[0])
 
     def m_sup(self, N: int) -> float:
-        """Analytic supremum of M over neighborhood sizes 1..N."""
-        if self.kind == "flat":
-            return self.kappa / N
-        return self.kappa
-
-
-def m_value(policy: MPolicy, N: int, i: int, set_size: int) -> float:
-    """Interaction prefactor for particle i with the given neighborhood size."""
-    if set_size < 0:
-        raise ValueError("set_size must be >= 0")
-    if policy.kind == "flat":
-        return policy.kappa / N
-    if policy.kind == "constant":
-        return policy.kappa
-    if set_size == 0:
-        raise ValueError("per_neighbor normalization queried for an empty neighborhood")
-    return policy.kappa / set_size
-
-
-def _policy_values(policy: MPolicy, N: int, sizes: np.ndarray) -> np.ndarray:
-    """Vector of M values per particle; zero placeholder where the set is empty."""
-    out = np.zeros(len(sizes))
-    nonempty = sizes > 0
-    if policy.kind == "flat":
-        out[nonempty] = policy.kappa / N
-    elif policy.kind == "constant":
-        out[nonempty] = policy.kappa
-    else:
-        out[nonempty] = policy.kappa / sizes[nonempty]
-    return out
+        """Supremum of M over neighborhood sizes 1..N (attained at size 1)."""
+        return float(self.values(N, [1])[0])
 
 
 @dataclass
@@ -169,27 +147,19 @@ class EnsembleState:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def mean_position(self) -> np.ndarray:
-        return self.positions.mean(axis=0)
-
-    def mean_velocity(self) -> np.ndarray:
-        return self.velocities.mean(axis=0)
-
 
 @dataclass(eq=False)
 class NeighborTable:
     """Per-particle neighbor index sets in compressed sparse row (CSR) form.
 
-    Set i is indices[indptr[i]:indptr[i + 1]], sorted ascending.  source_time
-    records the delayed time whose positions produced the table.
+    Set i is indices[indptr[i]:indptr[i + 1]], sorted ascending.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    source_time: float = 0.0
 
     @classmethod
-    def from_mask(cls, mask: np.ndarray, source_time: float = 0.0) -> "NeighborTable":
+    def from_mask(cls, mask: np.ndarray) -> "NeighborTable":
         """Table whose set i holds every k with mask[i, k] true."""
         mask = np.asarray(mask, dtype=bool)
         # scipy.sparse's own index dtype, so CSR matrices over these arrays
@@ -197,7 +167,7 @@ class NeighborTable:
         itype = np.int32 if mask.size < 2**31 else np.intp
         indptr = np.zeros(len(mask) + 1, dtype=itype)
         np.cumsum(mask.sum(axis=1), out=indptr[1:])
-        return cls(indptr, np.nonzero(mask)[1].astype(itype), source_time)
+        return cls(indptr, np.nonzero(mask)[1].astype(itype))
 
     @property
     def n(self) -> int:
@@ -267,11 +237,7 @@ def cs_mask(n: int) -> np.ndarray:
 
 
 def neighbor_sets_di(
-    delayed_positions,
-    delta: float,
-    m: int,
-    dist=euclidean_distances,
-    source_time: float = 0.0,
+    delayed_positions, delta: float, m: int, dist=euclidean_distances
 ) -> NeighborTable:
     """Density-gated neighborhoods from delayed positions.
 
@@ -284,32 +250,23 @@ def neighbor_sets_di(
     if m < 1:
         raise ConfigError("m must be >= 1")
     x = _check_positions(delayed_positions)
-    return NeighborTable.from_mask(di_mask(x, delta, m, dist), source_time)
+    return NeighborTable.from_mask(di_mask(x, delta, m, dist))
 
 
-def neighbor_sets_cs_delta(
-    positions, delta: float, dist=euclidean_distances, source_time: float = 0.0
-) -> NeighborTable:
+def neighbor_sets_cs_delta(positions, delta: float, dist=euclidean_distances) -> NeighborTable:
     """Purely geometric neighborhoods: k in set i iff dist(x_k, x_i) <= delta (closed ball)."""
     if not delta > 0:
         raise ConfigError("delta must be > 0")
     x = _check_positions(positions)
-    return NeighborTable.from_mask(cs_delta_mask(x, delta, dist), source_time)
+    return NeighborTable.from_mask(cs_delta_mask(x, delta, dist))
 
 
-def neighbor_sets_cs_q(
-    positions, q: int, dist=euclidean_distances, source_time: float = 0.0
-) -> NeighborTable:
+def neighbor_sets_cs_q(positions, q: int, dist=euclidean_distances) -> NeighborTable:
     """The q other particles closest to i; distance ties break toward the lower index."""
     x = _check_positions(positions)
     if not 1 <= q <= len(x) - 1:
         raise ConfigError("q must satisfy 1 <= q <= n-1")
-    return NeighborTable.from_mask(cs_q_mask(x, q, dist), source_time)
-
-
-def neighbor_sets_all(n: int, source_time: float = 0.0) -> NeighborTable:
-    """Complete table used by the all-to-all cs model (self included, harmless)."""
-    return NeighborTable.from_mask(cs_mask(n), source_time)
+    return NeighborTable.from_mask(cs_q_mask(x, q, dist))
 
 
 # One coupling formula: a = (W - diag(W 1)) v, with W the membership scaled
@@ -321,7 +278,7 @@ def member_weights(mask: np.ndarray, policy: MPolicy, N: int) -> tuple[np.ndarra
     rho = max_i sum_{k != i} W_ik of the Gershgorin disc |z + rho| <= rho that
     holds the spectrum of W - diag(W 1)."""
     sizes = mask.sum(axis=1)
-    m = _policy_values(policy, N, sizes)
+    m = policy.values(N, sizes)
     return mask * m[:, None], float((m * (sizes - mask.diagonal())).max())
 
 
@@ -341,35 +298,6 @@ def stage_force(weights: np.ndarray, pair_weight=None):
         return w @ v - w.sum(axis=1, keepdims=True) * v
 
     return force
-
-
-def di_weight_matrix(table: NeighborTable, policy: MPolicy, N: int) -> np.ndarray:
-    """Dense weight matrix W with W[i, k] = M(N, i, #N_i) for k in set i, else 0."""
-    return member_weights(table.membership_matrix(), policy, N)[0]
-
-
-def acceleration_di(state: EnsembleState, table: NeighborTable, policy: MPolicy) -> np.ndarray:
-    """Gated consensus force a_i = sum_{k in N_i} M(N, i, #N_i) (v_k - v_i)."""
-    force = stage_force(di_weight_matrix(table, policy, state.n))
-    return force(state.positions, state.velocities)
-
-
-def acceleration_cs(
-    state: EnsembleState,
-    table: NeighborTable,
-    policy: MPolicy,
-    alpha: float = 0.5,
-    dist=euclidean_distances,
-    psi=None,
-) -> np.ndarray:
-    """Weighted alignment force a_i = sum_{k in N_i} M psi(dist(x_i, x_k)) (v_k - v_i).
-
-    psi overrides the built-in (1 + s)^(-alpha) weight when given.
-    """
-    weight = psi if psi is not None else (lambda s: alignment_weight(s, alpha))
-    weights, _ = member_weights(table.membership_matrix(), policy, state.n)
-    force = stage_force(weights, lambda x: weight(dist(x, x)))
-    return force(state.positions, state.velocities)
 
 
 def velocity_diameter(state: EnsembleState) -> float:

@@ -14,7 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .domains import euclidean_distances
-from .dynamics import MPolicy, NeighborTable, _policy_values
+from .dynamics import MPolicy, NeighborTable
 
 
 @dataclass(eq=False)
@@ -33,11 +33,10 @@ class ClusterLabeling:
     labels: np.ndarray
     cluster_count: int
 
-    def members(self, cluster_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == cluster_id)
-
     def clusters(self) -> list[np.ndarray]:
-        return [self.members(c) for c in range(self.cluster_count)]
+        """Member indices of each cluster in id order, ascending within a cluster."""
+        order = np.argsort(self.labels, kind="stable")
+        return np.split(order, np.cumsum(self.sizes())[:-1])
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.cluster_count)
@@ -67,27 +66,14 @@ class FlockingCertificate:
     reason: str = ""
 
 
-def m_star_analytic(policy: MPolicy, N: int) -> float:
-    """Infimum of M over the feasible neighborhood sizes 1..N."""
-    return policy.m_star(N)
-
-
-def m_star_realized(table: NeighborTable, policy: MPolicy, N: int) -> float | None:
-    """Smallest M value actually attained by the table; None when all sets are empty."""
-    sizes = table.sizes()
-    vals = _policy_values(policy, N, sizes)
-    vals = vals[sizes > 0]
-    return float(vals.min()) if len(vals) else None
-
-
 def build_digraph(table: NeighborTable, policy: MPolicy, N: int) -> InteractionDigraph:
     """Digraph with phi[i, k] = M_i / M_* for k in set i; degrees are M-scaled set sizes.
 
     Phi is CSR over the table's own indptr/indices.
     """
-    m_star = m_star_analytic(policy, N)
+    m_star = policy.m_star(N)
     sizes = table.sizes()
-    mvals = _policy_values(policy, N, sizes)
+    mvals = policy.values(N, sizes)
     data = np.repeat(mvals / m_star, sizes)
     phi = csr_matrix((data, table.indices, table.indptr), shape=(N, N))
     return InteractionDigraph(N, phi, sizes * mvals / m_star)
@@ -212,8 +198,3 @@ def log_linear_fit(times, values) -> tuple[float, float, float]:
     ss_tot = ((logy - logy.mean()) ** 2).sum()
     r2 = 1.0 if ss_tot == 0 else 1.0 - (resid**2).sum() / ss_tot
     return float(slope), float(intercept), float(r2)
-
-
-def decay_rate_fit(times, values) -> float:
-    """Least-squares slope of log(value) against time."""
-    return log_linear_fit(times, values)[0]

@@ -7,8 +7,10 @@ re-evaluated at the staged positions.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +30,25 @@ from .dynamics import (
     total_momentum,
     velocity_diameter,
 )
-from .errors import IntegrationFault
+from .errors import ConfigError, IntegrationFault
 from .graph import ClusterLabeling, build_digraph, strongly_connected_components
-from .scenarios import ScenarioSpec, initial_state, step_count
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .scenarios import ScenarioSpec
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of dt steps that end exactly at t_end.
+
+    A horizon between grid points would silently be rounded to one of them,
+    so it is rejected.
+    """
+    steps = t_end / dt
+    if not (math.isfinite(steps) and steps >= 0 and math.isclose(steps, round(steps))):
+        raise ConfigError(
+            f"t_end must be a finite whole number of dt steps, got t_end={t_end!r}, dt={dt!r}"
+        )
+    return round(steps)
 
 
 class DelayBuffer:
@@ -41,27 +59,20 @@ class DelayBuffer:
     has aged past the delay.
     """
 
-    def __init__(self, h_steps: int, initial=None, t0: float = 0.0):
+    def __init__(self, h_steps: int, initial=None):
         if h_steps < 1:
             raise ValueError("h_steps must be >= 1")
-        self.h_steps = h_steps
-        self._ring: deque[tuple[float, np.ndarray]] = deque(maxlen=h_steps + 1)
+        self._ring: deque[np.ndarray] = deque(maxlen=h_steps + 1)
         if initial is not None:
-            self.push(initial, t0)
+            self.push(initial)
 
-    def push(self, positions: np.ndarray, t: float = 0.0) -> None:
-        self._ring.append((float(t), np.array(positions, dtype=float, copy=True)))
+    def push(self, positions: np.ndarray) -> None:
+        self._ring.append(np.array(positions, dtype=float, copy=True))
 
     def delayed(self) -> np.ndarray:
         if not self._ring:
             raise ValueError("buffer holds no snapshot")
-        return self._ring[0][1]
-
-    def delayed_time(self) -> float:
-        """Time of the snapshot delayed() returns."""
-        if not self._ring:
-            raise ValueError("buffer holds no snapshot")
-        return self._ring[0][0]
+        return self._ring[0]
 
 
 @dataclass(eq=False)
@@ -109,24 +120,24 @@ class TrajectoryRecord:
 
 
 def _step_mask(
-    params: ModelParams, positions: np.ndarray, buffer: DelayBuffer, domain: Domain, t: float
-) -> tuple[np.ndarray, float]:
-    """Membership of the step starting at time t, and the time its positions date from."""
+    params: ModelParams, positions: np.ndarray, buffer: DelayBuffer, domain: Domain
+) -> np.ndarray:
+    """Membership of the step that starts from these positions."""
     metric = domain.distances
     if params.model == "di":
-        return di_mask(buffer.delayed(), params.delta, params.m, metric), buffer.delayed_time()
+        return di_mask(buffer.delayed(), params.delta, params.m, metric)
     if params.model == "cs":
-        return cs_mask(params.N), t
+        return cs_mask(params.N)
     if params.model == "cs_delta":
-        return cs_delta_mask(positions, params.delta, metric), t
-    return cs_q_mask(positions, params.q, metric), t
+        return cs_delta_mask(positions, params.delta, metric)
+    return cs_q_mask(positions, params.q, metric)
 
 
 def neighbor_table_for_step(
     params: ModelParams, state: EnsembleState, buffer: DelayBuffer, domain: Domain
 ) -> NeighborTable:
     """Table in effect for the step starting at state.t."""
-    return NeighborTable.from_mask(*_step_mask(params, state.positions, buffer, domain, state.t))
+    return NeighborTable.from_mask(_step_mask(params, state.positions, buffer, domain))
 
 
 # Largest c for which the Gershgorin disc |z + c| <= c lies inside the RK4
@@ -180,7 +191,6 @@ def rk4_step(
     params: ModelParams,
     buffer: DelayBuffer,
     domain: Domain,
-    table: NeighborTable | None = None,
 ) -> EnsembleState:
     """Advance one step; positions are wrapped back into a periodic box.
 
@@ -189,10 +199,7 @@ def rk4_step(
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    if table is None:
-        mask, _ = _step_mask(params, state.positions, buffer, domain, state.t)
-    else:
-        mask = table.membership_matrix()
+    mask = _step_mask(params, state.positions, buffer, domain)
     x, v = _advance(
         state.positions, state.velocities, dt, params, params.policy(), mask, domain,
         int(round(state.t / dt)),
@@ -241,16 +248,16 @@ def simulate(
     x = domain.wrap(initial.positions)
     v = initial.velocities.copy()
     n_steps = step_count(t_end, dt)
-    buffer = DelayBuffer(params.h_steps, x, t0=0.0)
+    buffer = DelayBuffer(params.h_steps, x)
     unwrapped = x.copy()
     policy = params.policy()
 
     record = TrajectoryRecord(spec)
     for step in range(n_steps + 1):
         t = step * dt
-        mask, source_time = _step_mask(params, x, buffer, domain, t)
+        mask = _step_mask(params, x, buffer, domain)
         if step % sample_every == 0 or step == n_steps:
-            table = NeighborTable.from_mask(mask, source_time)
+            table = NeighborTable.from_mask(mask)
             record.samples.append(
                 _sample(step, t, x, v, unwrapped, buffer.delayed(), table, policy)
             )
@@ -258,19 +265,6 @@ def simulate(
             break
         wrapped, v = _advance(x, v, dt, params, policy, mask, domain, step)
         unwrapped += domain.shortest_displacement(wrapped, x)
-        buffer.push(wrapped, (step + 1) * dt)
+        buffer.push(wrapped)
         x = wrapped
     return record
-
-
-def run_simulation(spec: ScenarioSpec) -> TrajectoryRecord:
-    """Integrate a declared scenario; deterministic for a fixed spec."""
-    return simulate(
-        initial_state(spec),
-        spec.params,
-        spec.domain,
-        spec.dt,
-        spec.t_end,
-        spec.sample_every,
-        spec=spec,
-    )

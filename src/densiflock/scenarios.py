@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import integrate
 from .domains import Domain
 from .dynamics import EnsembleState, ModelParams
 from .errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .integrate import TrajectoryRecord
+from .integrate import TrajectoryRecord, step_count
 
 SCENARIOS = ("random_clusters", "group_vs_individual", "chain", "three_body")
 REGIMES = ("stability", "breaking", "sticking", "undetermined")
@@ -37,20 +35,6 @@ DEFAULT_GROUP_SPACING = 1.0
 DEFAULT_GROUP_GAP = 3.0
 DEFAULT_CHAIN_SPACING = 0.95
 DEFAULT_CHAIN_GAP = 8.0
-
-
-def step_count(t_end: float, dt: float) -> int:
-    """Number of dt steps that end exactly at t_end.
-
-    A horizon between grid points would silently be rounded to one of them,
-    so it is rejected.
-    """
-    steps = t_end / dt
-    if not (math.isfinite(steps) and steps >= 0 and math.isclose(steps, round(steps))):
-        raise ConfigError(
-            f"t_end must be a finite whole number of dt steps, got t_end={t_end!r}, dt={dt!r}"
-        )
-    return round(steps)
 
 
 @dataclass
@@ -273,14 +257,14 @@ def init_chain(
     return EnsembleState(0.0, positions, velocities)
 
 
-def _require_scenario(record: "TrajectoryRecord", scenario: str) -> ScenarioSpec:
+def _require_scenario(record: TrajectoryRecord, scenario: str) -> ScenarioSpec:
     spec = record.spec
     if spec.scenario != scenario:
         raise ValueError(f"record is from scenario {spec.scenario!r}, expected {scenario!r}")
     return spec
 
 
-def classify_three_body(record: "TrajectoryRecord") -> RegimeResult:
+def classify_three_body(record: TrajectoryRecord) -> RegimeResult:
     """Read the regime off a simulated three-body record.
 
     stability -- the intruder left the edge member's set and the cluster held;
@@ -362,7 +346,7 @@ def momentum_estimate(regime: str, delta: float, N: int, v_c: float) -> float:
     return delta + speed * math.exp(-delta / (N * speed))
 
 
-def classify_chain(record: "TrajectoryRecord") -> ChainResult:
+def classify_chain(record: TrajectoryRecord) -> ChainResult:
     """Split / repel / push summary of a chain run.
 
     split -- the chain occupies more clusters at the end than at the start;
@@ -386,7 +370,7 @@ def classify_chain(record: "TrajectoryRecord") -> ChainResult:
     return ChainResult(split, initial, final, chain_vx, single_vx, regime)
 
 
-def classify_group(record: "TrajectoryRecord") -> GroupResult:
+def classify_group(record: TrajectoryRecord) -> GroupResult:
     """Whether the singleton drove the total horizontal momentum through zero."""
     _require_scenario(record, "group_vs_individual")
     mom_x = np.array([sample.momentum[0] for sample in record.samples])
@@ -410,3 +394,18 @@ def initial_state(spec: ScenarioSpec) -> EnsembleState:
         spacing = spec.spacing if spec.spacing is not None else DEFAULT_CHAIN_SPACING
         return init_chain(spec.n_cluster, spacing=spacing)
     raise ConfigError(f"unknown scenario {spec.scenario!r}")
+
+
+def run_simulation(spec: ScenarioSpec) -> TrajectoryRecord:
+    """Integrate a declared scenario; deterministic for a fixed spec."""
+    # integrate.simulate is looked up at call time, so a wrapper installed on
+    # the module attribute (the benchmark's tracer) sees every run.
+    return integrate.simulate(
+        initial_state(spec),
+        spec.params,
+        spec.domain,
+        spec.dt,
+        spec.t_end,
+        spec.sample_every,
+        spec=spec,
+    )

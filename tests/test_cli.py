@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import densiflock.cli
 from densiflock import (
     ConfigError,
     is_r_densely_packed,
@@ -339,6 +340,42 @@ def test_sweep_parallel_matches_serial():
     assert [(r.regime, r.final_mom0) for r in serial] == [
         (r.regime, r.final_mom0) for r in parallel
     ]
+
+
+def test_sweep_pool_never_exceeds_the_run_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(densiflock.cli, "ProcessPoolExecutor", SerialPool)
+    rows = sweep_runs(THREE_BODY, {"beta": ["1.0", "1.95"]}, master_seed=5, jobs=100_000)
+    assert requested == [2]
+    assert [r.regime for r in rows] == ["stability", "breaking"]
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [(["--jobs", "0"], "--jobs"), (["--set", "beta=1.95"], "beta")],
+    ids=["jobs-zero", "repeated-set-key"],
+)
+def test_sweep_rejects_bad_arguments_naming_them(tmp_path, capsys, extra, named):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(THREE_BODY)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--set", "beta=1.0", *extra, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_grid_gives_empty_summary(tmp_path):

@@ -10,12 +10,9 @@ from densiflock import (
     ModelParams,
     MPolicy,
     NeighborTable,
-    acceleration_cs,
-    acceleration_di,
+    alignment_weight,
     density_ratio,
     euclidean_distances,
-    m_value,
-    neighbor_sets_all,
     neighbor_sets_cs_delta,
     neighbor_sets_cs_q,
     neighbor_sets_di,
@@ -23,6 +20,7 @@ from densiflock import (
     velocity_diameter,
 )
 from densiflock.domains import Domain
+from densiflock.dynamics import member_weights, stage_force
 from densiflock.errors import ConfigError
 
 
@@ -145,8 +143,8 @@ def test_di_grid_and_ghost_match_min_image(n, seed):
 @settings(max_examples=60, deadline=None)
 def test_table_from_mask_round_trips(n, seed, p):
     mask = np.random.default_rng(seed).random((n, n)) < p
-    table = NeighborTable.from_mask(mask, source_time=0.5)
-    assert table.n == n and table.source_time == 0.5
+    table = NeighborTable.from_mask(mask)
+    assert table.n == n
     assert table.indices.flags.c_contiguous
     assert table_as_lists(table) == [list(np.flatnonzero(row)) for row in mask]
     assert list(table.sizes()) == list(mask.sum(axis=1))
@@ -208,21 +206,11 @@ def test_cs_q_range_validation():
 # --- normalization --------------------------------------------------------
 
 
-def test_m_value_flat():
-    assert m_value(MPolicy("flat", 1.0), 64, 0, 5) == pytest.approx(1 / 64)
-
-
-def test_m_value_per_neighbor():
-    assert m_value(MPolicy("per_neighbor", 1.0), 64, 0, 4) == pytest.approx(0.25)
-
-
-def test_m_value_constant():
-    assert m_value(MPolicy("constant", 1.0), 64, 0, 0) == 1.0
-
-
-def test_m_value_per_neighbor_empty_set_is_an_error():
-    with pytest.raises(ValueError):
-        m_value(MPolicy("per_neighbor", 1.0), 64, 0, 0)
+def test_m_policy_values():
+    assert MPolicy("flat", 1.0).values(64, [5])[0] == pytest.approx(1 / 64)
+    assert MPolicy("per_neighbor", 1.0).values(64, [4])[0] == pytest.approx(0.25)
+    assert MPolicy("constant", 1.0).values(64, [1])[0] == 1.0
+    assert not MPolicy("per_neighbor", 1.0).values(64, [0, 0]).any()  # empty sets
 
 
 def test_m_policy_bounds():
@@ -240,18 +228,28 @@ def _state(positions, velocities):
     return EnsembleState(0.0, positions, velocities)
 
 
+def _force(state, table, policy, pair_weight=None):
+    """a_i = sum_k W_ik (v_k - v_i) with W = M(N, i, #N_i) on the table's sets."""
+    weights, _ = member_weights(table.membership_matrix(), policy, state.n)
+    return stage_force(weights, pair_weight)(state.positions, state.velocities)
+
+
+def _cs_weight(x):
+    return alignment_weight(euclidean_distances(x, x))
+
+
 def test_acceleration_di_consensus_is_equilibrium():
     pos = np.random.default_rng(0).uniform(0, 1, (5, 2))
     state = _state(pos, np.tile([0.3, -0.4], (5, 1)))
     table = neighbor_sets_di(pos, 2.0, 1)
-    a = acceleration_di(state, table, MPolicy("per_neighbor"))
+    a = _force(state, table, MPolicy("per_neighbor"))
     assert np.abs(a).max() < 1e-15
 
 
 def test_acceleration_di_empty_sets_free_stream():
     state = _state([[0.0, 0.0], [5.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
     table = neighbor_sets_di(state.positions, 1.0, 3)
-    a = acceleration_di(state, table, MPolicy("per_neighbor"))
+    a = _force(state, table, MPolicy("per_neighbor"))
     assert np.all(a == 0)
 
 
@@ -259,15 +257,15 @@ def test_acceleration_di_two_mutual_neighbors():
     # m=1, per-neighbor with kappa=1, set size 2: a = +-0.5 (v_other - v_self).
     state = _state([[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
     table = neighbor_sets_di(state.positions, 1.0, 1)
-    a = acceleration_di(state, table, MPolicy("per_neighbor", 1.0))
+    a = _force(state, table, MPolicy("per_neighbor", 1.0))
     assert a == pytest.approx(np.array([[0.5, 0.0], [-0.5, 0.0]]))
 
 
 def test_acceleration_cs_two_particles_hand_value():
     # distance 3, flat M=1/2: a_0 = 0.5 * (1+3)^(-1/2) * 1 = 0.25.
     state = _state([[0.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
-    table = neighbor_sets_all(2)
-    a = acceleration_cs(state, table, MPolicy("flat", 1.0))
+    table = NeighborTable.from_mask(np.ones((2, 2), dtype=bool))
+    a = _force(state, table, MPolicy("flat", 1.0), _cs_weight)
     assert a[0, 0] == pytest.approx(0.25)
     assert a[1, 0] == pytest.approx(-0.25)
 
@@ -275,22 +273,8 @@ def test_acceleration_cs_two_particles_hand_value():
 def test_acceleration_cs_delta_compact_support():
     state = _state([[0.0, 0.0], [5.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
     table = neighbor_sets_cs_delta(state.positions, 2.0)
-    a = acceleration_cs(state, table, MPolicy("per_neighbor", 1.0))
+    a = _force(state, table, MPolicy("per_neighbor", 1.0), _cs_weight)
     assert np.all(a == 0)
-
-
-def test_acceleration_cs_custom_weight():
-    state = _state([[0.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
-    a = acceleration_cs(
-        state, neighbor_sets_all(2), MPolicy("flat", 1.0), psi=lambda s: np.ones_like(s)
-    )
-    assert a[0, 0] == pytest.approx(0.5)
-
-
-def test_state_mean_accessors():
-    state = _state([[0.0, 0.0], [2.0, 4.0]], [[1.0, 0.0], [3.0, 2.0]])
-    assert np.allclose(state.mean_position(), [1.0, 2.0])
-    assert np.allclose(state.mean_velocity(), [2.0, 1.0])
 
 
 @st.composite
@@ -311,12 +295,12 @@ def test_di_rotation_translation_equivariance(ens, angle, seed2):
     policy = MPolicy("per_neighbor", 1.0)
 
     table = neighbor_sets_di(pos, 2.0, 2)
-    a = acceleration_di(_state(pos, vel), table, policy)
+    a = _force(_state(pos, vel), table, policy)
 
     pos2 = pos @ rot.T + shift
     vel2 = vel @ rot.T
     table2 = neighbor_sets_di(pos2, 2.0, 2)
-    a2 = acceleration_di(_state(pos2, vel2), table2, policy)
+    a2 = _force(_state(pos2, vel2), table2, policy)
     assert np.allclose(a2, a @ rot.T, atol=1e-10)
 
 
@@ -326,8 +310,8 @@ def test_velocity_shift_invariance(ens, shift):
     pos, vel = ens
     policy = MPolicy("per_neighbor", 1.0)
     table = neighbor_sets_di(pos, 2.0, 2)
-    a = acceleration_di(_state(pos, vel), table, policy)
-    a2 = acceleration_di(_state(pos, vel + shift), table, policy)
+    a = _force(_state(pos, vel), table, policy)
+    a2 = _force(_state(pos, vel + shift), table, policy)
     assert np.allclose(a, a2, atol=1e-12)
 
 
@@ -338,12 +322,12 @@ def test_di_acceleration_bounded_by_weighted_diameter(ens):
     policy = MPolicy("per_neighbor", 1.0)
     table = neighbor_sets_di(pos, 2.0, 2)
     state = _state(pos, vel)
-    a = acceleration_di(state, table, policy)
+    a = _force(state, table, policy)
     v_diam = velocity_diameter(state)
     for i, members in enumerate(table.sets):
         if len(members) == 0:
             continue
-        total_weight = len(members) * m_value(policy, state.n, i, len(members))
+        total_weight = len(members) * policy.values(state.n, [len(members)])[0]
         assert np.linalg.norm(a[i]) <= total_weight * v_diam + 1e-12
 
 

@@ -9,13 +9,10 @@ from densiflock import (
     InteractionDigraph,
     MPolicy,
     build_digraph,
-    decay_rate_fit,
     fiedler_value,
     flocking_certificate,
     is_r_densely_packed,
     log_linear_fit,
-    m_star_analytic,
-    m_star_realized,
     neighbor_sets_di,
     strongly_connected_components,
 )
@@ -86,12 +83,13 @@ def test_build_digraph_row_consistency():
 
 def test_m_star_variants():
     pol = MPolicy("per_neighbor", 1.0)
-    assert m_star_analytic(pol, 4) == pytest.approx(0.25)
+    assert pol.m_star(4) == pytest.approx(0.25)
     table = neighbor_sets_di([[0, 0], [0.5, 0], [0, 0.5], [9, 9]], 2.0, 2)
     # Realized sets have size 3, so the realized minimum is 1/3 > 1/4.
-    assert m_star_realized(table, pol, 4) == pytest.approx(1 / 3)
+    sizes = table.sizes()
+    assert pol.values(4, sizes)[sizes > 0].min() == pytest.approx(1 / 3)
     empty = neighbor_sets_di([[0.0, 0.0], [9.0, 0.0]], 1.0, 3)
-    assert m_star_realized(empty, pol, 2) is None
+    assert not pol.values(2, empty.sizes()).any()
 
 
 # --- strongly connected components -------------------------------------------
@@ -146,6 +144,10 @@ def test_scc_labels_equal_canonical_oracle(n, seed, p):
     labels = strongly_connected_components(digraph_from_phi(adj.astype(float)))
     assert list(labels.labels) == scc_oracle_labels(adj)
     assert labels.cluster_count == max(scc_oracle_labels(adj)) + 1
+    clusters = labels.clusters()
+    assert len(clusters) == labels.cluster_count
+    for k, members in enumerate(clusters):
+        assert np.array_equal(members, np.flatnonzero(labels.labels == k))
 
 
 # --- packedness ----------------------------------------------------------------
@@ -342,12 +344,12 @@ def test_certificate_requires_gap():
 
 def test_decay_rate_fit_exact_exponential():
     t = np.linspace(0, 5, 40)
-    assert decay_rate_fit(t, np.exp(-2.0 * t)) == pytest.approx(-2.0, abs=1e-9)
+    assert log_linear_fit(t, np.exp(-2.0 * t))[0] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_decay_rate_fit_constant():
     t = np.linspace(0, 5, 10)
-    assert decay_rate_fit(t, np.full(10, 3.7)) == pytest.approx(0.0, abs=1e-12)
+    assert log_linear_fit(t, np.full(10, 3.7))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decay_rate_fit_recovers_certificate_rate():
@@ -360,6 +362,6 @@ def test_decay_rate_fit_recovers_certificate_rate():
 
 def test_decay_rate_fit_rejects_nonpositive():
     with pytest.raises(ValueError):
-        decay_rate_fit([0.0, 1.0], [1.0, 0.0])
+        log_linear_fit([0.0, 1.0], [1.0, 0.0])
     with pytest.raises(ValueError):
-        decay_rate_fit([0.0], [1.0])
+        log_linear_fit([0.0], [1.0])

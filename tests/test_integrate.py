@@ -10,14 +10,13 @@ from densiflock import (
     IntegrationFault,
     ModelParams,
     ScenarioSpec,
-    min_image_distance,
     neighbor_sets_di,
     neighbor_table_for_step,
     rk4_step,
     run_simulation,
     simulate,
 )
-from densiflock.dynamics import di_weight_matrix
+from densiflock.dynamics import member_weights
 from densiflock.errors import ConfigError
 from densiflock.integrate import RK4_DISC_RADIUS
 
@@ -57,14 +56,14 @@ def test_delay_buffer_rejects_zero_delay():
 
 def test_min_image_wraparound():
     domain = Domain.periodic(25.0)
-    assert min_image_distance([0.5, 0.0], [24.9, 0.0], domain) == pytest.approx(0.6)
-    assert min_image_distance([3.0, 4.0], [3.0, 4.0], domain) == 0.0
-    assert min_image_distance([0.0, 0.0], [12.5, 0.0], domain) == pytest.approx(12.5)
+    assert domain.distances([0.5, 0.0], [24.9, 0.0])[0, 0] == pytest.approx(0.6)
+    assert domain.distances([3.0, 4.0], [3.0, 4.0])[0, 0] == 0.0
+    assert domain.distances([0.0, 0.0], [12.5, 0.0])[0, 0] == pytest.approx(12.5)
 
 
 def test_unbounded_distance_is_euclidean():
     domain = Domain.unbounded()
-    assert min_image_distance([0.0, 0.0], [3.0, 4.0], domain) == pytest.approx(5.0)
+    assert domain.distances([0.0, 0.0], [3.0, 4.0])[0, 0] == pytest.approx(5.0)
 
 
 def test_wrap_maps_into_box():
@@ -121,7 +120,7 @@ def _velocity_error_vs_expm(dt, t_end=1.0):
     params = _di_params(5, m=2)
     domain = Domain.unbounded()
     table = neighbor_sets_di(state.positions, params.delta, params.m)
-    w = di_weight_matrix(table, params.policy(), 5)
+    w, _ = member_weights(table.membership_matrix(), params.policy(), 5)
     lap = np.diag(w.sum(axis=1)) - w
     record = simulate(state, params, domain, dt, t_end, sample_every=10**9)
     final = record.samples[-1]
@@ -164,7 +163,7 @@ def test_simulate_matches_stepwise_rk4(params):
             break
         table = neighbor_table_for_step(params, cur, buf, domain)
         assert sample.table.same_as(table)
-        cur = rk4_step(cur, 0.05, params, buf, domain, table=table)
+        cur = rk4_step(cur, 0.05, params, buf, domain)
         buf.push(cur.positions)
 
 
