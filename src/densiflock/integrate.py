@@ -145,18 +145,15 @@ def neighbor_table_for_step(
 RK4_DISC_RADIUS = 1.3926467
 
 
-def _advance(
-    x: np.ndarray, v: np.ndarray, dt: float, params: ModelParams, policy: MPolicy,
-    mask: np.ndarray, domain: Domain, step: int,
+def _step_force(
+    mask: np.ndarray, dt: float, params: ModelParams, policy: MPolicy, domain: Domain,
+    step: int,
 ):
-    """One RK4 step with the membership mask frozen: velocity stages use the
-    model force, position stages the staged velocities.  Returns wrapped
-    positions and velocities.
+    """Force a(x, v) of a step frozen under this membership mask.
 
     Raises IntegrationFault for the given step when dt * rho leaves the RK4
     stability disc, rho being the Gershgorin radius of the step's weights
-    (psi <= 1, so it also bounds the cs family's staged weights), or when the
-    output is non-finite.
+    (psi <= 1, so it also bounds the cs family's staged weights).
     """
     weights, rho = member_weights(mask, policy, params.N)
     if dt * rho > RK4_DISC_RADIUS:
@@ -166,17 +163,28 @@ def _advance(
             f"stability limit {RK4_DISC_RADIUS}",
         )
     if params.model == "di":
-        accel = stage_force(weights)
-    else:
-        metric, alpha = domain.distances, params.alpha
-        accel = stage_force(weights, lambda pos: alignment_weight(metric(pos, pos), alpha))
+        return stage_force(weights)
+    metric, alpha = domain.distances, params.alpha
+    return stage_force(weights, lambda pos: alignment_weight(metric(pos, pos), alpha))
+
+
+def _advance(
+    x: np.ndarray, v: np.ndarray, dt: float, accel, staged_positions: bool, domain: Domain,
+    step: int,
+):
+    """One RK4 step under a frozen force: velocity stages use accel, position
+    stages the staged velocities.  Staged positions are formed only when
+    accel reads them.  Returns wrapped positions and velocities.
+
+    Raises IntegrationFault for the given step when the output is non-finite.
+    """
     kv1 = accel(x, v) * dt
     kx1 = v * dt
-    kv2 = accel(x + kx1 / 2, v + kv1 / 2) * dt
+    kv2 = accel(x + kx1 / 2 if staged_positions else x, v + kv1 / 2) * dt
     kx2 = (v + kv1 / 2) * dt
-    kv3 = accel(x + kx2 / 2, v + kv2 / 2) * dt
+    kv3 = accel(x + kx2 / 2 if staged_positions else x, v + kv2 / 2) * dt
     kx3 = (v + kv2 / 2) * dt
-    kv4 = accel(x + kx3, v + kv3) * dt
+    kv4 = accel(x + kx3 if staged_positions else x, v + kv3) * dt
     kx4 = (v + kv3) * dt
     v_next = v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6
     x_next = x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6
@@ -199,10 +207,11 @@ def rk4_step(
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
+    step = int(round(state.t / dt))
     mask = _step_mask(params, state.positions, buffer, domain)
+    accel = _step_force(mask, dt, params, params.policy(), domain, step)
     x, v = _advance(
-        state.positions, state.velocities, dt, params, params.policy(), mask, domain,
-        int(round(state.t / dt)),
+        state.positions, state.velocities, dt, accel, params.model != "di", domain, step
     )
     return EnsembleState(state.t + dt, x, v)
 
@@ -252,7 +261,10 @@ def simulate(
     unwrapped = x.copy()
     policy = params.policy()
 
+    staged_positions = params.model != "di"
+
     record = TrajectoryRecord(spec)
+    force_mask = accel = None
     for step in range(n_steps + 1):
         t = step * dt
         mask = _step_mask(params, x, buffer, domain)
@@ -263,7 +275,12 @@ def simulate(
             )
         if step == n_steps:
             break
-        wrapped, v = _advance(x, v, dt, params, policy, mask, domain, step)
+        # The weights depend on the mask alone, so the force is rebuilt only
+        # when the topology changes.
+        if not np.array_equal(mask, force_mask):
+            accel = _step_force(mask, dt, params, policy, domain, step)
+            force_mask = mask
+        wrapped, v = _advance(x, v, dt, accel, staged_positions, domain, step)
         unwrapped += domain.shortest_displacement(wrapped, x)
         buffer.push(wrapped)
         x = wrapped

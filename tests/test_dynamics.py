@@ -206,10 +206,22 @@ def test_cs_q_range_validation():
 # --- normalization --------------------------------------------------------
 
 
-def test_m_policy_values():
+# M(N, i, #N_i) per normalization, read off MPolicy.values.
+
+
+def test_m_value_flat():
     assert MPolicy("flat", 1.0).values(64, [5])[0] == pytest.approx(1 / 64)
+
+
+def test_m_value_per_neighbor():
     assert MPolicy("per_neighbor", 1.0).values(64, [4])[0] == pytest.approx(0.25)
+
+
+def test_m_value_constant():
     assert MPolicy("constant", 1.0).values(64, [1])[0] == 1.0
+
+
+def test_m_policy_values():
     assert not MPolicy("per_neighbor", 1.0).values(64, [0, 0]).any()  # empty sets
 
 
