@@ -169,22 +169,20 @@ def _step_force(
 
 
 def _advance(
-    x: np.ndarray, v: np.ndarray, dt: float, accel, staged_positions: bool, domain: Domain,
-    step: int,
+    x: np.ndarray, v: np.ndarray, dt: float, accel, domain: Domain, step: int
 ):
     """One RK4 step under a frozen force: velocity stages use accel, position
-    stages the staged velocities.  Staged positions are formed only when
-    accel reads them.  Returns wrapped positions and velocities.
+    stages the staged velocities.  Returns wrapped positions and velocities.
 
     Raises IntegrationFault for the given step when the output is non-finite.
     """
     kv1 = accel(x, v) * dt
     kx1 = v * dt
-    kv2 = accel(x + kx1 / 2 if staged_positions else x, v + kv1 / 2) * dt
+    kv2 = accel(x + kx1 / 2, v + kv1 / 2) * dt
     kx2 = (v + kv1 / 2) * dt
-    kv3 = accel(x + kx2 / 2 if staged_positions else x, v + kv2 / 2) * dt
+    kv3 = accel(x + kx2 / 2, v + kv2 / 2) * dt
     kx3 = (v + kv2 / 2) * dt
-    kv4 = accel(x + kx3 if staged_positions else x, v + kv3) * dt
+    kv4 = accel(x + kx3, v + kv3) * dt
     kx4 = (v + kv3) * dt
     v_next = v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6
     x_next = x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6
@@ -210,9 +208,7 @@ def rk4_step(
     step = int(round(state.t / dt))
     mask = _step_mask(params, state.positions, buffer, domain)
     accel = _step_force(mask, dt, params, params.policy(), domain, step)
-    x, v = _advance(
-        state.positions, state.velocities, dt, accel, params.model != "di", domain, step
-    )
+    x, v = _advance(state.positions, state.velocities, dt, accel, domain, step)
     return EnsembleState(state.t + dt, x, v)
 
 
@@ -261,8 +257,6 @@ def simulate(
     unwrapped = x.copy()
     policy = params.policy()
 
-    staged_positions = params.model != "di"
-
     record = TrajectoryRecord(spec)
     force_mask = accel = None
     for step in range(n_steps + 1):
@@ -280,7 +274,7 @@ def simulate(
         if not np.array_equal(mask, force_mask):
             accel = _step_force(mask, dt, params, policy, domain, step)
             force_mask = mask
-        wrapped, v = _advance(x, v, dt, accel, staged_positions, domain, step)
+        wrapped, v = _advance(x, v, dt, accel, domain, step)
         unwrapped += domain.shortest_displacement(wrapped, x)
         buffer.push(wrapped)
         x = wrapped
