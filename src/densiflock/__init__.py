@@ -8,7 +8,7 @@ from .analytic import (
     eval_v_b_minus_v_a,
     reduced_solution,
 )
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, parse_config
 from .domains import Domain, euclidean_distances
 from .dynamics import (
     EnsembleState,
@@ -27,7 +27,6 @@ from .errors import ConfigError, IntegrationFault
 from .graph import (
     ClusterLabeling,
     FlockingCertificate,
-    InteractionDigraph,
     build_digraph,
     fiedler_value,
     flocking_certificate,
@@ -39,7 +38,6 @@ from .integrate import (
     DelayBuffer,
     TrajectoryRecord,
     TrajectorySample,
-    neighbor_table_for_step,
     rk4_step,
     simulate,
 )

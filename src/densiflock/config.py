@@ -1,9 +1,8 @@
-"""Flat key-value run configuration: parsing, validation, serialization.
+"""Flat key-value run configuration: parsing and validation.
 
 The format is one ``key = value`` per line, ``#`` comments, no sections.
 Unknown keys, duplicate keys, type mismatches, and constraint violations are
-rejected with the offending line or key named.  ``parse_config`` and
-``serialize_config`` round-trip exactly.
+rejected with the offending line or key named.
 """
 from __future__ import annotations
 
@@ -222,52 +221,3 @@ def parse_config(text: str) -> RunConfig:
         record_clusters=values.get("record_clusters", True),
     )
 
-
-def serialize_config(config: RunConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    spec, params = config.spec, config.spec.params
-    pairs: list[tuple[str, object]] = [("scenario", spec.scenario), ("model", params.model)]
-    if spec.scenario == "random_clusters":
-        pairs.append(("n", params.N))
-    else:
-        pairs.append(("n", spec.n_cluster))
-    for key, value in (
-        ("m", params.m),
-        ("delta", params.delta),
-        ("q", params.q),
-        ("kappa", params.kappa),
-        ("alpha", params.alpha),
-        ("m_policy", params.m_policy),
-        ("h_steps", params.h_steps),
-    ):
-        if value is not None:
-            pairs.append((key, value))
-    pairs.append(("domain", spec.domain.kind))
-    if spec.domain.is_periodic:
-        pairs.append(("L", spec.domain.L))
-    pairs.extend(
-        [("dt", spec.dt), ("t_end", spec.t_end), ("sample_every", spec.sample_every),
-         ("seed", spec.seed)]
-    )
-    for key in ("beta", "gamma", "v_c", "shape", "spacing", "margin"):
-        value = getattr(spec, key)
-        if value is not None:
-            pairs.append((key, value))
-    pairs.extend(
-        [
-            ("output_dir", config.output_dir),
-            ("record_trajectory", config.record_trajectory),
-            ("record_diagnostics", config.record_diagnostics),
-            ("record_clusters", config.record_clusters),
-        ]
-    )
-    lines = []
-    for key, value in pairs:
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"

@@ -64,10 +64,3 @@ class Domain:
         diff = a[:, None, :] - b[None, :, :]
         diff -= self.L * np.round(diff / self.L)
         return np.sqrt((diff * diff).sum(axis=-1))
-
-    def shortest_displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise displacement a - b resolved to the nearest image."""
-        diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        if self.is_periodic:
-            diff -= self.L * np.round(diff / self.L)
-        return diff

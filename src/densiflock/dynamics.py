@@ -173,10 +173,6 @@ class NeighborTable:
     def n(self) -> int:
         return len(self.indptr) - 1
 
-    @property
-    def sets(self) -> list[np.ndarray]:
-        return np.split(self.indices, self.indptr[1:-1])
-
     def sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -185,17 +181,6 @@ class NeighborTable:
         s = self.indices[self.indptr[i] : self.indptr[i + 1]]
         j = np.searchsorted(s, k)
         return bool(j < len(s) and s[j] == k)
-
-    def membership_matrix(self) -> np.ndarray:
-        """Boolean (n, n) matrix with row i marking the members of set i."""
-        out = np.zeros((self.n, self.n), dtype=bool)
-        out[np.repeat(np.arange(self.n), self.sizes()), self.indices] = True
-        return out
-
-    def same_as(self, other: "NeighborTable") -> bool:
-        return np.array_equal(self.indptr, other.indptr) and np.array_equal(
-            self.indices, other.indices
-        )
 
 
 def _check_positions(positions) -> np.ndarray:

@@ -18,15 +18,6 @@ from .dynamics import MPolicy, NeighborTable
 
 
 @dataclass(eq=False)
-class InteractionDigraph:
-    """Sparse weight matrix Phi (who influences whom) and M-scaled degree vector."""
-
-    n: int
-    phi: csr_matrix
-    degrees: np.ndarray
-
-
-@dataclass(eq=False)
 class ClusterLabeling:
     """Partition labels: two nodes share a label iff mutually reachable."""
 
@@ -66,22 +57,19 @@ class FlockingCertificate:
     reason: str = ""
 
 
-def build_digraph(table: NeighborTable, policy: MPolicy, N: int) -> InteractionDigraph:
-    """Digraph with phi[i, k] = M_i / M_* for k in set i; degrees are M-scaled set sizes.
+def build_digraph(table: NeighborTable, policy: MPolicy, N: int) -> csr_matrix:
+    """Influence digraph Phi with phi[i, k] = M_i / M_* for k in set i.
 
     Phi is CSR over the table's own indptr/indices.
     """
-    m_star = policy.m_star(N)
     sizes = table.sizes()
-    mvals = policy.values(N, sizes)
-    data = np.repeat(mvals / m_star, sizes)
-    phi = csr_matrix((data, table.indices, table.indptr), shape=(N, N))
-    return InteractionDigraph(N, phi, sizes * mvals / m_star)
+    data = np.repeat(policy.values(N, sizes) / policy.m_star(N), sizes)
+    return csr_matrix((data, table.indices, table.indptr), shape=(N, N))
 
 
-def strongly_connected_components(g: InteractionDigraph) -> ClusterLabeling:
-    """SCC partition of the influence digraph, labeled by ascending minimal member."""
-    n, raw = connected_components(g.phi, directed=True, connection="strong")
+def strongly_connected_components(phi: csr_matrix) -> ClusterLabeling:
+    """SCC partition of the influence digraph Phi, labeled by ascending minimal member."""
+    n, raw = connected_components(phi, directed=True, connection="strong")
     # Canonical labels: cluster ids ordered by their smallest node index.
     _, first = np.unique(raw, return_index=True)
     rank = np.empty(n, dtype=int)
@@ -143,18 +131,18 @@ def _dense_block(phi: csr_matrix, nodes: np.ndarray) -> np.ndarray:
     return block
 
 
-def fiedler_value(g: InteractionDigraph, cluster=None) -> float:
+def fiedler_value(phi: csr_matrix, cluster=None) -> float:
     """Second-smallest eigenvalue of L = D - Phi restricted to the cluster.
 
     Requires the restricted weight matrix to be symmetric; positive exactly
     when the restricted undirected graph is connected.
     """
     if cluster is None:
-        cluster = np.arange(g.n)
+        cluster = np.arange(phi.shape[0])
     cluster = np.asarray(cluster, dtype=int)
     if cluster.size < 2:
         raise ValueError("fiedler_value needs a cluster with at least 2 nodes")
-    sub = _dense_block(g.phi, cluster)
+    sub = _dense_block(phi, cluster)
     scale = max(1.0, float(np.abs(sub).max()))
     if np.abs(sub - sub.T).max() > 1e-12 * scale:
         raise ValueError("cluster restriction of the weight matrix is not symmetric")

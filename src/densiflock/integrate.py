@@ -82,7 +82,6 @@ class TrajectorySample:
     step: int
     t: float
     state: EnsembleState
-    unwrapped: np.ndarray
     delayed_positions: np.ndarray
     table: NeighborTable
     labels: ClusterLabeling
@@ -131,13 +130,6 @@ def _step_mask(
     if params.model == "cs_delta":
         return cs_delta_mask(positions, params.delta, metric)
     return cs_q_mask(positions, params.q, metric)
-
-
-def neighbor_table_for_step(
-    params: ModelParams, state: EnsembleState, buffer: DelayBuffer, domain: Domain
-) -> NeighborTable:
-    """Table in effect for the step starting at state.t."""
-    return NeighborTable.from_mask(_step_mask(params, state.positions, buffer, domain))
 
 
 # Largest c for which the Gershgorin disc |z + c| <= c lies inside the RK4
@@ -212,15 +204,13 @@ def rk4_step(
     return EnsembleState(state.t + dt, x, v)
 
 
-def _sample(step, t, x, v, unwrapped, delayed, table: NeighborTable, policy) -> TrajectorySample:
+def _sample(step, t, x, v, delayed, table: NeighborTable, policy) -> TrajectorySample:
     state = EnsembleState(t, x, v)
-    digraph = build_digraph(table, policy, table.n)
-    labels = strongly_connected_components(digraph)
+    labels = strongly_connected_components(build_digraph(table, policy, table.n))
     return TrajectorySample(
         step=step,
         t=t,
         state=state,
-        unwrapped=unwrapped.copy(),
         delayed_positions=np.array(delayed, copy=True),
         table=table,
         labels=labels,
@@ -254,7 +244,6 @@ def simulate(
     v = initial.velocities.copy()
     n_steps = step_count(t_end, dt)
     buffer = DelayBuffer(params.h_steps, x)
-    unwrapped = x.copy()
     policy = params.policy()
 
     record = TrajectoryRecord(spec)
@@ -265,7 +254,7 @@ def simulate(
         if step % sample_every == 0 or step == n_steps:
             table = NeighborTable.from_mask(mask)
             record.samples.append(
-                _sample(step, t, x, v, unwrapped, buffer.delayed(), table, policy)
+                _sample(step, t, x, v, buffer.delayed(), table, policy)
             )
         if step == n_steps:
             break
@@ -274,8 +263,6 @@ def simulate(
         if not np.array_equal(mask, force_mask):
             accel = _step_force(mask, dt, params, policy, domain, step)
             force_mask = mask
-        wrapped, v = _advance(x, v, dt, accel, domain, step)
-        unwrapped += domain.shortest_displacement(wrapped, x)
-        buffer.push(wrapped)
-        x = wrapped
+        x, v = _advance(x, v, dt, accel, domain, step)
+        buffer.push(x)
     return record

@@ -32,9 +32,13 @@ REGIMES = ("stability", "breaking", "sticking", "undetermined")
 # elongated along the approach axis, shape "b" is a deep block.
 GROUP_SHAPE_ROWS = {"a": 2, "b": 7}
 DEFAULT_GROUP_SPACING = 1.0
-DEFAULT_GROUP_GAP = 3.0
+GROUP_GAP = 3.0
+GROUP_V_CLUSTER = (0.1, 0.0)
+GROUP_V_SINGLE = (-2.7, 0.0)
 DEFAULT_CHAIN_SPACING = 0.95
-DEFAULT_CHAIN_GAP = 8.0
+CHAIN_GAP = 8.0
+CHAIN_V_CHAIN = (0.1, 0.0)
+CHAIN_V_SINGLE = (-8.0, 0.0)
 
 
 @dataclass
@@ -67,6 +71,8 @@ class ScenarioSpec:
         step_count(self.t_end, self.dt)
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.scenario == "three_body":
             self._validate_three_body()
         if self.scenario == "group_vs_individual":
@@ -143,8 +149,6 @@ class GroupResult:
     """Momentum-sign summary of a group-versus-individual run."""
 
     momentum_flipped: bool
-    min_momentum_x: float
-    final_momentum_x: float
 
 
 def init_random_clusters(N: int, L: float, seed: int, margin: float = 2.0) -> EnsembleState:
@@ -172,22 +176,20 @@ def init_three_body(
     gamma: float,
     v_c: float,
     delta: float,
-    a_spread: float | None = None,
     seed: int = 0,
 ) -> EnsembleState:
     """Resting cluster plus escaping intruder, all on one line.
 
-    Layout (index order): particles 0..N-2 jittered within a_spread of the
+    Layout (index order): particles 0..N-2 jittered within delta/1000 of the
     origin at rest, edge member b = N-1 at (beta, 0) at rest, intruder
     c = N at (gamma, 0) moving with (v_c, 0) -- along the common line, so
     separations grow exactly by the integrated relative velocities.
     """
     if not (0 < beta < delta and gamma >= delta and gamma - beta < delta):
         raise ConfigError("requires 0 < beta < delta <= gamma and gamma - beta < delta")
-    if a_spread is None:
-        a_spread = delta / 1000.0
-    if not 0 <= a_spread < beta:
-        raise ConfigError("a_spread must be small and nonnegative")
+    a_spread = delta / 1000.0
+    if not a_spread < beta:
+        raise ConfigError("three_body requires beta > delta/1000, the core's jitter")
     rng = np.random.default_rng(seed)
     positions = np.zeros((N + 1, 2))
     # Core jitter stays in the x <= 0 half-box: no core particle may creep
@@ -204,17 +206,14 @@ def init_three_body(
 def init_group_vs_individual(
     shape: str,
     cluster_size: int = 28,
-    v_cluster=(0.1, 0.0),
-    v_single=(-2.7, 0.0),
     spacing: float = DEFAULT_GROUP_SPACING,
-    gap: float = DEFAULT_GROUP_GAP,
 ) -> EnsembleState:
     """Lattice cluster drifting right, singleton approaching from the right.
 
     Shape "a" lays the cluster out in 2 rows (long side along the approach
-    axis); shape "b" in 7 rows (deep block).  The singleton starts `gap`
+    axis); shape "b" in 7 rows (deep block).  The singleton starts GROUP_GAP
     beyond the lattice's right edge on its horizontal midline, so the total
-    initial momentum is cluster_size * v_cluster + v_single.
+    initial momentum is cluster_size * GROUP_V_CLUSTER + GROUP_V_SINGLE.
     """
     rows = GROUP_SHAPE_ROWS.get(shape)
     if rows is None:
@@ -226,21 +225,15 @@ def init_group_vs_individual(
     ys = (np.arange(rows) - (rows - 1) / 2) * spacing
     gx, gy = np.meshgrid(xs, ys)
     lattice = np.column_stack([gx.ravel(), gy.ravel()])
-    single = np.array([[xs.max() + gap, 0.0]])
+    single = np.array([[xs.max() + GROUP_GAP, 0.0]])
     positions = np.vstack([lattice, single])
-    velocities = np.vstack(
-        [np.tile(np.asarray(v_cluster, dtype=float), (cluster_size, 1)),
-         np.asarray(v_single, dtype=float)[None, :]]
-    )
+    velocities = np.vstack([np.tile(GROUP_V_CLUSTER, (cluster_size, 1)), GROUP_V_SINGLE])
     return EnsembleState(0.0, positions, velocities)
 
 
 def init_chain(
     n_chain: int = 21,
     spacing: float = DEFAULT_CHAIN_SPACING,
-    v_chain=(0.1, 0.0),
-    v_single=(-8.0, 0.0),
-    gap: float = DEFAULT_CHAIN_GAP,
 ) -> EnsembleState:
     """Vertical chain of n_chain particles, fast singleton incoming on its midline."""
     if n_chain < 2:
@@ -249,11 +242,8 @@ def init_chain(
         raise ConfigError("spacing must be > 0")
     ys = (np.arange(n_chain) - (n_chain - 1) / 2) * spacing
     chain = np.column_stack([np.zeros(n_chain), ys])
-    positions = np.vstack([chain, [[gap, 0.0]]])
-    velocities = np.vstack(
-        [np.tile(np.asarray(v_chain, dtype=float), (n_chain, 1)),
-         np.asarray(v_single, dtype=float)[None, :]]
-    )
+    positions = np.vstack([chain, [[CHAIN_GAP, 0.0]]])
+    velocities = np.vstack([np.tile(CHAIN_V_CHAIN, (n_chain, 1)), CHAIN_V_SINGLE])
     return EnsembleState(0.0, positions, velocities)
 
 
@@ -374,7 +364,7 @@ def classify_group(record: TrajectoryRecord) -> GroupResult:
     """Whether the singleton drove the total horizontal momentum through zero."""
     _require_scenario(record, "group_vs_individual")
     mom_x = np.array([sample.momentum[0] for sample in record.samples])
-    return GroupResult(bool(mom_x.min() < 0), float(mom_x.min()), float(mom_x[-1]))
+    return GroupResult(bool(mom_x.min() < 0))
 
 
 def initial_state(spec: ScenarioSpec) -> EnsembleState:

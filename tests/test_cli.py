@@ -8,7 +8,6 @@ from densiflock import (
     is_r_densely_packed,
     parse_config,
     run_simulation,
-    serialize_config,
 )
 from densiflock.cli import (
     cmd_run,
@@ -93,12 +92,6 @@ def test_parse_rejects_bad_values():
 def test_parse_reports_line_numbers():
     with pytest.raises(ConfigError, match="line 3"):
         parse_config("scenario = chain\nmodel = di\nbroken line\n")
-
-
-def test_round_trip_identity():
-    for text in (BASE_RUN, THREE_BODY):
-        config = parse_config(text)
-        assert parse_config(serialize_config(config)) == config
 
 
 def test_periodic_box_must_exceed_interaction_range():
@@ -290,6 +283,26 @@ def test_run_rejects_bad_values_naming_the_key(tmp_path, capsys, old, new, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("base", [BASE_RUN, THREE_BODY], ids=["random_clusters", "three_body"])
+def test_run_rejects_negative_seed(tmp_path, capsys, base):
+    text = "".join(line for line in base.splitlines(True) if not line.startswith("seed"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + f"seed = -1\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_run_rejects_output_dir_that_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_RUN + f"output_dir = {taken}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "output_dir" in err and "Traceback" not in err
+
+
 # --- sweeps ------------------------------------------------------------------------
 
 
@@ -399,7 +412,7 @@ def test_sweep_cli_entry(tmp_path):
 
 
 def test_verify_suite_passes_and_breaks_on_zero_tolerance():
-    from densiflock.cli import verify_suite
+    from densiflock.experiments import verify_suite
 
     checks = verify_suite()
     assert all(c.passed for c in checks)
@@ -409,3 +422,13 @@ def test_verify_suite_passes_and_breaks_on_zero_tolerance():
 
     broken = verify_suite(tol_scale=0.0)
     assert any(not c.passed for c in broken)
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+def test_verify_rejects_tol_scale_that_disables_checks(monkeypatch, capsys, scale):
+    def must_not_run(*_args):
+        raise AssertionError("verify_suite ran with an invalid --tol-scale")
+
+    monkeypatch.setattr(densiflock.cli, "verify_suite", must_not_run)
+    assert main(["verify", "--tol-scale", scale]) == 1
+    assert "--tol-scale" in capsys.readouterr().err

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
 from densiflock import (
-    InteractionDigraph,
     MPolicy,
     build_digraph,
     fiedler_value,
@@ -19,8 +18,7 @@ from densiflock import (
 
 
 def digraph_from_phi(phi):
-    phi = np.asarray(phi, dtype=float)
-    return InteractionDigraph(len(phi), csr_matrix(phi), phi.sum(axis=1))
+    return csr_matrix(np.asarray(phi, dtype=float))
 
 
 def scc_oracle_labels(adj):
@@ -46,25 +44,22 @@ def scc_oracle_labels(adj):
 
 def test_build_digraph_empty_sets():
     table = neighbor_sets_di([[0.0, 0.0], [9.0, 0.0]], 1.0, 3)
-    g = build_digraph(table, MPolicy("per_neighbor", 1.0), 2)
-    assert np.all(g.phi.toarray() == 0)
-    assert np.all(g.degrees == 0)
+    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 2)
+    assert np.all(phi.toarray() == 0)
 
 
 def test_build_digraph_fully_mixed_per_neighbor():
     pos = [[0, 0], [0.5, 0], [0, 0.5], [0.5, 0.5]]
     table = neighbor_sets_di(pos, 2.0, 3)
-    g = build_digraph(table, MPolicy("per_neighbor", 1.0), 4)
+    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 4)
     # All set sizes are 4 = N, so every M_i equals M_* and phi is the ones block.
-    assert np.all(g.phi.toarray() == 1.0)
-    assert np.all(g.degrees == 4.0)
+    assert np.all(phi.toarray() == 1.0)
 
 
 def test_build_digraph_collinear_asymmetric():
     pos = [[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]]
     table = neighbor_sets_di(pos, 1.0, 2)
-    g = build_digraph(table, MPolicy("per_neighbor", 1.0), 3)
-    phi = g.phi.toarray()
+    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 3).toarray()
     assert np.all(phi[0] == 0) and np.all(phi[2] == 0)
     assert np.count_nonzero(phi[1]) == 3
     assert not np.array_equal(phi, phi.T)
@@ -73,12 +68,11 @@ def test_build_digraph_collinear_asymmetric():
 def test_build_digraph_row_consistency():
     pos = np.random.default_rng(5).uniform(0, 3, (10, 2))
     table = neighbor_sets_di(pos, 1.5, 2)
-    g = build_digraph(table, MPolicy("per_neighbor", 1.0), 10)
-    assert np.allclose(g.degrees, g.phi.toarray().sum(axis=1))
-    assert isinstance(g.phi, csr_matrix)
-    assert g.phi.nnz == table.sizes().sum()
-    assert np.shares_memory(g.phi.indices, table.indices)
-    assert np.shares_memory(g.phi.indptr, table.indptr)
+    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 10)
+    assert isinstance(phi, csr_matrix)
+    assert phi.nnz == table.sizes().sum()
+    assert np.shares_memory(phi.indices, table.indices)
+    assert np.shares_memory(phi.indptr, table.indptr)
 
 
 def test_m_star_variants():
@@ -241,7 +235,7 @@ def test_packed_clusters_induce_symmetric_connected_digraphs():
         found += 1
         table = neighbor_sets_di(pos, delta, m)
         g = build_digraph(table, MPolicy("per_neighbor", 1.0), n)
-        phi = g.phi.toarray()
+        phi = g.toarray()
         assert np.array_equal(phi > 0, (phi > 0).T)
         labels = strongly_connected_components(g)
         assert labels.cluster_count == 1

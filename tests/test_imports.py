@@ -13,6 +13,7 @@ LAYERS = [
     {"integrate"},
     {"scenarios"},
     {"config"},
+    {"experiments"},
     {"cli"},
 ]
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}

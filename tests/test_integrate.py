@@ -9,9 +9,11 @@ from densiflock import (
     EnsembleState,
     IntegrationFault,
     ModelParams,
+    NeighborTable,
     ScenarioSpec,
+    neighbor_sets_cs_delta,
+    neighbor_sets_cs_q,
     neighbor_sets_di,
-    neighbor_table_for_step,
     rk4_step,
     run_simulation,
     simulate,
@@ -114,17 +116,35 @@ def _blob_state(n=5, scale=0.3, vel_scale=0.01, seed=4):
     return EnsembleState(0.0, pos, vel)
 
 
+def _same_table(a, b):
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def _table_for_step(params, positions, buf, domain):
+    """The step's neighbor table from the public per-model rules."""
+    dist = domain.distances
+    if params.model == "di":
+        return neighbor_sets_di(buf.delayed(), params.delta, params.m, dist)
+    if params.model == "cs":
+        return NeighborTable.from_mask(np.ones((params.N, params.N), dtype=bool))
+    if params.model == "cs_delta":
+        return neighbor_sets_cs_delta(positions, params.delta, dist)
+    return neighbor_sets_cs_q(positions, params.q, dist)
+
+
 def _velocity_error_vs_expm(dt, t_end=1.0):
     """Fixed-topology velocities against the exact matrix exponential."""
     state = _blob_state()
     params = _di_params(5, m=2)
     domain = Domain.unbounded()
     table = neighbor_sets_di(state.positions, params.delta, params.m)
-    w, _ = member_weights(table.membership_matrix(), params.policy(), 5)
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[np.repeat(np.arange(5), table.sizes()), table.indices] = True
+    w, _ = member_weights(mask, params.policy(), 5)
     lap = np.diag(w.sum(axis=1)) - w
     record = simulate(state, params, domain, dt, t_end, sample_every=10**9)
     final = record.samples[-1]
-    assert final.table.same_as(table)  # topology never switched
+    assert _same_table(final.table, table)  # topology never switched
     exact = expm(-lap * t_end) @ state.velocities
     return np.abs(final.state.velocities - exact).max()
 
@@ -161,8 +181,7 @@ def test_simulate_matches_stepwise_rk4(params):
         assert np.array_equal(sample.state.velocities, cur.velocities)
         if k == len(record.samples) - 1:
             break
-        table = neighbor_table_for_step(params, cur, buf, domain)
-        assert sample.table.same_as(table)
+        assert _same_table(sample.table, _table_for_step(params, cur.positions, buf, domain))
         cur = rk4_step(cur, 0.05, params, buf, domain)
         buf.push(cur.positions)
 
@@ -250,9 +269,10 @@ def test_unwrapped_positions_accumulate_across_wraps():
     params = _di_params(2)
     record = simulate(state, params, domain, 0.1, 6.0, sample_every=10)
     final = record.samples[-1]
-    assert final.unwrapped[0, 0] == pytest.approx(3.8 + 6.0)
-    assert final.unwrapped[1, 1] == pytest.approx(3.9 + 6.0)
     assert 0 <= final.state.positions[0, 0] < 4.0
+    # Each particle travelled 6.0 across the wraps and sits at its image.
+    assert final.state.positions[0, 0] == pytest.approx((3.8 + 6.0) % 4.0)
+    assert final.state.positions[1, 1] == pytest.approx((3.9 + 6.0) % 4.0)
 
 
 def test_topology_delay_commutes_with_dt_refinement():

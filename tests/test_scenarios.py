@@ -82,9 +82,10 @@ def test_three_body_layout_and_initial_tables():
     table = neighbor_sets_di(state.positions, delta, 3)
     # Core and edge member hear the whole cluster; the edge member also hears
     # the intruder; the intruder hears nobody.
-    assert len(table.sets[0]) == n
-    assert table.contains(b, c) and len(table.sets[b]) == n + 1
-    assert len(table.sets[c]) == 0
+    sizes = table.sizes()
+    assert sizes[0] == n
+    assert table.contains(b, c) and sizes[b] == n + 1
+    assert sizes[c] == 0
 
 
 def test_three_body_zero_velocity_is_static():
