@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .errors import ConfigError, IntegrationFault
 from .experiments import verify_suite
-from .graph import build_digraph, fiedler_value
+from .graph import fiedler_value
 from .integrate import TrajectoryRecord
 from .scenarios import classify_chain, classify_group, classify_three_body, run_simulation
 
@@ -79,18 +79,16 @@ def write_clusters_csv(record: TrajectoryRecord, path: Path) -> None:
     an SCC is connected through edges that join delta-close delayed positions,
     and a ball holding more than m particles is what gates its center on."""
     params = record.spec.params
-    policy = params.policy()
     with open(path, "w", newline="\n") as f:
         f.write("t,cluster_id,size,is_delta_packed,lambda2\n")
         for sample in record.samples:
-            digraph = build_digraph(sample.table, policy, params.N)
             gated_on = sample.table.sizes() > 0
             for cid, members in enumerate(sample.labels.clusters()):
                 packed = _fmt(bool(gated_on[members].all())) if params.model == "di" else ""
                 lam = ""
                 if len(members) >= 2:
                     try:
-                        lam = _fmt(fiedler_value(digraph, members))
+                        lam = _fmt(fiedler_value(sample.phi, members))
                     except ValueError:
                         lam = ""
                 f.write(f"{_fmt(sample.t)},{cid},{len(members)},{packed},{lam}\n")

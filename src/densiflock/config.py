@@ -7,12 +7,12 @@ rejected with the offending line or key named.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .domains import Domain
 from .dynamics import MODELS, POLICY_KINDS, ModelParams
 from .errors import ConfigError
-from .scenarios import SCENARIOS, ScenarioSpec
+from .scenarios import DEFAULT_CLUSTER_SIZE, SCENARIOS, ScenarioSpec
 
 # key -> (type tag, allowed values or None)
 _KEY_TYPES = {
@@ -55,14 +55,6 @@ _KEY_OWNERS = {
     "gamma": ("three_body",),
     "v_c": ("three_body",),
 }
-
-_DEFAULT_T_END = {
-    "random_clusters": 150.0,
-    "group_vs_individual": 30.0,
-    "chain": 30.0,
-}
-
-_DEFAULT_N_CLUSTER = {"group_vs_individual": 28, "chain": 21}
 
 
 @dataclass
@@ -145,43 +137,29 @@ def parse_config(text: str) -> RunConfig:
                 f"key '{key}' only applies to scenario " + "|".join(owners)
             )
 
-    delta = values.get("delta")
     if "delta_variant" in values:
         variant = values["delta_variant"]
         if variant not in (2, 3, 4):
             raise ConfigError("key 'delta_variant': must be one of 2|3|4")
-        if delta is not None and delta != float(variant):
+        if values.setdefault("delta", float(variant)) != float(variant):
             raise ConfigError("key 'delta_variant': conflicts with explicit delta")
-        delta = float(variant)
 
     if scenario == "random_clusters":
         if "n" not in values:
             raise ConfigError("scenario random_clusters requires key 'n'")
-        n_cluster = None
         n_particles = values["n"]
     else:
-        n_cluster = values.get("n", _DEFAULT_N_CLUSTER.get(scenario))
-        if n_cluster is None:
+        values["n_cluster"] = values.get("n", DEFAULT_CLUSTER_SIZE.get(scenario))
+        if values["n_cluster"] is None:
             raise ConfigError(f"scenario {scenario} requires key 'n'")
-        n_particles = n_cluster + 1
+        n_particles = values["n_cluster"] + 1
 
-    m = values.get("m")
-    if model == "di" and m is None:
-        m = 3  # conventional gate; override with key 'm'
+    if model == "di":
+        values.setdefault("m", 3)  # conventional gate; override with key 'm'
+    params = ModelParams(N=n_particles, **_fields(ModelParams, values))
 
-    params = ModelParams(
-        model=model,
-        N=n_particles,
-        kappa=values.get("kappa", 1.0),
-        m=m,
-        delta=delta,
-        q=values.get("q"),
-        alpha=values.get("alpha", 0.5),
-        m_policy=values.get("m_policy"),
-        h_steps=values.get("h_steps", 1),
-    )
-
-    domain_kind = values.get("domain")
+    # The key names a kind; ScenarioSpec's field of that name holds the Domain.
+    domain_kind = values.pop("domain", None)
     if domain_kind is None:
         domain_kind = "periodic" if scenario == "random_clusters" else "unbounded"
     if domain_kind == "periodic":
@@ -191,33 +169,17 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key 'L' only applies to periodic domains")
         domain = Domain.unbounded()
 
-    t_end = values.get("t_end")
-    if t_end is None:
-        t_end = _DEFAULT_T_END.get(scenario)
-        if t_end is None:  # three_body: horizon scales with the consensus rate
-            t_end = 3.0 * (n_cluster + 1)
+    if "t_end" not in values:
+        if scenario == "random_clusters":
+            values["t_end"] = 150.0
+        elif scenario == "three_body":  # horizon scales with the consensus rate
+            values["t_end"] = 3.0 * n_particles
 
-    spec = ScenarioSpec(
-        scenario=scenario,
-        params=params,
-        domain=domain,
-        dt=values.get("dt", 0.01),
-        t_end=float(t_end),
-        sample_every=values.get("sample_every", 10),
-        seed=values.get("seed", 0),
-        n_cluster=n_cluster,
-        beta=values.get("beta"),
-        gamma=values.get("gamma"),
-        v_c=values.get("v_c"),
-        shape=values.get("shape"),
-        spacing=values.get("spacing"),
-        margin=values.get("margin"),
-    )
-    return RunConfig(
-        spec=spec,
-        output_dir=values.get("output_dir", "out"),
-        record_trajectory=values.get("record_trajectory", True),
-        record_diagnostics=values.get("record_diagnostics", True),
-        record_clusters=values.get("record_clusters", True),
-    )
+    spec = ScenarioSpec(params=params, domain=domain, **_fields(ScenarioSpec, values))
+    return RunConfig(spec=spec, **_fields(RunConfig, values))
 
+
+def _fields(cls, values: dict) -> dict:
+    """The entries of values that name a field of dataclass cls."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in values.items() if key in names}

@@ -115,22 +115,6 @@ def is_r_densely_packed(
     )
 
 
-def _dense_block(phi: csr_matrix, nodes: np.ndarray) -> np.ndarray:
-    """phi[nodes][:, nodes] as a dense array, read from the CSR arrays."""
-    local = np.full(phi.shape[1], -1)
-    local[nodes] = np.arange(len(nodes))
-    starts = phi.indptr[nodes]
-    lengths = phi.indptr[nodes + 1] - starts
-    rows = np.repeat(np.arange(len(nodes)), lengths)
-    # Where each selected row's entries sit in indices/data.
-    pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    cols = local[phi.indices[pos]]
-    keep = cols >= 0
-    block = np.zeros((len(nodes), len(nodes)))
-    block[rows[keep], cols[keep]] = phi.data[pos[keep]]
-    return block
-
-
 def fiedler_value(phi: csr_matrix, cluster=None) -> float:
     """Second-smallest eigenvalue of L = D - Phi restricted to the cluster.
 
@@ -142,7 +126,7 @@ def fiedler_value(phi: csr_matrix, cluster=None) -> float:
     cluster = np.asarray(cluster, dtype=int)
     if cluster.size < 2:
         raise ValueError("fiedler_value needs a cluster with at least 2 nodes")
-    sub = _dense_block(phi, cluster)
+    sub = phi[cluster][:, cluster].toarray()
     scale = max(1.0, float(np.abs(sub).max()))
     if np.abs(sub - sub.T).max() > 1e-12 * scale:
         raise ValueError("cluster restriction of the weight matrix is not symmetric")

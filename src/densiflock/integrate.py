@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .domains import Domain
 from .dynamics import (
@@ -77,13 +78,17 @@ class DelayBuffer:
 
 @dataclass(eq=False)
 class TrajectorySample:
-    """One recorded instant: state, topology, clusters, scalar diagnostics."""
+    """One recorded instant: state, topology, clusters, scalar diagnostics.
+
+    phi is the influence digraph the cluster labels were computed from.
+    """
 
     step: int
     t: float
     state: EnsembleState
     delayed_positions: np.ndarray
     table: NeighborTable
+    phi: csr_matrix
     labels: ClusterLabeling
     vmax: float
     momentum: np.ndarray
@@ -206,14 +211,15 @@ def rk4_step(
 
 def _sample(step, t, x, v, delayed, table: NeighborTable, policy) -> TrajectorySample:
     state = EnsembleState(t, x, v)
-    labels = strongly_connected_components(build_digraph(table, policy, table.n))
+    phi = build_digraph(table, policy, table.n)
     return TrajectorySample(
         step=step,
         t=t,
         state=state,
         delayed_positions=np.array(delayed, copy=True),
         table=table,
-        labels=labels,
+        phi=phi,
+        labels=strongly_connected_components(phi),
         vmax=velocity_diameter(state),
         momentum=total_momentum(state),
     )

@@ -31,11 +31,12 @@ REGIMES = ("stability", "breaking", "sticking", "undetermined")
 # Lattice layouts for the group-versus-individual runs: shape "a" is
 # elongated along the approach axis, shape "b" is a deep block.
 GROUP_SHAPE_ROWS = {"a": 2, "b": 7}
-DEFAULT_GROUP_SPACING = 1.0
+DEFAULT_CLUSTER_SIZE = {"group_vs_individual": 28, "chain": 21}
+DEFAULT_SPACING = {"group_vs_individual": 1.0, "chain": 0.95}
+DEFAULT_MARGIN = 2.0
 GROUP_GAP = 3.0
 GROUP_V_CLUSTER = (0.1, 0.0)
 GROUP_V_SINGLE = (-2.7, 0.0)
-DEFAULT_CHAIN_SPACING = 0.95
 CHAIN_GAP = 8.0
 CHAIN_V_CHAIN = (0.1, 0.0)
 CHAIN_V_SINGLE = (-8.0, 0.0)
@@ -66,54 +67,93 @@ class ScenarioSpec:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not self.dt > 0:
             raise ConfigError("dt must be > 0")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be >= 0")
         step_count(self.t_end, self.dt)
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.scenario == "three_body":
-            self._validate_three_body()
-        if self.scenario == "group_vs_individual":
-            shape = self.shape or "a"
-            if shape not in GROUP_SHAPE_ROWS:
-                raise ConfigError("shape must be 'a' or 'b'")
-            self.shape = shape
-        if self.scenario in ("group_vs_individual", "chain", "three_body"):
-            if self.n_cluster is None:
-                raise ConfigError("scenario requires the resting-cluster size n")
-            if self.params.N != self.n_cluster + 1:
-                raise ConfigError("particle count must equal cluster size + 1")
-        if self.scenario == "group_vs_individual":
-            rows = GROUP_SHAPE_ROWS[self.shape]
-            if self.n_cluster % rows != 0:
-                raise ConfigError(f"shape {self.shape!r} needs n divisible by {rows}")
-        if self.scenario == "random_clusters" and not self.domain.is_periodic:
-            raise ConfigError("scenario random_clusters requires domain = periodic")
-        if self.scenario == "random_clusters" and self.margin is not None:
-            if self.margin < 0 or 2 * self.margin >= self.domain.L:
-                raise ConfigError("margin must satisfy 0 <= margin < L/2")
         if self.domain.is_periodic and self.params.delta is not None:
             if not self.domain.L > 2 * self.params.delta:
                 raise ConfigError("periodic runs require L > 2*delta")
+        if self.scenario == "random_clusters":
+            if not self.domain.is_periodic:
+                raise ConfigError("scenario random_clusters requires domain = periodic")
+            if self.margin is None:
+                self.margin = DEFAULT_MARGIN
+            _check_margin(self.margin, self.domain.L)
+            return
+        if self.n_cluster is None:
+            raise ConfigError("scenario requires the resting-cluster size n")
+        if self.params.N != self.n_cluster + 1:
+            raise ConfigError("particle count must equal cluster size + 1")
+        if self.scenario == "three_body":
+            self._check_three_body()
+            return
+        if self.spacing is None:
+            self.spacing = DEFAULT_SPACING[self.scenario]
+        if self.scenario == "chain":
+            _check_chain(self.n_cluster, self.spacing)
+        else:
+            self.shape = self.shape or "a"
+            _check_group(self.shape, self.n_cluster, self.spacing)
 
-    def _validate_three_body(self):
+    def _check_three_body(self):
         if self.params.model != "di":
             raise ConfigError("three_body runs use the di model")
         for key in ("beta", "gamma", "v_c"):
             if getattr(self, key) is None:
                 raise ConfigError(f"three_body requires {key}")
-        delta = self.params.delta
-        if not 0 < self.beta < delta:
-            raise ConfigError("three_body requires 0 < beta < delta")
-        if not self.gamma >= delta:
-            raise ConfigError("three_body requires gamma >= delta")
-        if not self.gamma - self.beta < delta:
-            raise ConfigError("three_body requires gamma - beta < delta")
-        if self.n_cluster is not None and self.params.m is not None:
-            if not self.n_cluster > self.params.m:
-                raise ConfigError("three_body requires cluster size n > m")
+        _core_jitter(self.beta, self.gamma, self.params.delta)
+        if not self.n_cluster > self.params.m:
+            raise ConfigError("three_body requires cluster size n > m")
+
+
+# One check per scenario rule, shared by ScenarioSpec and the generators.
+
+
+def _check_margin(margin: float, L: float) -> None:
+    if margin < 0 or 2 * margin >= L:
+        raise ConfigError("margin must satisfy 0 <= margin < L/2")
+
+
+def _check_spacing(spacing: float) -> None:
+    if not spacing > 0:
+        raise ConfigError(f"spacing must be > 0, got {spacing}")
+
+
+def _check_group(shape: str, n: int, spacing: float) -> int:
+    """Check the group rules; returns the lattice's row count."""
+    rows = GROUP_SHAPE_ROWS.get(shape)
+    if rows is None:
+        raise ConfigError("shape must be 'a' or 'b'")
+    if not (n > 0 and n % rows == 0):
+        raise ConfigError(f"shape {shape!r} needs n a positive multiple of {rows}, got n={n}")
+    _check_spacing(spacing)
+    return rows
+
+
+def _check_chain(n: int, spacing: float) -> None:
+    if n < 2:
+        raise ConfigError(f"chain requires n >= 2, got n={n}")
+    _check_spacing(spacing)
+
+
+def _check_three_body_geometry(beta: float, gamma: float, delta: float) -> None:
+    if not (0 < beta < delta <= gamma and gamma - beta < delta):
+        raise ConfigError(
+            "three_body requires 0 < beta < delta <= gamma and gamma - beta < delta, "
+            f"got beta={beta}, gamma={gamma}, delta={delta}"
+        )
+
+
+def _core_jitter(beta: float, gamma: float, delta: float) -> float:
+    """Check the three-body geometry; returns the core's spread delta/1000,
+    which must stay below beta."""
+    _check_three_body_geometry(beta, gamma, delta)
+    spread = delta / 1000.0
+    if not spread < beta:
+        raise ConfigError("three_body requires beta > delta/1000, the core's jitter")
+    return spread
 
 
 @dataclass
@@ -151,15 +191,16 @@ class GroupResult:
     momentum_flipped: bool
 
 
-def init_random_clusters(N: int, L: float, seed: int, margin: float = 2.0) -> EnsembleState:
+def init_random_clusters(
+    N: int, L: float, seed: int, margin: float = DEFAULT_MARGIN
+) -> EnsembleState:
     """Uniform positions in [margin, L-margin]^2 with biased random velocities.
 
     Velocities are r_i (cos a_i, sin a_i) with r_i ~ U[0,1], a_i ~ U[0,2pi];
     the first floor(N/2) particles additionally get the drift r_i * (0.5, 1)
     so the ensemble average does not vanish.
     """
-    if margin < 0 or 2 * margin >= L:
-        raise ConfigError("margin must satisfy 0 <= margin < L/2")
+    _check_margin(margin, L)
     rng = np.random.default_rng(seed)
     positions = rng.uniform(margin, L - margin, size=(N, 2))
     r = rng.uniform(0.0, 1.0, size=N)
@@ -185,11 +226,7 @@ def init_three_body(
     c = N at (gamma, 0) moving with (v_c, 0) -- along the common line, so
     separations grow exactly by the integrated relative velocities.
     """
-    if not (0 < beta < delta and gamma >= delta and gamma - beta < delta):
-        raise ConfigError("requires 0 < beta < delta <= gamma and gamma - beta < delta")
-    a_spread = delta / 1000.0
-    if not a_spread < beta:
-        raise ConfigError("three_body requires beta > delta/1000, the core's jitter")
+    a_spread = _core_jitter(beta, gamma, delta)
     rng = np.random.default_rng(seed)
     positions = np.zeros((N + 1, 2))
     # Core jitter stays in the x <= 0 half-box: no core particle may creep
@@ -205,8 +242,8 @@ def init_three_body(
 
 def init_group_vs_individual(
     shape: str,
-    cluster_size: int = 28,
-    spacing: float = DEFAULT_GROUP_SPACING,
+    cluster_size: int = DEFAULT_CLUSTER_SIZE["group_vs_individual"],
+    spacing: float = DEFAULT_SPACING["group_vs_individual"],
 ) -> EnsembleState:
     """Lattice cluster drifting right, singleton approaching from the right.
 
@@ -215,11 +252,7 @@ def init_group_vs_individual(
     beyond the lattice's right edge on its horizontal midline, so the total
     initial momentum is cluster_size * GROUP_V_CLUSTER + GROUP_V_SINGLE.
     """
-    rows = GROUP_SHAPE_ROWS.get(shape)
-    if rows is None:
-        raise ConfigError("shape must be 'a' or 'b'")
-    if cluster_size % rows != 0:
-        raise ConfigError(f"cluster_size must be divisible by {rows} for shape {shape!r}")
+    rows = _check_group(shape, cluster_size, spacing)
     cols = cluster_size // rows
     xs = (np.arange(cols) - (cols - 1) / 2) * spacing
     ys = (np.arange(rows) - (rows - 1) / 2) * spacing
@@ -232,14 +265,11 @@ def init_group_vs_individual(
 
 
 def init_chain(
-    n_chain: int = 21,
-    spacing: float = DEFAULT_CHAIN_SPACING,
+    n_chain: int = DEFAULT_CLUSTER_SIZE["chain"],
+    spacing: float = DEFAULT_SPACING["chain"],
 ) -> EnsembleState:
     """Vertical chain of n_chain particles, fast singleton incoming on its midline."""
-    if n_chain < 2:
-        raise ConfigError("n_chain must be >= 2")
-    if not spacing > 0:
-        raise ConfigError("spacing must be > 0")
+    _check_chain(n_chain, spacing)
     ys = (np.arange(n_chain) - (n_chain - 1) / 2) * spacing
     chain = np.column_stack([np.zeros(n_chain), ys])
     positions = np.vstack([chain, [[CHAIN_GAP, 0.0]]])
@@ -304,8 +334,7 @@ def predict_three_body(
     leaves first and the required speed bound T_b |v_c| (1/N + 1) < delta
     holds; stability otherwise.
     """
-    if not (0 < beta < delta and gamma >= delta and gamma - beta < delta):
-        raise ConfigError("requires 0 < beta < delta <= gamma and gamma - beta < delta")
+    _check_three_body_geometry(beta, gamma, delta)
     speed = abs(v_c)
     if speed == 0:
         return RegimeResult("sticking", None, None, 0.0)
@@ -370,19 +399,16 @@ def classify_group(record: TrajectoryRecord) -> GroupResult:
 def initial_state(spec: ScenarioSpec) -> EnsembleState:
     """Build the scenario's initial ensemble (deterministic per seed)."""
     if spec.scenario == "random_clusters":
-        margin = spec.margin if spec.margin is not None else 2.0
-        return init_random_clusters(spec.params.N, spec.domain.L, spec.seed, margin)
+        return init_random_clusters(spec.params.N, spec.domain.L, spec.seed, spec.margin)
     if spec.scenario == "three_body":
         return init_three_body(
             spec.n_cluster, spec.beta, spec.gamma, spec.v_c, spec.params.delta,
             seed=spec.seed,
         )
     if spec.scenario == "group_vs_individual":
-        spacing = spec.spacing if spec.spacing is not None else DEFAULT_GROUP_SPACING
-        return init_group_vs_individual(spec.shape, spec.n_cluster, spacing=spacing)
+        return init_group_vs_individual(spec.shape, spec.n_cluster, spec.spacing)
     if spec.scenario == "chain":
-        spacing = spec.spacing if spec.spacing is not None else DEFAULT_CHAIN_SPACING
-        return init_chain(spec.n_cluster, spacing=spacing)
+        return init_chain(spec.n_cluster, spec.spacing)
     raise ConfigError(f"unknown scenario {spec.scenario!r}")
 
 

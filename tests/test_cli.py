@@ -1,10 +1,14 @@
 """Configuration format, file outputs, sweeps, and the verify battery."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import densiflock.cli
 from densiflock import (
     ConfigError,
+    EnsembleState,
+    RunConfig,
+    initial_state,
     is_r_densely_packed,
     parse_config,
     run_simulation,
@@ -49,6 +53,9 @@ dt = 0.01
 t_end = 6.0
 sample_every = 5
 """
+
+GROUP_RUN = "scenario = group_vs_individual\nmodel = di\ndelta = 2.0\nt_end = 1.0\n"
+CHAIN_RUN = "scenario = chain\nmodel = di\ndelta = 2.0\nt_end = 1.0\n"
 
 
 # --- parsing ---------------------------------------------------------------------
@@ -103,6 +110,38 @@ def test_periodic_box_must_exceed_interaction_range():
 def test_margin_constraint_enforced_at_parse_time():
     with pytest.raises(ConfigError, match="margin"):
         parse_config(BASE_RUN.replace("margin = 2.0", "margin = 13.0"))
+
+
+# One small valid config per scenario; the fuzz sets one key to one value class.
+FUZZ_BASES = [BASE_RUN, GROUP_RUN, CHAIN_RUN, THREE_BODY]
+FUZZ_KEYS = [
+    "model", "n", "m", "delta", "q", "kappa", "alpha", "m_policy", "h_steps", "dt",
+    "t_end", "sample_every", "domain", "L", "seed", "scenario", "beta", "gamma", "v_c",
+    "shape", "delta_variant", "spacing", "margin", "output_dir", "record_trajectory",
+    "record_diagnostics", "record_clusters", "no_such_key",
+]
+FUZZ_VALUES = [
+    "nan", "inf", "-inf", "-1", "-0.5", "0", "0.0", str(10**12), "1e12", "abc", "1.5", "true",
+]
+
+
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    key=st.sampled_from(FUZZ_KEYS),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_fuzzed_config_parses_or_names_a_config_error(base, key, value):
+    lines = [line for line in base.splitlines() if line.partition("=")[0].strip() != key]
+    text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
+    # Every scenario rule is checked at parse time, so a parsed run builds.
+    if config.spec.params.N <= 100:  # larger states are never built here
+        assert isinstance(initial_state(config.spec), EnsembleState)
 
 
 def test_three_body_defaults():
@@ -271,9 +310,17 @@ def test_unstable_run_exits_with_integration_fault(tmp_path, capsys):
         ("domain = periodic\nL = 25.0", "domain = unbounded", "domain"),
         ("t_end = 1.0", "t_end = 0.015", "t_end"),  # would overrun to 0.02
         ("t_end = 1.0", "t_end = 0.025", "t_end"),  # would stop short at 0.02
+        # Replacing all of BASE_RUN runs another scenario.  "config error"
+        # holds an "n", so the n cases look for the key with its value.
+        (BASE_RUN, GROUP_RUN + "n = 0\n", "n=0"),
+        (BASE_RUN, GROUP_RUN + "spacing = -1.0\n", "spacing"),
+        (BASE_RUN, GROUP_RUN + "spacing = 0.0\n", "spacing"),
+        (BASE_RUN, CHAIN_RUN + "n = 1\n", "n=1"),
+        (BASE_RUN, THREE_BODY.replace("beta = 1.0", "beta = 0.001"), "beta"),
     ],
     ids=["t_end-nan", "t_end-inf", "L-inf", "unbounded-random-clusters", "t_end-overrun",
-         "t_end-short"],
+         "t_end-short", "group-n-zero", "group-spacing-negative", "group-spacing-zero",
+         "chain-n-one", "three-body-beta-inside-jitter"],
 )
 def test_run_rejects_bad_values_naming_the_key(tmp_path, capsys, old, new, key):
     cfg = tmp_path / "run.cfg"
