@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import _KEY_TYPES, RunConfig, parse_config
 from .errors import ConfigError, IntegrationFault
 from .experiments import verify_suite
 from .graph import fiedler_value
@@ -205,6 +205,9 @@ def sweep_runs(
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if "seed" in grid:
         raise ConfigError("--set seed: run seeds derive from the master seed; use --seed")
+    for key in grid:
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"--set {key}: unknown key {key!r}")
     keys = list(grid)
     if not keys:
         return []
@@ -265,6 +268,13 @@ def cmd_verify(tol_scale: float = 1.0, stream=None) -> int:
 # Entry point
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} cannot be read: {exc}") from None
+
+
 def _parse_set_args(pairs: list[str]) -> dict[str, list[str]]:
     grid: dict[str, list[str]] = {}
     for pair in pairs:
@@ -312,22 +322,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = parse_config(Path(args.config).read_text())
+            config = parse_config(_read_config(args.config))
             written = cmd_run(config)
             for path in written:
                 print(path)
             return EXIT_OK
         if args.command == "sweep":
-            base_text = Path(args.config).read_text()
+            base_text = _read_config(args.config)
             grid = _parse_set_args(args.set)
+            out = Path(args.out)
+            # Before the runs, and without creating the file, so a rejected
+            # argument leaves no CSV behind.
+            if out.is_dir() or not out.parent.is_dir():
+                raise ConfigError(f"--out {args.out!r} is not a file in an existing directory")
             rows = sweep_runs(base_text, grid, master_seed=args.seed, jobs=args.jobs)
-            write_sweep_csv(rows, list(grid), Path(args.out))
+            write_sweep_csv(rows, list(grid), out)
             print(args.out)
             return EXIT_OK
         if args.command == "verify":
             return cmd_verify(args.tol_scale)
         return EXIT_CONFIG
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationFault as exc:

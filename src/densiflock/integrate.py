@@ -3,7 +3,8 @@
 The neighbor relation is rebuilt once per step -- from the delay buffer for
 the density-gated model, from the current positions for the cs family -- and
 held fixed across the four stages.  Distance weights of the cs family are
-re-evaluated at the staged positions.
+re-evaluated at the staged positions.  A run of steps under one relation, a
+topology epoch, shares one force and one sampled digraph and cluster labeling.
 """
 from __future__ import annotations
 
@@ -209,22 +210,6 @@ def rk4_step(
     return EnsembleState(state.t + dt, x, v)
 
 
-def _sample(step, t, x, v, delayed, table: NeighborTable, policy) -> TrajectorySample:
-    state = EnsembleState(t, x, v)
-    phi = build_digraph(table, policy, table.n)
-    return TrajectorySample(
-        step=step,
-        t=t,
-        state=state,
-        delayed_positions=np.array(delayed, copy=True),
-        table=table,
-        phi=phi,
-        labels=strongly_connected_components(phi),
-        vmax=velocity_diameter(state),
-        momentum=total_momentum(state),
-    )
-
-
 def simulate(
     initial: EnsembleState,
     params: ModelParams,
@@ -253,22 +238,30 @@ def simulate(
     policy = params.policy()
 
     record = TrajectoryRecord(spec)
-    force_mask = accel = None
+    epoch_mask = accel = topology = None
     for step in range(n_steps + 1):
-        t = step * dt
         mask = _step_mask(params, x, buffer, domain)
+        # A topology epoch is a run of steps under one mask.  The force and the
+        # sampled table, Phi and labels depend on the mask alone, so each is
+        # built at most once per epoch, when first needed, and then shared.
+        if not np.array_equal(mask, epoch_mask):
+            epoch_mask, accel, topology = mask, None, None
         if step % sample_every == 0 or step == n_steps:
-            table = NeighborTable.from_mask(mask)
-            record.samples.append(
-                _sample(step, t, x, v, buffer.delayed(), table, policy)
-            )
+            if topology is None:
+                table = NeighborTable.from_mask(mask)
+                phi = build_digraph(table, policy, table.n)
+                topology = table, phi, strongly_connected_components(phi)
+            table, phi, labels = topology
+            state = EnsembleState(step * dt, x, v)
+            record.samples.append(TrajectorySample(
+                step=step, t=state.t, state=state, delayed_positions=buffer.delayed(),
+                table=table, phi=phi, labels=labels,
+                vmax=velocity_diameter(state), momentum=total_momentum(state),
+            ))
         if step == n_steps:
             break
-        # The weights depend on the mask alone, so the force is rebuilt only
-        # when the topology changes.
-        if not np.array_equal(mask, force_mask):
+        if accel is None:
             accel = _step_force(mask, dt, params, policy, domain, step)
-            force_mask = mask
         x, v = _advance(x, v, dt, accel, domain, step)
         buffer.push(x)
     return record

@@ -1,4 +1,6 @@
 """Configuration format, file outputs, sweeps, and the verify battery."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,6 +352,32 @@ def test_run_rejects_output_dir_that_is_a_file(tmp_path, capsys):
     assert "output_dir" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name,content", [(".", None), ("run.cfg", b"scenario = chain\xff\n")],
+    ids=["directory", "not-utf8"],
+)
+def test_run_rejects_config_path_it_cannot_read(tmp_path, capsys, name, content):
+    cfg = tmp_path / name
+    if content is not None:
+        cfg.write_bytes(content)
+    assert main(["run", str(cfg)]) == 1
+    assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base", [BASE_RUN, GROUP_RUN, CHAIN_RUN, THREE_BODY],
+    ids=["random_clusters", "group_vs_individual", "chain", "three_body"],
+)
+def test_zero_horizon_run_of_each_scenario_writes_every_file(tmp_path, base):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(re.sub(r"t_end = \S+", "t_end = 0.0", base) + f"output_dir = {out}\n")
+    assert main(["run", str(cfg)]) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "trajectory.csv", "diagnostics.csv", "clusters.csv", "vmax.dat", "momentum_x.dat"
+    }
+
+
 # --- sweeps ------------------------------------------------------------------------
 
 
@@ -426,8 +454,12 @@ def test_sweep_pool_never_exceeds_the_run_count(monkeypatch):
 
 @pytest.mark.parametrize(
     "extra,named",
-    [(["--jobs", "0"], "--jobs"), (["--set", "beta=1.95"], "beta")],
-    ids=["jobs-zero", "repeated-set-key"],
+    [
+        (["--jobs", "0"], "--jobs"),
+        (["--set", "beta=1.95"], "beta"),
+        (["--set", "bogus=1,2"], "bogus"),
+    ],
+    ids=["jobs-zero", "repeated-set-key", "unknown-set-key"],
 )
 def test_sweep_rejects_bad_arguments_naming_them(tmp_path, capsys, extra, named):
     cfg = tmp_path / "base.cfg"
@@ -436,6 +468,17 @@ def test_sweep_rejects_bad_arguments_naming_them(tmp_path, capsys, extra, named)
     assert main(["sweep", str(cfg), "--set", "beta=1.0", *extra, "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_rejects_out_path_that_is_a_directory_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(densiflock.cli, "sweep_runs", no_runs)
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(THREE_BODY)
+    assert main(["sweep", str(cfg), "--set", "beta=1.0", "--out", str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_empty_grid_gives_empty_summary(tmp_path):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import densiflock.integrate
 from densiflock import (
     DelayBuffer,
     Domain,
@@ -11,12 +12,14 @@ from densiflock import (
     ModelParams,
     NeighborTable,
     ScenarioSpec,
+    build_digraph,
     neighbor_sets_cs_delta,
     neighbor_sets_cs_q,
     neighbor_sets_di,
     rk4_step,
     run_simulation,
     simulate,
+    strongly_connected_components,
 )
 from densiflock.dynamics import member_weights
 from densiflock.errors import ConfigError
@@ -184,6 +187,50 @@ def test_simulate_matches_stepwise_rk4(params):
         assert _same_table(sample.table, _table_for_step(params, cur.positions, buf, domain))
         cur = rk4_step(cur, 0.05, params, buf, domain)
         buf.push(cur.positions)
+
+
+def _switching_di_run():
+    """A delayed di run whose gates switch many times, sampled every step."""
+    spec = ScenarioSpec(
+        scenario="random_clusters",
+        params=_di_params(30, h_steps=3),
+        domain=Domain.periodic(12.0),
+        dt=0.01,
+        t_end=2.0,
+        sample_every=1,
+        seed=5,
+        margin=2.0,
+    )
+    return spec, run_simulation(spec)
+
+
+def test_topology_epoch_builds_each_digraph_once(monkeypatch):
+    calls = []
+
+    def counting_build_digraph(*args):
+        calls.append(args)
+        return build_digraph(*args)
+
+    monkeypatch.setattr(densiflock.integrate, "build_digraph", counting_build_digraph)
+    _, record = _switching_di_run()
+    samples = record.samples
+    epochs = 1 + sum(not _same_table(a.table, b.table) for a, b in zip(samples, samples[1:]))
+    assert 1 < epochs < len(samples)  # the run switches, and epochs span samples
+    assert len(calls) == epochs
+
+
+def test_shared_labels_match_labels_built_from_scratch():
+    spec, record = _switching_di_run()
+    params = spec.params
+    for sample in record.samples:
+        table = neighbor_sets_di(
+            sample.delayed_positions, params.delta, params.m, spec.domain.distances
+        )
+        phi = build_digraph(table, params.policy(), params.N)
+        expected = strongly_connected_components(phi)
+        assert _same_table(sample.table, table)
+        assert np.array_equal(sample.labels.labels, expected.labels)
+        assert sample.labels.cluster_count == expected.cluster_count
 
 
 def test_run_is_deterministic():
