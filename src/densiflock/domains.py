@@ -61,6 +61,14 @@ class Domain:
             return euclidean_distances(a, b)
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        diff = a[:, None, :] - b[None, :, :]
-        diff -= self.L * np.round(diff / self.L)
-        return np.sqrt((diff * diff).sum(axis=-1))
+        # Per axis: the difference, moved to its nearest image, squared in place.
+        sq = np.zeros((len(a), len(b)))
+        for ak, bk in zip(a.T, b.T):
+            d = np.subtract.outer(ak, bk)
+            shift = d / self.L
+            np.round(shift, out=shift)
+            shift *= self.L
+            d -= shift
+            d *= d
+            sq += d
+        return np.sqrt(sq, out=sq)

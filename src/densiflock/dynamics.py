@@ -267,16 +267,13 @@ def member_weights(mask: np.ndarray, policy: MPolicy, N: int) -> tuple[np.ndarra
     return mask * m[:, None], float((m * (sizes - mask.diagonal())).max())
 
 
-def stage_force(weights: np.ndarray, pair_weight=None):
+def stage_force(weights: np.ndarray, pair_weight):
     """Force a(x, v) with a_i = sum_k W_ik (v_k - v_i) over a frozen membership.
 
-    W is weights, multiplied elementwise by pair_weight(x) when given (the cs
-    family's distance weight, re-evaluated at each call's positions).  The
-    diagonal term cancels automatically.
+    W is weights multiplied elementwise by pair_weight(x), the cs family's
+    distance weight re-evaluated at each call's positions.  The diagonal term
+    cancels automatically.
     """
-    if pair_weight is None:
-        row = weights.sum(axis=1, keepdims=True)
-        return lambda _x, v: weights @ v - row * v
 
     def force(x, v):
         w = weights * pair_weight(x)

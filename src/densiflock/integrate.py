@@ -2,9 +2,9 @@
 
 The neighbor relation is rebuilt once per step -- from the delay buffer for
 the density-gated model, from the current positions for the cs family -- and
-held fixed across the four stages.  Distance weights of the cs family are
-re-evaluated at the staged positions.  A run of steps under one relation, a
-topology epoch, shares one force and one sampled digraph and cluster labeling.
+held fixed for the step: di by its exact RK4 propagator, the cs family by four
+stages with distance weights at the staged positions.  A topology epoch, a run
+of steps under one relation, shares one step map, digraph and cluster labeling.
 """
 from __future__ import annotations
 
@@ -143,11 +143,15 @@ def _step_mask(
 RK4_DISC_RADIUS = 1.3926467
 
 
-def _step_force(
+def _step_map(
     mask: np.ndarray, dt: float, params: ModelParams, policy: MPolicy, domain: Domain,
     step: int,
 ):
-    """Force a(x, v) of a step frozen under this membership mask.
+    """One RK4 step (x, v) -> (x', v') frozen under this membership mask.
+
+    The di force A v, A = W - diag(W 1), ignores x, so its step is exactly
+    v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1),
+    evaluated by Horner on hA.
 
     Raises IntegrationFault for the given step when dt * rho leaves the RK4
     stability disc, rho being the Gershgorin radius of the step's weights
@@ -161,29 +165,35 @@ def _step_force(
             f"stability limit {RK4_DISC_RADIUS}",
         )
     if params.model == "di":
-        return stage_force(weights)
+        weights[np.diag_indices_from(weights)] -= weights.sum(axis=1)
+        ha = np.multiply(weights, dt, out=weights)  # in place: one N x N array
+
+        def propagate(x, v):
+            u = v + ha @ v / 4
+            u = v + ha @ u / 3
+            u = v + ha @ u / 2
+            return x + dt * u, v + ha @ u
+
+        return propagate
+
     metric, alpha = domain.distances, params.alpha
-    return stage_force(weights, lambda pos: alignment_weight(metric(pos, pos), alpha))
+    accel = stage_force(weights, lambda pos: alignment_weight(metric(pos, pos), alpha))
+
+    def stages(x, v):
+        kx1, kv1 = v * dt, accel(x, v) * dt
+        kx2, kv2 = (v + kv1 / 2) * dt, accel(x + kx1 / 2, v + kv1 / 2) * dt
+        kx3, kv3 = (v + kv2 / 2) * dt, accel(x + kx2 / 2, v + kv2 / 2) * dt
+        kx4, kv4 = (v + kv3) * dt, accel(x + kx3, v + kv3) * dt
+        return (x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6,
+                v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6)
+
+    return stages
 
 
-def _advance(
-    x: np.ndarray, v: np.ndarray, dt: float, accel, domain: Domain, step: int
-):
-    """One RK4 step under a frozen force: velocity stages use accel, position
-    stages the staged velocities.  Returns wrapped positions and velocities.
-
-    Raises IntegrationFault for the given step when the output is non-finite.
-    """
-    kv1 = accel(x, v) * dt
-    kx1 = v * dt
-    kv2 = accel(x + kx1 / 2, v + kv1 / 2) * dt
-    kx2 = (v + kv1 / 2) * dt
-    kv3 = accel(x + kx2 / 2, v + kv2 / 2) * dt
-    kx3 = (v + kv2 / 2) * dt
-    kv4 = accel(x + kx3, v + kv3) * dt
-    kx4 = (v + kv3) * dt
-    v_next = v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6
-    x_next = x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6
+def _advance(x: np.ndarray, v: np.ndarray, step_map, domain: Domain, step: int):
+    """The step map's output, positions wrapped; raises IntegrationFault for
+    the given step when it is non-finite."""
+    x_next, v_next = step_map(x, v)
     if not (np.isfinite(x_next).all() and np.isfinite(v_next).all()):
         raise IntegrationFault(step)
     return domain.wrap(x_next), v_next
@@ -205,8 +215,8 @@ def rk4_step(
         raise ValueError("dt must be > 0")
     step = int(round(state.t / dt))
     mask = _step_mask(params, state.positions, buffer, domain)
-    accel = _step_force(mask, dt, params, params.policy(), domain, step)
-    x, v = _advance(state.positions, state.velocities, dt, accel, domain, step)
+    step_map = _step_map(mask, dt, params, params.policy(), domain, step)
+    x, v = _advance(state.positions, state.velocities, step_map, domain, step)
     return EnsembleState(state.t + dt, x, v)
 
 
@@ -238,14 +248,14 @@ def simulate(
     policy = params.policy()
 
     record = TrajectoryRecord(spec)
-    epoch_mask = accel = topology = None
+    epoch_mask = step_map = topology = None
     for step in range(n_steps + 1):
         mask = _step_mask(params, x, buffer, domain)
-        # A topology epoch is a run of steps under one mask.  The force and the
-        # sampled table, Phi and labels depend on the mask alone, so each is
+        # A topology epoch is a run of steps under one mask.  The step map and
+        # the sampled table, Phi and labels depend on the mask alone, so each is
         # built at most once per epoch, when first needed, and then shared.
         if not np.array_equal(mask, epoch_mask):
-            epoch_mask, accel, topology = mask, None, None
+            epoch_mask, step_map, topology = mask, None, None
         if step % sample_every == 0 or step == n_steps:
             if topology is None:
                 table = NeighborTable.from_mask(mask)
@@ -260,8 +270,8 @@ def simulate(
             ))
         if step == n_steps:
             break
-        if accel is None:
-            accel = _step_force(mask, dt, params, policy, domain, step)
-        x, v = _advance(x, v, dt, accel, domain, step)
+        if step_map is None:
+            step_map = _step_map(mask, dt, params, policy, domain, step)
+        x, v = _advance(x, v, step_map, domain, step)
         buffer.push(x)
     return record

@@ -252,8 +252,15 @@ def _state(positions, velocities):
 
 
 def _force(state, table, policy, pair_weight=None):
-    """a_i = sum_k W_ik (v_k - v_i) with W = M(N, i, #N_i) on the table's sets."""
+    """a_i = sum_k W_ik (v_k - v_i) with W = M(N, i, #N_i) on the table's sets.
+
+    Without pair_weight this is the di force W v - (W 1) v, written out here
+    as the oracle: the package steps di by its propagator and has no di force.
+    """
     weights, _ = member_weights(membership(table), policy, state.n)
+    if pair_weight is None:
+        v = state.velocities
+        return weights @ v - weights.sum(axis=1, keepdims=True) * v
     return stage_force(weights, pair_weight)(state.positions, state.velocities)
 
 

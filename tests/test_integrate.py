@@ -1,6 +1,7 @@
 """Stepping scheme, delay buffer, domains, and the run loop."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import densiflock.integrate
@@ -82,6 +83,41 @@ def test_periodic_box_side_must_be_finite():
         Domain.periodic(float("inf"))
 
 
+def _min_image_oracle(a, b, L):
+    """Minimum image through one (len(a), len(b), d) difference tensor."""
+    diff = a[:, None, :] - b[None, :, :]
+    diff -= L * np.round(diff / L)
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+@st.composite
+def periodic_point_sets(draw):
+    """Box side, then two point sets mixing far-out coordinates and exact
+    multiples of L/2 (half-box separations, where np.round ties to even)."""
+    L = draw(st.one_of(st.floats(1e-2, 1e3), st.integers(-6, 9).map(lambda k: 2.0**k)))
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(
+        st.floats(-1e3 * L, 1e3 * L),
+        st.integers(-400, 400).map(lambda k: k * L / 2),
+    )
+
+    def points():
+        n = draw(st.integers(1, 12))
+        return np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+
+    return L, points(), points()
+
+
+@given(case=periodic_point_sets())
+@example(case=(4.0, np.array([[0.0, 0.0], [2.0, -6.0]]), np.array([[6.0, 2.0], [-2.0, 0.0]])))
+@example(case=(0.5, np.array([[1e3, -7e2]]), np.array([[0.25, 0.75], [-1e3, 3e2]])))
+@settings(max_examples=200, deadline=None)
+def test_min_image_bitwise_equals_difference_tensor(case):
+    L, a, b = case
+    got = Domain.periodic(L).distances(a, b)
+    assert got.tobytes() == _min_image_oracle(a, b, L).tobytes()
+
+
 # --- single steps ----------------------------------------------------------------
 
 
@@ -135,15 +171,68 @@ def _table_for_step(params, positions, buf, domain):
     return neighbor_sets_cs_q(positions, params.q, dist)
 
 
+def _mask(table):
+    """The table's membership as a dense boolean mask."""
+    mask = np.zeros((table.n, table.n), dtype=bool)
+    mask[np.repeat(np.arange(table.n), table.sizes()), table.indices] = True
+    return mask
+
+
+def _explicit_di_rk4(x, v, dt, weights):
+    """Four explicit RK4 stages of the di force W v - (W 1) v, staged
+    positions included although the force never reads them."""
+    row = weights.sum(axis=1, keepdims=True)
+
+    def accel(_x, u):
+        return weights @ u - row * u
+
+    kv1, kx1 = accel(x, v) * dt, v * dt
+    kv2, kx2 = accel(x + kx1 / 2, v + kv1 / 2) * dt, (v + kv1 / 2) * dt
+    kv3, kx3 = accel(x + kx2 / 2, v + kv2 / 2) * dt, (v + kv2 / 2) * dt
+    kv4, kx4 = accel(x + kx3, v + kv3) * dt, (v + kv3) * dt
+    return x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6, v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6
+
+
+@pytest.mark.parametrize(
+    "n, m, policy, h_steps, seed",
+    [
+        (6, 2, {}, 1, 0),
+        (12, 3, {"m_policy": "flat"}, 1, 1),
+        (30, 3, {"m_policy": "constant", "kappa": 0.1}, 1, 2),
+        (30, 3, {"m_policy": "per_neighbor", "kappa": 2.0}, 3, 3),
+        (8, 8, {}, 1, 4),  # no ball holds more than m particles: an empty gate
+    ],
+)
+def test_di_propagator_matches_explicit_stages(n, m, policy, h_steps, seed):
+    rng = np.random.default_rng(seed)
+    params = _di_params(n, m=m, h_steps=h_steps, **policy)
+    domain = Domain.periodic(10.0)
+    snapshots = [rng.uniform(3.0, 7.0, (n, 2)) for _ in range(h_steps + 1)]
+    buf = DelayBuffer(h_steps, snapshots[0])
+    for snapshot in snapshots[1:]:
+        buf.push(snapshot)
+    state = EnsembleState(0.0, snapshots[-1], rng.uniform(-1.0, 1.0, (n, 2)))
+    table = neighbor_sets_di(buf.delayed(), params.delta, m, domain.distances)
+    if h_steps > 1:  # the step reads the delayed snapshot, not the current one
+        current = neighbor_sets_di(state.positions, params.delta, m, domain.distances)
+        assert not _same_table(table, current)
+    assert (table.indptr[-1] == 0) == (m == n)
+    weights, _ = member_weights(_mask(table), params.policy(), n)
+
+    out = rk4_step(state, 0.05, params, buf, domain)
+    x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
+    tol = 1e-14 * np.abs(state.velocities).max()
+    assert np.abs(out.velocities - v).max() <= tol
+    assert np.abs(out.positions - domain.wrap(x)).max() <= tol
+
+
 def _velocity_error_vs_expm(dt, t_end=1.0):
     """Fixed-topology velocities against the exact matrix exponential."""
     state = _blob_state()
     params = _di_params(5, m=2)
     domain = Domain.unbounded()
     table = neighbor_sets_di(state.positions, params.delta, params.m)
-    mask = np.zeros((5, 5), dtype=bool)
-    mask[np.repeat(np.arange(5), table.sizes()), table.indices] = True
-    w, _ = member_weights(mask, params.policy(), 5)
+    w, _ = member_weights(_mask(table), params.policy(), 5)
     lap = np.diag(w.sum(axis=1)) - w
     record = simulate(state, params, domain, dt, t_end, sample_every=10**9)
     final = record.samples[-1]
