@@ -53,7 +53,9 @@ class Domain:
         """Map coordinates into [0, L)^d; identity on the unbounded plane."""
         if not self.is_periodic:
             return np.asarray(positions, dtype=float)
-        return np.mod(np.asarray(positions, dtype=float), self.L)
+        y = np.mod(np.asarray(positions, dtype=float), self.L)
+        # A tiny negative coordinate rounds up to L, the same torus point as 0.
+        return np.where(y == self.L, 0.0, y)
 
     def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pairwise distances to the nearest periodic image (plain Euclidean when unbounded)."""

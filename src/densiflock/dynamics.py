@@ -109,11 +109,17 @@ class ModelParams:
         elif self.delta is not None:
             raise ConfigError(f"model {self.model} takes no delta")
 
+        # di weighs no distance (no alpha); the cs family reads current positions (no delay).
         if self.model == "di":
             if self.m is None or self.m < 1:
                 raise ConfigError("model di requires m >= 1")
-        elif self.m is not None:
-            raise ConfigError(f"model {self.model} takes no m")
+            if self.alpha != 0.5:
+                raise ConfigError("model di takes no alpha")
+        else:
+            if self.m is not None:
+                raise ConfigError(f"model {self.model} takes no m")
+            if self.h_steps != 1:
+                raise ConfigError(f"model {self.model} takes no h_steps")
 
         if self.model == "cs_q":
             if self.q is None or not 1 <= self.q <= self.N - 1:
@@ -123,6 +129,30 @@ class ModelParams:
 
     def policy(self) -> MPolicy:
         return MPolicy(self.m_policy, self.kappa)
+
+    def membership(self, positions: np.ndarray, delayed: np.ndarray, dist) -> np.ndarray:
+        """The neighbor rule: mask[i, k] is true when k belongs to particle i's set.
+
+        di takes the open delta-balls of the delayed positions, kept only where
+        the ball holds more than m particles (self counted); cs_delta the closed
+        delta-balls of the current positions; cs_q the q closest others, distance
+        ties breaking toward the lower index; cs everyone (self included is
+        harmless: v_i - v_i = 0).
+        """
+        if self.model == "di":
+            inside = dist(delayed, delayed) < self.delta
+            return inside & (inside.sum(axis=1) > self.m)[:, None]
+        if self.model == "cs":
+            return np.ones((self.N, self.N), dtype=bool)
+        if self.model == "cs_delta":
+            return dist(positions, positions) <= self.delta
+        d = dist(positions, positions).copy()
+        np.fill_diagonal(d, np.inf)
+        # Stable sort keeps equal distances in index order.
+        order = np.argsort(d, axis=1, kind="stable")[:, : self.q]
+        mask = np.zeros(d.shape, dtype=bool)
+        mask[np.arange(len(d))[:, None], order] = True
+        return mask
 
 
 @dataclass
@@ -190,37 +220,6 @@ def _check_positions(positions) -> np.ndarray:
     return x
 
 
-# One membership rule per model, shared by the neighbor_sets_* functions and
-# the integrator's per-step topology.
-
-
-def di_mask(delayed_positions: np.ndarray, delta: float, m: int, dist) -> np.ndarray:
-    """Open delta-balls, kept only where the ball holds more than m particles (self counted)."""
-    inside = dist(delayed_positions, delayed_positions) < delta
-    return inside & (inside.sum(axis=1) > m)[:, None]
-
-
-def cs_delta_mask(positions: np.ndarray, delta: float, dist) -> np.ndarray:
-    """Closed delta-balls."""
-    return dist(positions, positions) <= delta
-
-
-def cs_q_mask(positions: np.ndarray, q: int, dist) -> np.ndarray:
-    """The q closest other particles; distance ties break toward the lower index."""
-    d = dist(positions, positions).copy()
-    np.fill_diagonal(d, np.inf)
-    # Stable sort keeps equal distances in index order.
-    order = np.argsort(d, axis=1, kind="stable")[:, :q]
-    mask = np.zeros(d.shape, dtype=bool)
-    mask[np.arange(len(d))[:, None], order] = True
-    return mask
-
-
-def cs_mask(n: int) -> np.ndarray:
-    """Everyone, self included (harmless: v_i - v_i = 0)."""
-    return np.ones((n, n), dtype=bool)
-
-
 def neighbor_sets_di(
     delayed_positions, delta: float, m: int, dist=euclidean_distances
 ) -> NeighborTable:
@@ -230,28 +229,23 @@ def neighbor_sets_di(
     around x_i holds strictly more than m particles (count includes i, so
     a gated particle always lists itself).  Below the gate the set is empty.
     """
-    if not delta > 0:
-        raise ConfigError("delta must be > 0")
-    if m < 1:
-        raise ConfigError("m must be >= 1")
     x = _check_positions(delayed_positions)
-    return NeighborTable.from_mask(di_mask(x, delta, m, dist))
+    params = ModelParams("di", len(x), m=m, delta=delta)
+    return NeighborTable.from_mask(params.membership(x, x, dist))
 
 
 def neighbor_sets_cs_delta(positions, delta: float, dist=euclidean_distances) -> NeighborTable:
     """Purely geometric neighborhoods: k in set i iff dist(x_k, x_i) <= delta (closed ball)."""
-    if not delta > 0:
-        raise ConfigError("delta must be > 0")
     x = _check_positions(positions)
-    return NeighborTable.from_mask(cs_delta_mask(x, delta, dist))
+    params = ModelParams("cs_delta", len(x), delta=delta)
+    return NeighborTable.from_mask(params.membership(x, x, dist))
 
 
 def neighbor_sets_cs_q(positions, q: int, dist=euclidean_distances) -> NeighborTable:
     """The q other particles closest to i; distance ties break toward the lower index."""
     x = _check_positions(positions)
-    if not 1 <= q <= len(x) - 1:
-        raise ConfigError("q must satisfy 1 <= q <= n-1")
-    return NeighborTable.from_mask(cs_q_mask(x, q, dist))
+    params = ModelParams("cs_q", len(x), q=q)
+    return NeighborTable.from_mask(params.membership(x, x, dist))
 
 
 # One coupling formula: a = (W - diag(W 1)) v, with W the membership scaled

@@ -23,10 +23,6 @@ from .dynamics import (
     MPolicy,
     NeighborTable,
     alignment_weight,
-    cs_delta_mask,
-    cs_mask,
-    cs_q_mask,
-    di_mask,
     member_weights,
     stage_force,
     total_momentum,
@@ -124,20 +120,6 @@ class TrajectoryRecord:
 # One step engine: the topology is frozen for the step, RK4 runs under it.
 
 
-def _step_mask(
-    params: ModelParams, positions: np.ndarray, buffer: DelayBuffer, domain: Domain
-) -> np.ndarray:
-    """Membership of the step that starts from these positions."""
-    metric = domain.distances
-    if params.model == "di":
-        return di_mask(buffer.delayed(), params.delta, params.m, metric)
-    if params.model == "cs":
-        return cs_mask(params.N)
-    if params.model == "cs_delta":
-        return cs_delta_mask(positions, params.delta, metric)
-    return cs_q_mask(positions, params.q, metric)
-
-
 # Largest c for which the Gershgorin disc |z + c| <= c lies inside the RK4
 # stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (rounded down).
 RK4_DISC_RADIUS = 1.3926467
@@ -214,7 +196,7 @@ def rk4_step(
     if not dt > 0:
         raise ValueError("dt must be > 0")
     step = int(round(state.t / dt))
-    mask = _step_mask(params, state.positions, buffer, domain)
+    mask = params.membership(state.positions, buffer.delayed(), domain.distances)
     step_map = _step_map(mask, dt, params, params.policy(), domain, step)
     x, v = _advance(state.positions, state.velocities, step_map, domain, step)
     return EnsembleState(state.t + dt, x, v)
@@ -250,7 +232,7 @@ def simulate(
     record = TrajectoryRecord(spec)
     epoch_mask = step_map = topology = None
     for step in range(n_steps + 1):
-        mask = _step_mask(params, x, buffer, domain)
+        mask = params.membership(x, buffer.delayed(), domain.distances)
         # A topology epoch is a run of steps under one mask.  The step map and
         # the sampled table, Phi and labels depend on the mask alone, so each is
         # built at most once per epoch, when first needed, and then shared.

@@ -92,6 +92,8 @@ def test_parse_rejects_bad_values():
         ("scenario = chain\nmodel = di\ndelta = 2\nbeta = 1\n", "scenario key"),
         ("scenario = random_clusters\nmodel = di\nn = 8\ndelta = 2\nwat = 1\n", "unknown"),
         ("scenario = random_clusters\nmodel = di\nn = 8\ndelta = 2\nno_equals_here\n", "format"),
+        ("scenario = random_clusters\nmodel = di\nn = 8\ndelta = 2\nalpha = 1.0\n", "di alpha"),
+        ("scenario = random_clusters\nmodel = cs\nn = 8\nh_steps = 5\n", "cs h_steps"),
     ]
     for text, label in bad:
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 """Interaction rules, normalization, and diagnostics."""
+import math
 from itertools import product
 
 import numpy as np
@@ -35,6 +36,61 @@ def brute_force_di_table(positions, delta, m):
         ]
         sets.append(sorted(ball) if len(ball) > m else [])
     return sets
+
+
+def pair_distance(a, b, L=None):
+    """One pair's distance, to the nearest periodic image when L is given, by
+    the metric's per-axis arithmetic in scalars."""
+    sq = 0.0
+    for ak, bk in zip(a, b):
+        d = ak - bk
+        if L is not None:
+            d -= round(d / L) * L
+        sq += d * d
+    return math.sqrt(sq)
+
+
+def brute_force_cs_delta_table(positions, delta, L=None):
+    """Per-definition closed delta-balls, one pair at a time."""
+    n = len(positions)
+    return [
+        [k for k in range(n) if pair_distance(positions[i], positions[k], L) <= delta]
+        for i in range(n)
+    ]
+
+
+def brute_force_cs_q_table(positions, q, L=None):
+    """Per-definition q nearest others, ranked by (distance, index), listed ascending."""
+    n = len(positions)
+    sets = []
+    for i in range(n):
+        others = (k for k in range(n) if k != i)
+        ranked = sorted((pair_distance(positions[i], positions[k], L), k) for k in others)
+        sets.append(sorted(k for _, k in ranked[:q]))
+    return sets
+
+
+@st.composite
+def rule_inputs(draw):
+    """(positions, delta, L) on the plane (L None) or a periodic box of side 7.
+
+    Half the draws put the points on the integer grid with a range that grid
+    distances reach exactly, so pairs sit at distance delta and distances tie.
+    """
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    L = draw(st.sampled_from([None, 7.0]))
+    if draw(st.booleans()):
+        pos = rng.integers(0, 7, size=(n, 2)).astype(float)
+        delta = draw(st.sampled_from([1.0, 2.0, math.sqrt(2.0), math.sqrt(5.0), 3.0]))
+    else:
+        pos = rng.uniform(0, 7, size=(n, 2))
+        delta = draw(st.floats(0.2, 3.0))
+    return pos, delta, L
+
+
+def _dist(L):
+    return Domain.unbounded().distances if L is None else Domain.periodic(L).distances
 
 
 def neighbor_sets_di_ghost(delayed_positions, delta, m, L):
@@ -189,6 +245,23 @@ def test_cs_delta_table_symmetric(n, seed, delta):
     table = neighbor_sets_cs_delta(pos, delta)
     mat = membership(table)
     assert (mat == mat.T).all()
+
+
+@given(rule_inputs())
+@settings(max_examples=80, deadline=None)
+def test_cs_delta_matches_brute_force(case):
+    pos, delta, L = case
+    table = neighbor_sets_cs_delta(pos, delta, dist=_dist(L))
+    assert table_as_lists(table) == brute_force_cs_delta_table(pos, delta, L)
+
+
+@given(rule_inputs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_cs_q_matches_brute_force(case, data):
+    pos, _, L = case
+    q = data.draw(st.integers(1, len(pos) - 1))
+    table = neighbor_sets_cs_q(pos, q, dist=_dist(L))
+    assert table_as_lists(table) == brute_force_cs_q_table(pos, q, L)
 
 
 def test_cs_q_two_particles():
@@ -427,6 +500,14 @@ def test_model_params_validation():
     params = ModelParams(model="di", N=8, m=3, delta=1.0)
     assert params.m_policy == "per_neighbor"
     assert ModelParams(model="cs", N=8).m_policy == "flat"
+    # di weighs no distance, and the cs family reads current positions.
+    with pytest.raises(ConfigError, match="alpha"):
+        ModelParams(model="di", N=8, m=3, delta=1.0, alpha=1.0)
+    for model, kw in (("cs", {}), ("cs_delta", {"delta": 1.0}), ("cs_q", {"q": 2})):
+        with pytest.raises(ConfigError, match="h_steps"):
+            ModelParams(model=model, N=8, h_steps=5, **kw)
+    ModelParams(model="di", N=8, m=3, delta=1.0, h_steps=5)
+    ModelParams(model="cs", N=8, alpha=1.0)
 
 
 def test_state_validation():

@@ -76,6 +76,9 @@ def test_wrap_maps_into_box():
     domain = Domain.periodic(10.0)
     wrapped = domain.wrap(np.array([[10.0, -0.1], [23.5, 5.0]]))
     assert np.allclose(wrapped, [[0.0, 9.9], [3.5, 5.0]])
+    # -1e-17 mod 25 rounds up to 25, which is the torus point 0.
+    tiny = Domain.periodic(25.0).wrap(np.array([[-1e-17, 3.0]]))
+    assert tiny.tolist() == [[0.0, 3.0]]
 
 
 def test_periodic_box_side_must_be_finite():
