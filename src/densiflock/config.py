@@ -45,18 +45,6 @@ _KEY_TYPES = {
     "record_clusters": ("bool", None),
 }
 
-# Scenario-specific keys rejected elsewhere.
-_KEY_OWNERS = {
-    "margin": ("random_clusters",),
-    "shape": ("group_vs_individual",),
-    "spacing": ("group_vs_individual", "chain"),
-    "delta_variant": ("chain",),
-    "beta": ("three_body",),
-    "gamma": ("three_body",),
-    "v_c": ("three_body",),
-}
-
-
 @dataclass
 class RunConfig:
     """A fully validated run: the scenario plus output destination and toggles."""
@@ -130,14 +118,9 @@ def parse_config(text: str) -> RunConfig:
     if model is None:
         raise ConfigError("missing required key 'model'")
 
-    for key in values:
-        owners = _KEY_OWNERS.get(key)
-        if owners is not None and scenario not in owners:
-            raise ConfigError(
-                f"key '{key}' only applies to scenario " + "|".join(owners)
-            )
-
     if "delta_variant" in values:
+        if scenario != "chain":
+            raise ConfigError("key 'delta_variant' only applies to scenario chain")
         variant = values["delta_variant"]
         if variant not in (2, 3, 4):
             raise ConfigError("key 'delta_variant': must be one of 2|3|4")
@@ -168,12 +151,6 @@ def parse_config(text: str) -> RunConfig:
         if "L" in values:
             raise ConfigError("key 'L' only applies to periodic domains")
         domain = Domain.unbounded()
-
-    if "t_end" not in values:
-        if scenario == "random_clusters":
-            values["t_end"] = 150.0
-        elif scenario == "three_body":  # horizon scales with the consensus rate
-            values["t_end"] = 3.0 * n_particles
 
     spec = ScenarioSpec(params=params, domain=domain, **_fields(ScenarioSpec, values))
     return RunConfig(spec=spec, **_fields(RunConfig, values))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial.distance import pdist
 
 from .domains import euclidean_distances
@@ -252,28 +253,14 @@ def neighbor_sets_cs_q(positions, q: int, dist=euclidean_distances) -> NeighborT
 # row-wise by M(N, i, #N_i), times psi(|x_i - x_k|) for the cs family.
 
 
-def member_weights(mask: np.ndarray, policy: MPolicy, N: int) -> tuple[np.ndarray, float]:
-    """W[i, k] = M(N, i, #N_i) where mask[i, k] holds, else 0, and the radius
-    rho = max_i sum_{k != i} W_ik of the Gershgorin disc |z + rho| <= rho that
-    holds the spectrum of W - diag(W 1)."""
-    sizes = mask.sum(axis=1)
+def member_weights(table: NeighborTable, policy: MPolicy, N: int) -> tuple[csr_matrix, float]:
+    """W[i, k] = M(N, i, #N_i) for k in set i, as CSR over the table's own
+    indptr/indices, and the radius rho = max_i sum_{k != i} W_ik of the
+    Gershgorin disc |z + rho| <= rho that holds the spectrum of W - diag(W 1)."""
+    sizes = table.sizes()
     m = policy.values(N, sizes)
-    return mask * m[:, None], float((m * (sizes - mask.diagonal())).max())
-
-
-def stage_force(weights: np.ndarray, pair_weight):
-    """Force a(x, v) with a_i = sum_k W_ik (v_k - v_i) over a frozen membership.
-
-    W is weights multiplied elementwise by pair_weight(x), the cs family's
-    distance weight re-evaluated at each call's positions.  The diagonal term
-    cancels automatically.
-    """
-
-    def force(x, v):
-        w = weights * pair_weight(x)
-        return w @ v - w.sum(axis=1, keepdims=True) * v
-
-    return force
+    weights = csr_matrix((np.repeat(m, sizes), table.indices, table.indptr), shape=(N, N))
+    return weights, float((m * (sizes - (weights.diagonal() != 0))).max())
 
 
 def velocity_diameter(state: EnsembleState) -> float:

@@ -14,7 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .domains import euclidean_distances
-from .dynamics import MPolicy, NeighborTable
+from .dynamics import MPolicy, NeighborTable, member_weights
 
 
 @dataclass(eq=False)
@@ -60,11 +60,12 @@ class FlockingCertificate:
 def build_digraph(table: NeighborTable, policy: MPolicy, N: int) -> csr_matrix:
     """Influence digraph Phi with phi[i, k] = M_i / M_* for k in set i.
 
-    Phi is CSR over the table's own indptr/indices.
+    Phi is the coupling weights W of member_weights, CSR over the table's own
+    indptr/indices, with each entry divided by M_*.
     """
-    sizes = table.sizes()
-    data = np.repeat(policy.values(N, sizes) / policy.m_star(N), sizes)
-    return csr_matrix((data, table.indices, table.indptr), shape=(N, N))
+    phi, _ = member_weights(table, policy, N)
+    phi.data /= policy.m_star(N)
+    return phi
 
 
 def strongly_connected_components(phi: csr_matrix) -> ClusterLabeling:

@@ -20,11 +20,9 @@ from .domains import Domain
 from .dynamics import (
     EnsembleState,
     ModelParams,
-    MPolicy,
     NeighborTable,
     alignment_weight,
     member_weights,
-    stage_force,
     total_momentum,
     velocity_diameter,
 )
@@ -125,11 +123,8 @@ class TrajectoryRecord:
 RK4_DISC_RADIUS = 1.3926467
 
 
-def _step_map(
-    mask: np.ndarray, dt: float, params: ModelParams, policy: MPolicy, domain: Domain,
-    step: int,
-):
-    """One RK4 step (x, v) -> (x', v') frozen under this membership mask.
+def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Domain, step: int):
+    """One RK4 step (x, v) -> (x', v') frozen under this neighbor table.
 
     The di force A v, A = W - diag(W 1), ignores x, so its step is exactly
     v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1),
@@ -139,13 +134,14 @@ def _step_map(
     stability disc, rho being the Gershgorin radius of the step's weights
     (psi <= 1, so it also bounds the cs family's staged weights).
     """
-    weights, rho = member_weights(mask, policy, params.N)
+    weights, rho = member_weights(table, params.policy(), params.N)
     if dt * rho > RK4_DISC_RADIUS:
         raise IntegrationFault(
             step,
             f"unstable step {step}: h*rho = {dt * rho:.6g} exceeds the RK4 "
             f"stability limit {RK4_DISC_RADIUS}",
         )
+    weights = weights.toarray()
     if params.model == "di":
         weights[np.diag_indices_from(weights)] -= weights.sum(axis=1)
         ha = np.multiply(weights, dt, out=weights)  # in place: one N x N array
@@ -159,7 +155,10 @@ def _step_map(
         return propagate
 
     metric, alpha = domain.distances, params.alpha
-    accel = stage_force(weights, lambda pos: alignment_weight(metric(pos, pos), alpha))
+
+    def accel(x, v):  # a_i = sum_k W_ik psi_ik (v_k - v_i); the diagonal cancels
+        w = weights * alignment_weight(metric(x, x), alpha)
+        return w @ v - w.sum(axis=1, keepdims=True) * v
 
     def stages(x, v):
         kx1, kv1 = v * dt, accel(x, v) * dt
@@ -197,7 +196,7 @@ def rk4_step(
         raise ValueError("dt must be > 0")
     step = int(round(state.t / dt))
     mask = params.membership(state.positions, buffer.delayed(), domain.distances)
-    step_map = _step_map(mask, dt, params, params.policy(), domain, step)
+    step_map = _step_map(NeighborTable.from_mask(mask), dt, params, domain, step)
     x, v = _advance(state.positions, state.velocities, step_map, domain, step)
     return EnsembleState(state.t + dt, x, v)
 
@@ -230,20 +229,18 @@ def simulate(
     policy = params.policy()
 
     record = TrajectoryRecord(spec)
-    epoch_mask = step_map = topology = None
+    epoch_mask = None
     for step in range(n_steps + 1):
         mask = params.membership(x, buffer.delayed(), domain.distances)
-        # A topology epoch is a run of steps under one mask.  The step map and
-        # the sampled table, Phi and labels depend on the mask alone, so each is
-        # built at most once per epoch, when first needed, and then shared.
+        # A topology epoch is a run of steps under one mask.  Its table is built
+        # once; the step map and the sampled Phi and labels are built from the
+        # table at most once per epoch, when first needed, and then shared.
         if not np.array_equal(mask, epoch_mask):
-            epoch_mask, step_map, topology = mask, None, None
+            epoch_mask, table, step_map, phi = mask, NeighborTable.from_mask(mask), None, None
         if step % sample_every == 0 or step == n_steps:
-            if topology is None:
-                table = NeighborTable.from_mask(mask)
+            if phi is None:
                 phi = build_digraph(table, policy, table.n)
-                topology = table, phi, strongly_connected_components(phi)
-            table, phi, labels = topology
+                labels = strongly_connected_components(phi)
             state = EnsembleState(step * dt, x, v)
             record.samples.append(TrajectorySample(
                 step=step, t=state.t, state=state, delayed_positions=buffer.delayed(),
@@ -253,7 +250,7 @@ def simulate(
         if step == n_steps:
             break
         if step_map is None:
-            step_map = _step_map(mask, dt, params, policy, domain, step)
+            step_map = _step_map(table, dt, params, domain, step)
         x, v = _advance(x, v, step_map, domain, step)
         buffer.push(x)
     return record

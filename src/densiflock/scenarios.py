@@ -25,7 +25,14 @@ from .dynamics import EnsembleState, ModelParams
 from .errors import ConfigError
 from .integrate import TrajectoryRecord, step_count
 
-SCENARIOS = ("random_clusters", "group_vs_individual", "chain", "three_body")
+# The generator fields each scenario reads; ScenarioSpec rejects the others.
+SCENARIO_FIELDS = {
+    "random_clusters": ("margin",),
+    "group_vs_individual": ("n_cluster", "shape", "spacing"),
+    "chain": ("n_cluster", "spacing"),
+    "three_body": ("n_cluster", "beta", "gamma", "v_c"),
+}
+SCENARIOS = tuple(SCENARIO_FIELDS)
 REGIMES = ("stability", "breaking", "sticking", "undetermined")
 
 # Lattice layouts for the group-versus-individual runs: shape "a" is
@@ -34,6 +41,8 @@ GROUP_SHAPE_ROWS = {"a": 2, "b": 7}
 DEFAULT_CLUSTER_SIZE = {"group_vs_individual": 28, "chain": 21}
 DEFAULT_SPACING = {"group_vs_individual": 1.0, "chain": 0.95}
 DEFAULT_MARGIN = 2.0
+# Horizons; three_body's is 3 N instead, scaling with the consensus rate.
+DEFAULT_T_END = {"random_clusters": 150.0, "group_vs_individual": 30.0, "chain": 30.0}
 GROUP_GAP = 3.0
 GROUP_V_CLUSTER = (0.1, 0.0)
 GROUP_V_SINGLE = (-2.7, 0.0)
@@ -44,13 +53,16 @@ CHAIN_V_SINGLE = (-8.0, 0.0)
 
 @dataclass
 class ScenarioSpec:
-    """Declarative description of one run: model, domain, horizon, generator."""
+    """Declarative description of one run: model, domain, horizon, generator.
+
+    t_end None takes the scenario's default horizon.
+    """
 
     scenario: str
     params: ModelParams
     domain: Domain
     dt: float = 0.01
-    t_end: float = 30.0
+    t_end: float | None = None
     sample_every: int = 10
     seed: int = 0
     # Generator fields; None when the scenario does not use them.
@@ -65,8 +77,13 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name in ("n_cluster", "beta", "gamma", "v_c", "shape", "spacing", "margin"):
+            if getattr(self, name) is not None and name not in SCENARIO_FIELDS[self.scenario]:
+                raise ConfigError(f"scenario {self.scenario} takes no {name}")
         if not self.dt > 0:
             raise ConfigError("dt must be > 0")
+        if self.t_end is None:
+            self.t_end = DEFAULT_T_END.get(self.scenario, 3.0 * self.params.N)
         step_count(self.t_end, self.dt)
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
@@ -279,6 +296,8 @@ def init_chain(
 
 def _require_scenario(record: TrajectoryRecord, scenario: str) -> ScenarioSpec:
     spec = record.spec
+    if spec is None:
+        raise ValueError(f"record has no scenario spec, expected scenario {scenario!r}")
     if spec.scenario != scenario:
         raise ValueError(f"record is from scenario {spec.scenario!r}, expected {scenario!r}")
     return spec

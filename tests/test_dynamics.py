@@ -21,8 +21,9 @@ from densiflock import (
     velocity_diameter,
 )
 from densiflock.domains import Domain
-from densiflock.dynamics import member_weights, stage_force
+from densiflock.dynamics import MODELS, POLICY_KINDS, member_weights
 from densiflock.errors import ConfigError
+from densiflock.graph import build_digraph
 
 
 def brute_force_di_table(positions, delta, m):
@@ -136,6 +137,19 @@ def membership(table):
 
 def same_table(a, b):
     return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def dense_member_weights(mask, policy, N):
+    """W = mask scaled row-wise by M(N, i, #N_i) as a dense array, and the
+    Gershgorin radius max_i M_i (#N_i - [i in N_i]); the dense construction
+    member_weights must reproduce bit for bit."""
+    sizes = mask.sum(axis=1)
+    m = policy.values(N, sizes)
+    return mask * m[:, None], float((m * (sizes - mask.diagonal())).max())
 
 
 # --- gated neighbor sets -------------------------------------------------
@@ -317,6 +331,39 @@ def test_m_policy_bounds():
     assert flat.m_star(10) == flat.m_sup(10) == pytest.approx(0.2)
 
 
+# --- coupling weights -----------------------------------------------------
+
+
+@given(rule_inputs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_member_weights_match_dense_oracle(case, data):
+    # Every model's rule on the plane or a periodic box, grid ties at exactly
+    # delta, di gates that may all stay shut, cs_q sets that never hold self.
+    pos, delta, L = case
+    n = len(pos)
+    model = data.draw(st.sampled_from(MODELS))
+    knobs = {"delta": delta} if model in ("di", "cs_delta") else {}
+    if model == "di":
+        knobs["m"] = data.draw(st.integers(1, n))
+    if model == "cs_q":
+        knobs["q"] = data.draw(st.integers(1, n - 1))
+    params = ModelParams(
+        model, n, kappa=data.draw(st.floats(0.1, 5.0)),
+        m_policy=data.draw(st.sampled_from(POLICY_KINDS)), **knobs,
+    )
+    policy = params.policy()
+    mask = params.membership(pos, pos, _dist(L))
+    table = NeighborTable.from_mask(mask)
+
+    weights, rho = member_weights(table, policy, n)
+    dense, dense_rho = dense_member_weights(mask, policy, n)
+    assert same_bits(weights.toarray(), dense)
+    assert rho == dense_rho
+    phi = build_digraph(table, policy, n)
+    values = policy.values(n, table.sizes())
+    assert same_bits(phi.data, np.repeat(values / policy.m_star(n), table.sizes()))
+
+
 # --- accelerations ---------------------------------------------------------
 
 
@@ -325,16 +372,17 @@ def _state(positions, velocities):
 
 
 def _force(state, table, policy, pair_weight=None):
-    """a_i = sum_k W_ik (v_k - v_i) with W = M(N, i, #N_i) on the table's sets.
+    """a_i = sum_k W_ik (v_k - v_i) with W = M(N, i, #N_i) on the table's sets,
+    times pair_weight(x) when given.
 
-    Without pair_weight this is the di force W v - (W 1) v, written out here
-    as the oracle: the package steps di by its propagator and has no di force.
+    Written out here as the oracle: the package steps di by its propagator and
+    folds the cs family's force into its RK4 stages.
     """
-    weights, _ = member_weights(membership(table), policy, state.n)
-    if pair_weight is None:
-        v = state.velocities
-        return weights @ v - weights.sum(axis=1, keepdims=True) * v
-    return stage_force(weights, pair_weight)(state.positions, state.velocities)
+    weights, _ = dense_member_weights(membership(table), policy, state.n)
+    if pair_weight is not None:
+        weights = weights * pair_weight(state.positions)
+    v = state.velocities
+    return weights @ v - weights.sum(axis=1, keepdims=True) * v
 
 
 def _cs_weight(x):

@@ -1,5 +1,6 @@
 """Package modules import only from lower layers."""
 import ast
+import importlib.util
 from pathlib import Path
 
 import densiflock
@@ -44,3 +45,24 @@ def test_imports_point_to_lower_layers():
                 upward.append(f"{path.stem} -> {target}")
     assert RANK.keys() == {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert upward == []
+
+
+# Benchmark tracer targets whose code has moved or gone; the tracer records
+# them as absent.  Every other target must resolve, so a refactor cannot drop
+# a per-layer span unnoticed.
+DEAD_TRACER_TARGETS = {
+    "densiflock.domains:Domain.shortest_displacement",
+    "densiflock.cli:build_digraph",
+    "densiflock.cli:is_r_densely_packed",
+    "densiflock.integrate:initial_state",
+}
+
+
+def test_benchmark_tracer_targets_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        pass
+    assert set(tracer.absent) <= DEAD_TRACER_TARGETS

@@ -174,13 +174,6 @@ def _table_for_step(params, positions, buf, domain):
     return neighbor_sets_cs_q(positions, params.q, dist)
 
 
-def _mask(table):
-    """The table's membership as a dense boolean mask."""
-    mask = np.zeros((table.n, table.n), dtype=bool)
-    mask[np.repeat(np.arange(table.n), table.sizes()), table.indices] = True
-    return mask
-
-
 def _explicit_di_rk4(x, v, dt, weights):
     """Four explicit RK4 stages of the di force W v - (W 1) v, staged
     positions included although the force never reads them."""
@@ -220,7 +213,7 @@ def test_di_propagator_matches_explicit_stages(n, m, policy, h_steps, seed):
         current = neighbor_sets_di(state.positions, params.delta, m, domain.distances)
         assert not _same_table(table, current)
     assert (table.indptr[-1] == 0) == (m == n)
-    weights, _ = member_weights(_mask(table), params.policy(), n)
+    weights = member_weights(table, params.policy(), n)[0].toarray()
 
     out = rk4_step(state, 0.05, params, buf, domain)
     x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
@@ -235,7 +228,7 @@ def _velocity_error_vs_expm(dt, t_end=1.0):
     params = _di_params(5, m=2)
     domain = Domain.unbounded()
     table = neighbor_sets_di(state.positions, params.delta, params.m)
-    w, _ = member_weights(_mask(table), params.policy(), 5)
+    w = member_weights(table, params.policy(), 5)[0].toarray()
     lap = np.diag(w.sum(axis=1)) - w
     record = simulate(state, params, domain, dt, t_end, sample_every=10**9)
     final = record.samples[-1]

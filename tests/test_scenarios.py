@@ -15,8 +15,10 @@ from densiflock import (
     init_three_body,
     momentum_estimate,
     neighbor_sets_di,
+    parse_config,
     predict_three_body,
     run_simulation,
+    simulate,
     total_momentum,
 )
 from densiflock.errors import ConfigError
@@ -253,6 +255,73 @@ def test_classify_requires_matching_scenario():
     )
     with pytest.raises(ValueError):
         classify_three_body(record)
+
+
+def test_classify_rejects_a_record_without_spec():
+    state = init_chain(3)
+    params = ModelParams(model="di", N=4, m=3, delta=2.0)
+    record = simulate(state, params, Domain.unbounded(), 0.01, 0.0)
+    assert record.spec is None
+    for classify, scenario in (
+        (classify_chain, "chain"),
+        (classify_group, "group_vs_individual"),
+        (classify_three_body, "three_body"),
+    ):
+        with pytest.raises(ValueError, match=scenario):
+            classify(record)
+
+
+# Smallest valid generator fields of each scenario, with its model and domain.
+SPEC_BASES = {
+    "random_clusters": dict(
+        params=ModelParams(model="di", N=64, m=3, delta=2.0), domain=Domain.periodic(25.0),
+    ),
+    "group_vs_individual": dict(
+        params=ModelParams(model="di", N=29, m=3, delta=2.0), domain=Domain.unbounded(),
+        n_cluster=28,
+    ),
+    "chain": dict(
+        params=ModelParams(model="di", N=22, m=3, delta=2.0), domain=Domain.unbounded(),
+        n_cluster=21,
+    ),
+    "three_body": dict(
+        params=ModelParams(model="di", N=31, m=3, delta=2.0), domain=Domain.unbounded(),
+        n_cluster=30, beta=1.0, gamma=2.0, v_c=0.03,
+    ),
+}
+CONFIG_BASES = {
+    "random_clusters": "model = di\nn = 64\ndelta = 2.0\n",
+    "group_vs_individual": "model = di\ndelta = 2.0\n",
+    "chain": "model = di\ndelta = 2.0\n",
+    "three_body": "model = di\nn = 30\ndelta = 2.0\nbeta = 1.0\ngamma = 2.0\nv_c = 0.03\n",
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, field, value",
+    [
+        ("chain", "beta", 1.0),
+        ("chain", "margin", 3.0),
+        ("chain", "shape", "b"),
+        ("random_clusters", "n_cluster", 63),
+        ("random_clusters", "spacing", 1.0),
+        ("group_vs_individual", "v_c", 1.0),
+        ("three_body", "spacing", 1.0),
+        ("three_body", "margin", 2.0),
+    ],
+)
+def test_spec_rejects_generator_fields_its_scenario_ignores(scenario, field, value):
+    ScenarioSpec(scenario, **SPEC_BASES[scenario])
+    with pytest.raises(ConfigError, match=field):
+        ScenarioSpec(scenario, **SPEC_BASES[scenario], **{field: value})
+
+
+@pytest.mark.parametrize("scenario", list(SPEC_BASES))
+def test_library_and_config_default_to_one_horizon(scenario):
+    spec = ScenarioSpec(scenario, **SPEC_BASES[scenario])
+    parsed = parse_config(f"scenario = {scenario}\n" + CONFIG_BASES[scenario]).spec
+    assert spec.t_end == parsed.t_end
+    assert spec.t_end == {"three_body": 93.0, "random_clusters": 150.0}.get(scenario, 30.0)
 
 
 def chain_spec(delta, t_end=30.0, spacing=None):
