@@ -14,11 +14,10 @@ from .dynamics import (
     EnsembleState,
     ModelParams,
     MPolicy,
+    NeighborSearch,
     NeighborTable,
     alignment_weight,
     density_ratio,
-    neighbor_sets_cs_delta,
-    neighbor_sets_cs_q,
     neighbor_sets_di,
     total_momentum,
     velocity_diameter,

@@ -66,11 +66,24 @@ class Domain:
         # Per axis: the difference, moved to its nearest image, squared in place.
         sq = np.zeros((len(a), len(b)))
         for ak, bk in zip(a.T, b.T):
-            d = np.subtract.outer(ak, bk)
+            sq += self._squared(np.subtract.outer(ak, bk))
+        return np.sqrt(sq, out=sq)
+
+    def pair_distances(self, x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """|x[i] - x[j]| for each index pair, bit for bit distances(x, x)[i, j]."""
+        return self.lengths(np.take(x, i, axis=0) - np.take(x, j, axis=0))
+
+    def lengths(self, d: np.ndarray) -> np.ndarray:
+        """Row lengths of the differences d (consumed), each moved to its
+        nearest image by the per-axis arithmetic of distances."""
+        d = self._squared(d)
+        return np.sqrt(sum(d.T[1:], d[:, 0]))
+
+    def _squared(self, d: np.ndarray) -> np.ndarray:
+        if self.is_periodic:
             shift = d / self.L
             np.round(shift, out=shift)
             shift *= self.L
             d -= shift
-            d *= d
-            sq += d
-        return np.sqrt(sq, out=sq)
+        d *= d
+        return d

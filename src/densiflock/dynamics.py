@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
-from .domains import euclidean_distances
+from .domains import Domain
 from .errors import ConfigError
 
 MODELS = ("di", "cs", "cs_delta", "cs_q")
@@ -131,30 +132,6 @@ class ModelParams:
     def policy(self) -> MPolicy:
         return MPolicy(self.m_policy, self.kappa)
 
-    def membership(self, positions: np.ndarray, delayed: np.ndarray, dist) -> np.ndarray:
-        """The neighbor rule: mask[i, k] is true when k belongs to particle i's set.
-
-        di takes the open delta-balls of the delayed positions, kept only where
-        the ball holds more than m particles (self counted); cs_delta the closed
-        delta-balls of the current positions; cs_q the q closest others, distance
-        ties breaking toward the lower index; cs everyone (self included is
-        harmless: v_i - v_i = 0).
-        """
-        if self.model == "di":
-            inside = dist(delayed, delayed) < self.delta
-            return inside & (inside.sum(axis=1) > self.m)[:, None]
-        if self.model == "cs":
-            return np.ones((self.N, self.N), dtype=bool)
-        if self.model == "cs_delta":
-            return dist(positions, positions) <= self.delta
-        d = dist(positions, positions).copy()
-        np.fill_diagonal(d, np.inf)
-        # Stable sort keeps equal distances in index order.
-        order = np.argsort(d, axis=1, kind="stable")[:, : self.q]
-        mask = np.zeros(d.shape, dtype=bool)
-        mask[np.arange(len(d))[:, None], order] = True
-        return mask
-
 
 @dataclass
 class EnsembleState:
@@ -189,17 +166,6 @@ class NeighborTable:
     indptr: np.ndarray
     indices: np.ndarray
 
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "NeighborTable":
-        """Table whose set i holds every k with mask[i, k] true."""
-        mask = np.asarray(mask, dtype=bool)
-        # scipy.sparse's own index dtype, so CSR matrices over these arrays
-        # share them; int32 would wrap once the entry count can reach 2**31.
-        itype = np.int32 if mask.size < 2**31 else np.intp
-        indptr = np.zeros(len(mask) + 1, dtype=itype)
-        np.cumsum(mask.sum(axis=1), out=indptr[1:])
-        return cls(indptr, np.nonzero(mask)[1].astype(itype))
-
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
@@ -214,15 +180,77 @@ class NeighborTable:
         return bool(j < len(s) and s[j] == k)
 
 
-def _check_positions(positions) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(positions, dtype=float))
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite coordinates")
-    return x
+# Verlet skin s of the candidate shell, as a fraction of delta.
+SHELL_SKIN = 0.4
+
+
+class NeighborSearch:
+    """One run's neighbor rule: table(positions, delayed) is the step's
+    NeighborTable, the same object for as long as the sets hold.
+
+    di takes the open delta-balls of the delayed positions, kept only where the
+    ball holds more than m particles (self counted); cs_delta the closed
+    delta-balls of the current positions; cs_q the q closest others, distance
+    ties breaking toward the lower index; cs everyone.  di and cs_delta filter
+    a Verlet shell, the kd-tree's pairs within delta + s, rebuilt once twice
+    the bound D on each particle's displacement since the build reaches s.  A
+    step that moved no particle by half the margin (the least |d - delta| over
+    the shell and s - 2 D, both at the last filter) can flip no flag, so it
+    skips the filter.
+    """
+
+    def __init__(self, params: ModelParams, domain: Domain):
+        self.params, self.domain, self.current, self.ref = params, domain, None, None
+        self.skin = SHELL_SKIN * (params.delta or 0.0)
+        self.slack = 1e-9 * (params.delta or 0.0) * (1 + SHELL_SKIN)
+        # scipy.sparse's own index dtype, so CSR matrices over the table's
+        # arrays share them; int32 would wrap once the entry count can reach 2**31.
+        self.itype = np.int32 if params.N**2 < 2**31 else np.intp
+
+    def table(self, positions: np.ndarray, delayed: np.ndarray) -> NeighborTable:
+        p, N = self.params, self.params.N
+        if p.model == "cs":
+            return self.current or self._keep(N * np.arange(N + 1), np.tile(np.arange(N), N))
+        if p.model == "cs_q":
+            d = self.domain.distances(positions, positions)
+            np.fill_diagonal(d, np.inf)
+            # Stable sort keeps equal distances in index order.
+            order = np.argsort(d, axis=1, kind="stable")[:, : p.q]
+            return self._keep(p.q * np.arange(N + 1), np.sort(order, axis=1).ravel())
+        y = delayed if p.model == "di" else positions
+        if self.ref is not None:
+            moved = self.domain.lengths(y - self.ref).max()
+            if 2 * moved + self.slack < self.margin:
+                return self.current
+            self.drift += moved
+        if self.ref is None or 2 * self.drift + self.slack >= self.skin:
+            tree = cKDTree(self.domain.wrap(y), boxsize=self.domain.L)
+            self.pairs = tree.query_pairs(p.delta + self.skin, output_type="ndarray").T
+            self.flags, self.drift = None, 0.0
+        i, j = self.pairs
+        d = self.domain.pair_distances(y, i, j)
+        self.ref = y.copy()
+        self.margin = min(np.abs(d - p.delta).min(initial=np.inf), self.skin - 2 * self.drift)
+        flags = d < p.delta if p.model == "di" else d <= p.delta
+        if np.array_equal(flags, self.flags):
+            return self.current
+        self.flags, i, j = flags, i[flags], j[flags]
+        gated = 1 + np.bincount(i, minlength=N) + np.bincount(j, minlength=N) > (p.m or 0)
+        rows, cols = np.concatenate([i, j, np.arange(N)]), np.concatenate([j, i, np.arange(N)])
+        key = np.sort((rows * N + cols)[gated[rows]])
+        return self._keep(np.searchsorted(key, N * np.arange(N + 1)), key % N)
+
+    def _keep(self, indptr: np.ndarray, indices: np.ndarray) -> NeighborTable:
+        """The current table when it holds these sets, else a new one."""
+        t = self.current
+        same = t is not None and np.array_equal(t.indptr, indptr)
+        if not (same and np.array_equal(t.indices, indices)):
+            self.current = NeighborTable(indptr.astype(self.itype), indices.astype(self.itype))
+        return self.current
 
 
 def neighbor_sets_di(
-    delayed_positions, delta: float, m: int, dist=euclidean_distances
+    delayed_positions, delta: float, m: int, domain: Domain = Domain("unbounded")
 ) -> NeighborTable:
     """Density-gated neighborhoods from delayed positions.
 
@@ -230,23 +258,10 @@ def neighbor_sets_di(
     around x_i holds strictly more than m particles (count includes i, so
     a gated particle always lists itself).  Below the gate the set is empty.
     """
-    x = _check_positions(delayed_positions)
-    params = ModelParams("di", len(x), m=m, delta=delta)
-    return NeighborTable.from_mask(params.membership(x, x, dist))
-
-
-def neighbor_sets_cs_delta(positions, delta: float, dist=euclidean_distances) -> NeighborTable:
-    """Purely geometric neighborhoods: k in set i iff dist(x_k, x_i) <= delta (closed ball)."""
-    x = _check_positions(positions)
-    params = ModelParams("cs_delta", len(x), delta=delta)
-    return NeighborTable.from_mask(params.membership(x, x, dist))
-
-
-def neighbor_sets_cs_q(positions, q: int, dist=euclidean_distances) -> NeighborTable:
-    """The q other particles closest to i; distance ties break toward the lower index."""
-    x = _check_positions(positions)
-    params = ModelParams("cs_q", len(x), q=q)
-    return NeighborTable.from_mask(params.membership(x, x, dist))
+    x = np.atleast_2d(np.asarray(delayed_positions, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite coordinates")
+    return NeighborSearch(ModelParams("di", len(x), m=m, delta=delta), domain).table(x, x)
 
 
 # One coupling formula: a = (W - diag(W 1)) v, with W the membership scaled

@@ -1,10 +1,10 @@
 """Classic fourth-order Runge-Kutta time stepping with per-step topology.
 
-The neighbor relation is rebuilt once per step -- from the delay buffer for
-the density-gated model, from the current positions for the cs family -- and
-held fixed for the step: di by its exact RK4 propagator, the cs family by four
-stages with distance weights at the staged positions.  A topology epoch, a run
-of steps under one relation, shares one step map, digraph and cluster labeling.
+One incremental search reads the neighbor relation once per step (di from the
+delay buffer, the cs family from the current positions); it is held fixed for
+the step: di by its exact RK4 propagator, the cs family by four stages with
+distance weights at the staged positions.  A topology epoch, a run of steps
+under one relation, shares one step map, digraph and cluster labeling.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .domains import Domain
 from .dynamics import (
     EnsembleState,
     ModelParams,
+    NeighborSearch,
     NeighborTable,
     alignment_weight,
     member_weights,
@@ -195,8 +196,8 @@ def rk4_step(
     if not dt > 0:
         raise ValueError("dt must be > 0")
     step = int(round(state.t / dt))
-    mask = params.membership(state.positions, buffer.delayed(), domain.distances)
-    step_map = _step_map(NeighborTable.from_mask(mask), dt, params, domain, step)
+    table = NeighborSearch(params, domain).table(state.positions, buffer.delayed())
+    step_map = _step_map(table, dt, params, domain, step)
     x, v = _advance(state.positions, state.velocities, step_map, domain, step)
     return EnsembleState(state.t + dt, x, v)
 
@@ -222,21 +223,22 @@ def simulate(
         raise ValueError("dt must be > 0")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    x = domain.wrap(initial.positions)
+    x = domain.wrap(initial.positions.copy())
     v = initial.velocities.copy()
     n_steps = step_count(t_end, dt)
     buffer = DelayBuffer(params.h_steps, x)
     policy = params.policy()
 
+    search = NeighborSearch(params, domain)
     record = TrajectoryRecord(spec)
-    epoch_mask = None
+    epoch = None
     for step in range(n_steps + 1):
-        mask = params.membership(x, buffer.delayed(), domain.distances)
-        # A topology epoch is a run of steps under one mask.  Its table is built
-        # once; the step map and the sampled Phi and labels are built from the
-        # table at most once per epoch, when first needed, and then shared.
-        if not np.array_equal(mask, epoch_mask):
-            epoch_mask, table, step_map, phi = mask, NeighborTable.from_mask(mask), None, None
+        table = search.table(x, buffer.delayed())
+        # A topology epoch is a run of steps under one table, which the search
+        # returns as one object.  The step map and the sampled Phi and labels
+        # are built from it at most once per epoch, when first needed.
+        if table is not epoch:
+            epoch, step_map, phi = table, None, None
         if step % sample_every == 0 or step == n_steps:
             if phi is None:
                 phi = build_digraph(table, policy, table.n)

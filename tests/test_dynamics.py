@@ -10,12 +10,9 @@ from densiflock import (
     EnsembleState,
     ModelParams,
     MPolicy,
-    NeighborTable,
     alignment_weight,
     density_ratio,
     euclidean_distances,
-    neighbor_sets_cs_delta,
-    neighbor_sets_cs_q,
     neighbor_sets_di,
     total_momentum,
     velocity_diameter,
@@ -24,6 +21,7 @@ from densiflock.domains import Domain
 from densiflock.dynamics import MODELS, POLICY_KINDS, member_weights
 from densiflock.errors import ConfigError
 from densiflock.graph import build_digraph
+from oracles import dense_membership, neighbor_sets_cs_delta, neighbor_sets_cs_q, table_from_mask
 
 
 def brute_force_di_table(positions, delta, m):
@@ -90,8 +88,8 @@ def rule_inputs(draw):
     return pos, delta, L
 
 
-def _dist(L):
-    return Domain.unbounded().distances if L is None else Domain.periodic(L).distances
+def _domain(L):
+    return Domain.unbounded() if L is None else Domain.periodic(L)
 
 
 def neighbor_sets_di_ghost(delayed_positions, delta, m, L):
@@ -121,7 +119,7 @@ def neighbor_sets_di_ghost(delayed_positions, delta, m, L):
     rows, cols = np.nonzero(inside & (inside.sum(axis=1) > m)[:, None])
     mask = np.zeros((n, n), dtype=bool)
     mask[rows, owner[cols]] = True
-    return NeighborTable.from_mask(mask)
+    return table_from_mask(mask)
 
 
 def table_as_lists(table):
@@ -215,7 +213,7 @@ def test_di_grid_and_ghost_match_min_image(n, seed):
     L, delta = 10.0, 1.3
     pos = rng.uniform(0, L, size=(n, 2))
     domain = Domain.periodic(L)
-    scan = neighbor_sets_di(pos, delta, 2, dist=domain.distances)
+    scan = neighbor_sets_di(pos, delta, 2, domain)
     ghost = neighbor_sets_di_ghost(pos, delta, 2, L=L)
     assert same_table(scan, ghost)
 
@@ -224,16 +222,16 @@ def test_di_grid_and_ghost_match_min_image(n, seed):
 @settings(max_examples=60, deadline=None)
 def test_table_from_mask_round_trips(n, seed, p):
     mask = np.random.default_rng(seed).random((n, n)) < p
-    table = NeighborTable.from_mask(mask)
+    table = table_from_mask(mask)
     assert table.n == n
     assert table.indices.flags.c_contiguous
     assert table_as_lists(table) == [list(np.flatnonzero(row)) for row in mask]
     assert list(table.sizes()) == list(mask.sum(axis=1))
     assert np.array_equal(membership(table), mask)
     assert all(table.contains(i, k) == mask[i, k] for i in range(n) for k in range(n))
-    assert same_table(table, NeighborTable.from_mask(mask.copy()))
+    assert same_table(table, table_from_mask(mask.copy()))
     if mask.any():
-        assert not same_table(table, NeighborTable.from_mask(np.zeros_like(mask)))
+        assert not same_table(table, table_from_mask(np.zeros_like(mask)))
 
 
 # --- cs-family neighbor sets ----------------------------------------------
@@ -265,7 +263,7 @@ def test_cs_delta_table_symmetric(n, seed, delta):
 @settings(max_examples=80, deadline=None)
 def test_cs_delta_matches_brute_force(case):
     pos, delta, L = case
-    table = neighbor_sets_cs_delta(pos, delta, dist=_dist(L))
+    table = neighbor_sets_cs_delta(pos, delta, _domain(L))
     assert table_as_lists(table) == brute_force_cs_delta_table(pos, delta, L)
 
 
@@ -274,7 +272,7 @@ def test_cs_delta_matches_brute_force(case):
 def test_cs_q_matches_brute_force(case, data):
     pos, _, L = case
     q = data.draw(st.integers(1, len(pos) - 1))
-    table = neighbor_sets_cs_q(pos, q, dist=_dist(L))
+    table = neighbor_sets_cs_q(pos, q, _domain(L))
     assert table_as_lists(table) == brute_force_cs_q_table(pos, q, L)
 
 
@@ -352,8 +350,8 @@ def test_member_weights_match_dense_oracle(case, data):
         m_policy=data.draw(st.sampled_from(POLICY_KINDS)), **knobs,
     )
     policy = params.policy()
-    mask = params.membership(pos, pos, _dist(L))
-    table = NeighborTable.from_mask(mask)
+    mask = dense_membership(params, pos, pos, _domain(L).distances)
+    table = table_from_mask(mask)
 
     weights, rho = member_weights(table, policy, n)
     dense, dense_rho = dense_member_weights(mask, policy, n)
@@ -415,7 +413,7 @@ def test_acceleration_di_two_mutual_neighbors():
 def test_acceleration_cs_two_particles_hand_value():
     # distance 3, flat M=1/2: a_0 = 0.5 * (1+3)^(-1/2) * 1 = 0.25.
     state = _state([[0.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
-    table = NeighborTable.from_mask(np.ones((2, 2), dtype=bool))
+    table = table_from_mask(np.ones((2, 2), dtype=bool))
     a = _force(state, table, MPolicy("flat", 1.0), _cs_weight)
     assert a[0, 0] == pytest.approx(0.25)
     assert a[1, 0] == pytest.approx(-0.25)

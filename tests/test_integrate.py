@@ -11,11 +11,8 @@ from densiflock import (
     EnsembleState,
     IntegrationFault,
     ModelParams,
-    NeighborTable,
     ScenarioSpec,
     build_digraph,
-    neighbor_sets_cs_delta,
-    neighbor_sets_cs_q,
     neighbor_sets_di,
     rk4_step,
     run_simulation,
@@ -25,6 +22,7 @@ from densiflock import (
 from densiflock.dynamics import member_weights
 from densiflock.errors import ConfigError
 from densiflock.integrate import RK4_DISC_RADIUS
+from oracles import dense_table
 
 
 # --- delay buffer ------------------------------------------------------------
@@ -162,18 +160,6 @@ def _same_table(a, b):
     return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
 
 
-def _table_for_step(params, positions, buf, domain):
-    """The step's neighbor table from the public per-model rules."""
-    dist = domain.distances
-    if params.model == "di":
-        return neighbor_sets_di(buf.delayed(), params.delta, params.m, dist)
-    if params.model == "cs":
-        return NeighborTable.from_mask(np.ones((params.N, params.N), dtype=bool))
-    if params.model == "cs_delta":
-        return neighbor_sets_cs_delta(positions, params.delta, dist)
-    return neighbor_sets_cs_q(positions, params.q, dist)
-
-
 def _explicit_di_rk4(x, v, dt, weights):
     """Four explicit RK4 stages of the di force W v - (W 1) v, staged
     positions included although the force never reads them."""
@@ -208,9 +194,9 @@ def test_di_propagator_matches_explicit_stages(n, m, policy, h_steps, seed):
     for snapshot in snapshots[1:]:
         buf.push(snapshot)
     state = EnsembleState(0.0, snapshots[-1], rng.uniform(-1.0, 1.0, (n, 2)))
-    table = neighbor_sets_di(buf.delayed(), params.delta, m, domain.distances)
+    table = neighbor_sets_di(buf.delayed(), params.delta, m, domain)
     if h_steps > 1:  # the step reads the delayed snapshot, not the current one
-        current = neighbor_sets_di(state.positions, params.delta, m, domain.distances)
+        current = neighbor_sets_di(state.positions, params.delta, m, domain)
         assert not _same_table(table, current)
     assert (table.indptr[-1] == 0) == (m == n)
     weights = member_weights(table, params.policy(), n)[0].toarray()
@@ -269,7 +255,7 @@ def test_simulate_matches_stepwise_rk4(params):
         assert np.array_equal(sample.state.velocities, cur.velocities)
         if k == len(record.samples) - 1:
             break
-        assert _same_table(sample.table, _table_for_step(params, cur.positions, buf, domain))
+        assert _same_table(sample.table, dense_table(params, cur.positions, buf.delayed(), domain))
         cur = rk4_step(cur, 0.05, params, buf, domain)
         buf.push(cur.positions)
 
@@ -309,13 +295,27 @@ def test_shared_labels_match_labels_built_from_scratch():
     params = spec.params
     for sample in record.samples:
         table = neighbor_sets_di(
-            sample.delayed_positions, params.delta, params.m, spec.domain.distances
+            sample.delayed_positions, params.delta, params.m, spec.domain
         )
         phi = build_digraph(table, params.policy(), params.N)
         expected = strongly_connected_components(phi)
         assert _same_table(sample.table, table)
         assert np.array_equal(sample.labels.labels, expected.labels)
         assert sample.labels.cluster_count == expected.cluster_count
+
+
+def test_simulate_keeps_no_view_of_the_callers_positions():
+    rng = np.random.default_rng(0)
+    initial = EnsembleState(0.0, rng.uniform(0, 2, (5, 2)), rng.uniform(-1, 1, (5, 2)))
+    params = ModelParams("di", 5, m=2, delta=1.5)
+    record = simulate(initial, params, Domain.unbounded(), 0.01, 0.05, sample_every=1)
+    first = record.samples[0]
+    before = first.state.positions.copy()
+    initial.positions[0, 0] = 99.0
+    initial.velocities[0, 0] = 99.0
+    assert np.array_equal(first.state.positions, before)
+    assert np.array_equal(first.state.positions, first.delayed_positions)
+    assert first.state.velocities[0, 0] != 99.0
 
 
 def test_run_is_deterministic():
