@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,14 @@ def _int_v_b_minus_v_a(sol: ReducedSolution, t: float) -> float:
 
 
 def _contact_loss_time(offset: float, delta: float, integral, sol: ReducedSolution):
-    """First t with offset + |integral(t)| = delta, or None when never reached."""
+    """First t with offset + |integral(t)| = delta, or None when never reached.
+
+    Callers pass offset < delta, so the budget is positive."""
+    # Imported here: only this root search needs scipy.optimize, and loading
+    # it with the package would slow every `import densiflock`.
+    from scipy.optimize import bisect
+
     budget = delta - offset
-    if budget <= 0:
-        return 0.0
     # The gap's limit: every exponential in the closed form vanishes at t = inf.
     if abs(integral(sol, math.inf)) <= budget:
         return None

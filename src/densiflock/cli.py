@@ -48,67 +48,67 @@ def splitmix64(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
+def _write_rows(path: Path, header: list[str], rows, sep: str = ",") -> Path:
+    """The one output format: a header line, then each row's cells through
+    `_fmt`, joined by `sep`, every line ended by a bare newline."""
     with open(path, "w", newline="\n") as f:
-        f.write("t,id,x0,x1,v0,v1,cluster\n")
-        for sample in record.samples:
-            x, v, labels = sample.state.positions, sample.state.velocities, sample.labels.labels
-            t = _fmt(sample.t)
-            for i in range(len(x)):
-                f.write(
-                    f"{t},{i},{_fmt(x[i, 0])},{_fmt(x[i, 1])},"
-                    f"{_fmt(v[i, 0])},{_fmt(v[i, 1])},{labels[i]}\n"
-                )
+        f.write(sep.join(header) + "\n")
+        for row in rows:
+            f.write(sep.join(map(_fmt, row)) + "\n")
+    return path
 
 
-def write_diagnostics_csv(record: TrajectoryRecord, path: Path) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write("t,vmax,mom0,mom1,n_clusters\n")
+def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> Path:
+    def rows():
         for s in record.samples:
-            f.write(
-                f"{_fmt(s.t)},{_fmt(s.vmax)},{_fmt(s.momentum[0])},"
-                f"{_fmt(s.momentum[1])},{s.n_clusters}\n"
-            )
+            x, v = s.state.positions.tolist(), s.state.velocities.tolist()
+            for i, label in enumerate(s.labels.labels.tolist()):
+                yield s.t, i, *x[i], *v[i], label
+
+    return _write_rows(path, ["t", "id", "x0", "x1", "v0", "v1", "cluster"], rows())
 
 
-def write_clusters_csv(record: TrajectoryRecord, path: Path) -> None:
+def write_diagnostics_csv(record: TrajectoryRecord, path: Path) -> Path:
+    rows = ((s.t, s.vmax, *s.momentum[:2], s.n_clusters) for s in record.samples)
+    return _write_rows(path, ["t", "vmax", "mom0", "mom1", "n_clusters"], rows)
+
+
+def write_clusters_csv(record: TrajectoryRecord, path: Path) -> Path:
     """Per-cluster rows; packedness only for the gated model, lambda2 only
     for symmetric cluster subgraphs of at least two nodes.
 
     A gated cluster is delta-densely packed iff all its members are gated on:
     an SCC is connected through edges that join delta-close delayed positions,
     and a ball holding more than m particles is what gates its center on."""
-    params = record.spec.params
-    with open(path, "w", newline="\n") as f:
-        f.write("t,cluster_id,size,is_delta_packed,lambda2\n")
-        for sample in record.samples:
-            gated_on = sample.table.sizes() > 0
-            for cid, members in enumerate(sample.labels.clusters()):
-                packed = _fmt(bool(gated_on[members].all())) if params.model == "di" else ""
-                lam = ""
+    gated = record.spec.params.model == "di"
+
+    def rows():
+        for s in record.samples:
+            gated_on = s.table.sizes() > 0
+            for cid, members in enumerate(s.labels.clusters()):
+                packed = bool(gated_on[members].all()) if gated else None
+                lam = None
                 if len(members) >= 2:
                     try:
-                        lam = _fmt(fiedler_value(sample.phi, members))
+                        lam = fiedler_value(s.phi, members)
                     except ValueError:
-                        lam = ""
-                f.write(f"{_fmt(sample.t)},{cid},{len(members)},{packed},{lam}\n")
+                        pass
+                yield s.t, cid, len(members), packed, lam
+
+    return _write_rows(path, ["t", "cluster_id", "size", "is_delta_packed", "lambda2"], rows())
 
 
 def write_plot_data(record: TrajectoryRecord, out_dir) -> list[Path]:
     """Tab-separated (time, V) and (time, momentum_x) columns for plotting."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    vmax_path = out_dir / "vmax.dat"
-    mom_path = out_dir / "momentum_x.dat"
-    with open(vmax_path, "w", newline="\n") as f:
-        f.write("time\tV\n")
-        for s in record.samples:
-            f.write(f"{_fmt(s.t)}\t{_fmt(s.vmax)}\n")
-    with open(mom_path, "w", newline="\n") as f:
-        f.write("time\tmom0\n")
-        for s in record.samples:
-            f.write(f"{_fmt(s.t)}\t{_fmt(s.momentum[0])}\n")
-    return [vmax_path, mom_path]
+    samples = record.samples
+    return [
+        _write_rows(out_dir / "vmax.dat", ["time", "V"],
+                    ((s.t, s.vmax) for s in samples), sep="\t"),
+        _write_rows(out_dir / "momentum_x.dat", ["time", "mom0"],
+                    ((s.t, s.momentum[0]) for s in samples), sep="\t"),
+    ]
 
 
 def cmd_run(config: RunConfig) -> list[Path]:
@@ -122,18 +122,12 @@ def cmd_run(config: RunConfig) -> list[Path]:
     record = run_simulation(config.spec)
     written: list[Path] = []
     if config.record_trajectory:
-        path = out / "trajectory.csv"
-        write_trajectory_csv(record, path)
-        written.append(path)
+        written.append(write_trajectory_csv(record, out / "trajectory.csv"))
     if config.record_diagnostics:
-        path = out / "diagnostics.csv"
-        write_diagnostics_csv(record, path)
-        written.append(path)
+        written.append(write_diagnostics_csv(record, out / "diagnostics.csv"))
         written.extend(write_plot_data(record, out))
     if config.record_clusters:
-        path = out / "clusters.csv"
-        write_clusters_csv(record, path)
-        written.append(path)
+        written.append(write_clusters_csv(record, out / "clusters.csv"))
     return written
 
 
@@ -226,23 +220,15 @@ def sweep_runs(
     return rows
 
 
-def write_sweep_csv(rows: list[SweepRow], keys: list[str], path: Path) -> None:
-    with open(path, "w", newline="\n") as f:
-        header = ["run"] + keys + ["seed", "regime", "final_mom0", "final_mom1",
-                                   "final_clusters", "error"]
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [str(row.index)]
-            cells += [_fmt(row.overrides.get(k)) for k in keys]
-            cells += [
-                str(row.seed),
-                row.regime,
-                _fmt(row.final_mom0),
-                _fmt(row.final_mom1),
-                _fmt(row.final_clusters),
-                row.error.replace(",", ";"),
-            ]
-            f.write(",".join(cells) + "\n")
+def write_sweep_csv(rows: list[SweepRow], keys: list[str], path: Path) -> Path:
+    header = ["run", *keys, "seed", "regime", "final_mom0", "final_mom1",
+              "final_clusters", "error"]
+    cells = (
+        [r.index, *(r.overrides.get(k) for k in keys), r.seed, r.regime,
+         r.final_mom0, r.final_mom1, r.final_clusters, r.error.replace(",", ";")]
+        for r in rows
+    )
+    return _write_rows(path, header, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad argument, which is the integration-fault code.
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "run":
             config = parse_config(_read_config(args.config))
@@ -339,9 +329,7 @@ def main(argv=None) -> int:
             write_sweep_csv(rows, list(grid), out)
             print(args.out)
             return EXIT_OK
-        if args.command == "verify":
-            return cmd_verify(args.tol_scale)
-        return EXIT_CONFIG
+        return cmd_verify(args.tol_scale)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Configuration format, file outputs, sweeps, and the verify battery."""
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +17,21 @@ from densiflock import (
     run_simulation,
 )
 from densiflock.cli import (
+    SweepRow,
     cmd_run,
     main,
     splitmix64,
     sweep_runs,
+    write_clusters_csv,
+    write_diagnostics_csv,
     write_plot_data,
     write_sweep_csv,
+    write_trajectory_csv,
 )
+from densiflock.dynamics import NeighborTable
+from densiflock.graph import ClusterLabeling
+from densiflock.integrate import TrajectoryRecord, TrajectorySample
+from scipy.sparse import csr_matrix
 
 BASE_RUN = """\
 # reference run
@@ -282,6 +291,91 @@ def test_write_plot_data_empty_record(tmp_path):
         assert len(read(p).splitlines()) == 1  # header only
 
 
+def _format_record(model):
+    """Two hand-built samples of three particles: a symmetric pair plus a
+    singleton, then one cluster whose weights are asymmetric."""
+    def sample(t, velocities, labels, count, table_indptr, phi, vmax, momentum):
+        positions = np.array([[0.1, 1e-17], [2.0, -3.5], [1e22, 0.0]])
+        return TrajectorySample(
+            step=0, t=t,
+            state=EnsembleState(t, positions, np.array(velocities)),
+            delayed_positions=positions,
+            table=NeighborTable(np.array(table_indptr), np.array([1, 0])),
+            phi=csr_matrix(np.array(phi)),
+            labels=ClusterLabeling(np.array(labels), count),
+            vmax=vmax, momentum=np.array(momentum),
+        )
+
+    return TrajectoryRecord(
+        spec=SimpleNamespace(params=SimpleNamespace(model=model)),
+        samples=[
+            sample(0.0, [[0.5, 0.0], [-0.25, 1.5], [0.0, 0.0]], [0, 0, 1], 2, [0, 1, 2, 2],
+                   [[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]], 1e-17, [0.1, -2.0]),
+            sample(0.1, [[0.5, 0.0], [-0.25, 1.5], [0.0, 1e-05]], [0, 0, 0], 1, [0, 1, 1, 2],
+                   [[0, 0.5, 0], [0.25, 0, 0.5], [0, 0.5, 0]], 0.30000000000000004, [0.0, 3.0]),
+        ],
+    )
+
+
+def test_writers_pin_the_output_format(tmp_path):
+    # Header, separator, "\n" line ends, shortest round-trip floats,
+    # true/false, empty cells for None and for a missing lambda2.
+    record = _format_record("di")
+    write_trajectory_csv(record, tmp_path / "trajectory.csv")
+    write_diagnostics_csv(record, tmp_path / "diagnostics.csv")
+    write_clusters_csv(record, tmp_path / "clusters.csv")
+    write_clusters_csv(_format_record("cs"), tmp_path / "clusters_cs.csv")
+    write_plot_data(record, tmp_path)
+    expected = {
+        "trajectory.csv": (
+            "t,id,x0,x1,v0,v1,cluster\n"
+            "0.0,0,0.1,1e-17,0.5,0.0,0\n"
+            "0.0,1,2.0,-3.5,-0.25,1.5,0\n"
+            "0.0,2,1e+22,0.0,0.0,0.0,1\n"
+            "0.1,0,0.1,1e-17,0.5,0.0,0\n"
+            "0.1,1,2.0,-3.5,-0.25,1.5,0\n"
+            "0.1,2,1e+22,0.0,0.0,1e-05,0\n"
+        ),
+        "diagnostics.csv": (
+            "t,vmax,mom0,mom1,n_clusters\n"
+            "0.0,1e-17,0.1,-2.0,2\n"
+            "0.1,0.30000000000000004,0.0,3.0,1\n"
+        ),
+        "clusters.csv": (
+            "t,cluster_id,size,is_delta_packed,lambda2\n"
+            "0.0,0,2,true,1.0\n"
+            "0.0,1,1,false,\n"
+            "0.1,0,3,false,\n"
+        ),
+        "clusters_cs.csv": (
+            "t,cluster_id,size,is_delta_packed,lambda2\n"
+            "0.0,0,2,,1.0\n"
+            "0.0,1,1,,\n"
+            "0.1,0,3,,\n"
+        ),
+        "vmax.dat": "time\tV\n0.0\t1e-17\n0.1\t0.30000000000000004\n",
+        "momentum_x.dat": "time\tmom0\n0.0\t0.1\n0.1\t0.0\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+def test_sweep_csv_pins_the_output_format(tmp_path):
+    rows = [
+        SweepRow(index=0, overrides={"beta": "1.5", "v_c": "0.1"}, seed=7, regime="stability",
+                 final_mom0=0.1, final_mom1=1e-17, final_clusters=2),
+        SweepRow(index=1, overrides={"beta": "3.0"}, seed=2**64 - 1,
+                 error="ConfigError: got beta=3.0, gamma=2.0"),
+    ]
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, ["beta", "v_c"], out)
+    assert out.read_bytes() == (
+        b"run,beta,v_c,seed,regime,final_mom0,final_mom1,final_clusters,error\n"
+        b"0,1.5,0.1,7,stability,0.1,1e-17,2,\n"
+        b"1,3.0,,18446744073709551615,,,,,ConfigError: got beta=3.0; gamma=2.0\n"
+    )
+
+
 def test_main_exit_codes(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BASE_RUN + f"output_dir = {tmp_path / 'out'}\n")
@@ -290,6 +384,31 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("scenario = random_clusters\nmodel = di\n")  # missing n
     assert main(["run", str(bad)]) == 1
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "base.cfg", "--jobs", "abc"],
+        ["verify", "--tol-scale", "abc"],
+        ["sweep", "base.cfg", "--seed", "x"],
+        ["run"],
+        ["bogus"],
+        [],
+    ],
+    ids=["jobs-not-int", "tol-scale-not-float", "seed-not-int", "run-without-config",
+         "unknown-command", "no-command"],
+)
+def test_argument_errors_exit_with_config_code(capsys, argv):
+    # argparse's own exit status, 2, is the integration-fault code.
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["sweep", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_unstable_run_exits_with_integration_fault(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Package modules import only from lower layers."""
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import densiflock
@@ -66,3 +68,48 @@ def test_benchmark_tracer_targets_resolve():
     with tracing.Tracer() as tracer:
         pass
     assert set(tracer.absent) <= DEAD_TRACER_TARGETS
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only the analytic contact-loss root search needs it; every cold
+    # `import densiflock` (the CLI, each sweep worker) would pay for it.
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import densiflock; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+
+def _write_opens(tree):
+    """Name of the innermost function around each open(...) or x.open(...)
+    call whose mode writes; "<module>" at the top level."""
+    owner = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = node
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name != "open":
+            continue
+        # open(path, mode) takes the mode second; Path.open(mode) first.
+        position = 1 if isinstance(node.func, ast.Name) else 0
+        modes = node.args[position:position + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+        if not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes):
+            continue
+        scope = owner.get(node)
+        while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = owner.get(scope)
+        yield scope.name if scope is not None else "<module>"
+
+
+def test_every_output_file_is_written_by_one_row_writer():
+    # One format rule (header line, `_fmt` cells, "\n" line ends) lives in
+    # cli._write_rows; a new output file goes through it, not a copy of it.
+    opens = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _write_opens(ast.parse(path.read_text()))
+    ]
+    assert opens == ["cli._write_rows"]
