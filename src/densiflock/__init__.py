@@ -9,7 +9,7 @@ from .analytic import (
     reduced_solution,
 )
 from .config import RunConfig, parse_config
-from .domains import Domain, euclidean_distances
+from .domains import Domain
 from .dynamics import (
     EnsembleState,
     ModelParams,
@@ -18,7 +18,6 @@ from .dynamics import (
     NeighborTable,
     alignment_weight,
     density_ratio,
-    neighbor_sets_di,
     total_momentum,
     velocity_diameter,
 )
@@ -29,7 +28,6 @@ from .graph import (
     build_digraph,
     fiedler_value,
     flocking_certificate,
-    is_r_densely_packed,
     log_linear_fit,
     strongly_connected_components,
 )

@@ -80,6 +80,8 @@ def write_clusters_csv(record: TrajectoryRecord, path: Path) -> Path:
     A gated cluster is delta-densely packed iff all its members are gated on:
     an SCC is connected through edges that join delta-close delayed positions,
     and a ball holding more than m particles is what gates its center on."""
+    if record.spec is None:
+        raise ValueError("record has no scenario spec, so its model is unknown")
     gated = record.spec.params.model == "di"
 
     def rows():
@@ -268,6 +270,8 @@ def _parse_set_args(pairs: list[str]) -> dict[str, list[str]]:
             raise ConfigError(f"--set expects key=v1,v2,..., got {pair!r}")
         key, _, values = pair.partition("=")
         key = key.strip()
+        if "#" in values:
+            raise ConfigError(f"--set {key}: '#' starts a config comment, so no value may hold it")
         if key in grid:
             raise ConfigError(f"--set {key}: key given more than once")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]

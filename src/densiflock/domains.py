@@ -14,13 +14,6 @@ from scipy.spatial.distance import cdist
 from .errors import ConfigError
 
 
-def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise Euclidean distances, shape (len(a), len(b))."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return cdist(a, b)
-
-
 @dataclass(frozen=True)
 class Domain:
     """Either kind="unbounded", or kind="periodic" with side length L."""
@@ -59,10 +52,10 @@ class Domain:
 
     def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pairwise distances to the nearest periodic image (plain Euclidean when unbounded)."""
-        if not self.is_periodic:
-            return euclidean_distances(a, b)
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
+        if not self.is_periodic:
+            return cdist(a, b)
         # Per axis: the difference, moved to its nearest image, squared in place.
         sq = np.zeros((len(a), len(b)))
         for ak, bk in zip(a.T, b.T):

@@ -249,21 +249,6 @@ class NeighborSearch:
         return self.current
 
 
-def neighbor_sets_di(
-    delayed_positions, delta: float, m: int, domain: Domain = Domain("unbounded")
-) -> NeighborTable:
-    """Density-gated neighborhoods from delayed positions.
-
-    k enters set i exactly when dist(x_k, x_i) < delta and the open ball
-    around x_i holds strictly more than m particles (count includes i, so
-    a gated particle always lists itself).  Below the gate the set is empty.
-    """
-    x = np.atleast_2d(np.asarray(delayed_positions, dtype=float))
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite coordinates")
-    return NeighborSearch(ModelParams("di", len(x), m=m, delta=delta), domain).table(x, x)
-
-
 # One coupling formula: a = (W - diag(W 1)) v, with W the membership scaled
 # row-wise by M(N, i, #N_i), times psi(|x_i - x_k|) for the cs family.
 

@@ -10,14 +10,8 @@ import numpy as np
 
 from .analytic import eval_v_b, reduced_solution
 from .domains import Domain
-from .dynamics import EnsembleState, ModelParams, MPolicy, neighbor_sets_di
-from .graph import (
-    build_digraph,
-    fiedler_value,
-    flocking_certificate,
-    is_r_densely_packed,
-    log_linear_fit,
-)
+from .dynamics import EnsembleState, ModelParams
+from .graph import fiedler_value, flocking_certificate, log_linear_fit
 from .integrate import simulate
 from .scenarios import ScenarioSpec, run_simulation
 
@@ -98,8 +92,9 @@ def certificate_experiment() -> CertificateOutcome:
     state = lattice_state(spacing=r)
     n = state.n
 
-    table = neighbor_sets_di(state.positions, delta, m)
-    lam2 = fiedler_value(build_digraph(table, MPolicy("flat", 1.0), n))
+    # Phi of the initial table at kappa = 1, from a zero-step run.
+    unit = ModelParams(model="di", N=n, m=m, delta=delta, m_policy="flat")
+    lam2 = fiedler_value(simulate(state, unit, Domain.unbounded(), 0.01, 0.0).samples[0].phi)
     threshold = 2.0 / (lam2 * (delta - r))
     kappa = 1.5 * n * threshold  # flat policy: M_* = kappa / n
     params = ModelParams(model="di", N=n, m=m, delta=delta, kappa=kappa, m_policy="flat")
@@ -107,12 +102,10 @@ def certificate_experiment() -> CertificateOutcome:
     cert = flocking_certificate(r, delta, m_star, lam2)
 
     record = simulate(state, params, Domain.unbounded(), 0.01, 100.0, sample_every=10)
-    packed = all(
-        is_r_densely_packed(
-            s.delayed_positions, np.arange(n), delta, m
-        ).is_packed
-        for s in record.samples
-    )
+    # The whole lattice is delta-densely packed iff the gate is on everywhere
+    # (every open delta-ball on the delayed positions holds more than m) and
+    # the gated digraph, then the full delta-graph, is one component.
+    packed = all(s.n_clusters == 1 and (s.table.sizes() > 0).all() for s in record.samples)
 
     times = record.times()
     mean_v = record.samples[0].momentum / n

@@ -1,4 +1,4 @@
-"""Interaction digraph, cluster extraction, packedness, and spectral checks.
+"""Interaction digraph, cluster extraction, and spectral checks.
 
 The coupling a_i = sum_k M_i (v_k - v_i) is rewritten as v' = -M_* (D - Phi) v
 with Phi[i, k] = M_i / M_* on the neighbor relation and D the M-scaled degree
@@ -13,7 +13,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .domains import euclidean_distances
 from .dynamics import MPolicy, NeighborTable, member_weights
 
 
@@ -31,17 +30,6 @@ class ClusterLabeling:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.cluster_count)
-
-
-@dataclass
-class PackedReport:
-    """Outcome of the r-densely-packed test for one cluster."""
-
-    cluster: tuple[int, ...]
-    r: float
-    connected_at_half_r: bool
-    min_ball_count: int
-    is_packed: bool
 
 
 @dataclass
@@ -76,44 +64,6 @@ def strongly_connected_components(phi: csr_matrix) -> ClusterLabeling:
     rank = np.empty(n, dtype=int)
     rank[np.argsort(first)] = np.arange(n)
     return ClusterLabeling(rank[raw], n)
-
-
-def is_r_densely_packed(
-    delayed_positions,
-    cluster,
-    r: float,
-    m: int,
-    dist=euclidean_distances,
-) -> PackedReport:
-    """Test whether a cluster is r-densely packed.
-
-    Condition 1 -- the positions thickened by open balls of radius r/2 form a
-    connected set; equivalently the graph on the cluster with edges
-    dist < r is connected.  Condition 2 -- every open ball B(x_k, r), k in the
-    cluster, holds strictly more than m ensemble particles (the count runs
-    over the whole ensemble, not only the cluster).
-    """
-    if not r > 0:
-        raise ValueError("r must be > 0")
-    cluster = np.asarray(cluster, dtype=int)
-    if cluster.size == 0:
-        raise ValueError("cluster must be nonempty")
-    x = np.atleast_2d(np.asarray(delayed_positions, dtype=float))
-
-    to_all = dist(x[cluster], x)
-    min_ball_count = int((to_all < r).sum(axis=1).min())
-
-    within = to_all[:, cluster] < r
-    n_comp, _ = connected_components(csr_matrix(within), directed=False)
-    connected = bool(n_comp == 1)
-
-    return PackedReport(
-        cluster=tuple(int(i) for i in cluster),
-        r=float(r),
-        connected_at_half_r=connected,
-        min_ball_count=min_ball_count,
-        is_packed=connected and min_ball_count > m,
-    )
 
 
 def fiedler_value(phi: csr_matrix, cluster=None) -> float:

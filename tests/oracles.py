@@ -1,6 +1,11 @@
 """Dense brute-force neighbor rules, the N x N masks the package's search must
-reproduce table for table, and one-set shorthands over that search."""
+reproduce table for table, the brute-force r-densely-packed test, and one-set
+shorthands over that search."""
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from densiflock import ModelParams, NeighborSearch, NeighborTable
 from densiflock.domains import Domain
@@ -38,6 +43,49 @@ def dense_membership(params, positions, delayed, dist):
     return mask
 
 
+@dataclass
+class PackedReport:
+    """Outcome of the r-densely-packed test for one cluster."""
+
+    cluster: tuple[int, ...]
+    r: float
+    connected_at_half_r: bool
+    min_ball_count: int
+    is_packed: bool
+
+
+def is_r_densely_packed(delayed_positions, cluster, r, m, dist=Domain.unbounded().distances):
+    """Test whether a cluster is r-densely packed.
+
+    Condition 1 -- the positions thickened by open balls of radius r/2 form a
+    connected set; equivalently the graph on the cluster with edges
+    dist < r is connected.  Condition 2 -- every open ball B(x_k, r), k in the
+    cluster, holds strictly more than m ensemble particles (the count runs
+    over the whole ensemble, not only the cluster).
+    """
+    if not r > 0:
+        raise ValueError("r must be > 0")
+    cluster = np.asarray(cluster, dtype=int)
+    if cluster.size == 0:
+        raise ValueError("cluster must be nonempty")
+    x = np.atleast_2d(np.asarray(delayed_positions, dtype=float))
+
+    to_all = dist(x[cluster], x)
+    min_ball_count = int((to_all < r).sum(axis=1).min())
+
+    within = to_all[:, cluster] < r
+    n_comp, _ = connected_components(csr_matrix(within), directed=False)
+    connected = bool(n_comp == 1)
+
+    return PackedReport(
+        cluster=tuple(int(i) for i in cluster),
+        r=float(r),
+        connected_at_half_r=connected,
+        min_ball_count=min_ball_count,
+        is_packed=connected and min_ball_count > m,
+    )
+
+
 def dense_table(params, positions, delayed, domain):
     return table_from_mask(dense_membership(params, positions, delayed, domain.distances))
 
@@ -55,3 +103,14 @@ def neighbor_sets_cs_delta(positions, delta, domain=Domain.unbounded()):
 def neighbor_sets_cs_q(positions, q, domain=Domain.unbounded()):
     """The package's q nearest others of one position set."""
     return _one_step_table(ModelParams("cs_q", len(positions), q=q), positions, domain)
+
+
+def neighbor_sets_di(delayed_positions, delta, m, domain=Domain.unbounded()):
+    """The package's density-gated sets of one delayed position set: k enters
+    set i exactly when dist(x_k, x_i) < delta and the open ball around x_i
+    holds strictly more than m particles (count includes i, so a gated
+    particle always lists itself).  Below the gate the set is empty."""
+    x = np.atleast_2d(np.asarray(delayed_positions, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite coordinates")
+    return _one_step_table(ModelParams("di", len(x), m=m, delta=delta), x, domain)

@@ -14,7 +14,6 @@ from densiflock import (
     classify_chain,
     classify_three_body,
     density_ratio,
-    is_r_densely_packed,
     predict_three_body,
     run_simulation,
 )
@@ -25,6 +24,7 @@ from densiflock.experiments import (
     momentum_experiment,
     oracle_run,
 )
+from oracles import is_r_densely_packed
 
 DOCUMENTED_SEED = 0  # fixed seed for the qualitative cluster-formation checks
 

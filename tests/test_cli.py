@@ -12,9 +12,9 @@ from densiflock import (
     EnsembleState,
     RunConfig,
     initial_state,
-    is_r_densely_packed,
     parse_config,
     run_simulation,
+    simulate,
 )
 from densiflock.cli import (
     SweepRow,
@@ -32,6 +32,7 @@ from densiflock.dynamics import NeighborTable
 from densiflock.graph import ClusterLabeling
 from densiflock.integrate import TrajectoryRecord, TrajectorySample
 from scipy.sparse import csr_matrix
+from oracles import is_r_densely_packed
 
 BASE_RUN = """\
 # reference run
@@ -280,6 +281,15 @@ def test_clusters_csv_packedness_matches_geometric_test(tmp_path):
                 kinds.add("cluster" if len(members) > 1 else f"singleton {packed}")
         assert [r[3] for r in rows] == expected
     assert kinds == {"cluster", "singleton True", "singleton False"}
+
+
+def test_clusters_csv_rejects_a_record_without_spec_before_opening(tmp_path):
+    # simulate() from an explicit state records no spec, hence no model.
+    spec = parse_config(BASE_RUN).spec
+    record = simulate(initial_state(spec), spec.params, spec.domain, spec.dt, 0.0)
+    with pytest.raises(ValueError, match="spec"):
+        write_clusters_csv(record, tmp_path / "clusters.csv")
+    assert not (tmp_path / "clusters.csv").exists()
 
 
 def test_write_plot_data_empty_record(tmp_path):
@@ -588,6 +598,16 @@ def test_sweep_rejects_bad_arguments_naming_them(tmp_path, capsys, extra, named)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(cfg), "--set", "beta=1.0", *extra, "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_value_holding_a_comment_sign(tmp_path, capsys):
+    # The override becomes the line "shape = b#junk", which would read as shape b.
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("scenario = group_vs_individual\nmodel = di\ndelta = 2.0\nshape = a\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--set", "shape=b#junk", "--out", str(out)]) == 1
+    assert "--set shape" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist as euclidean_distances
 
 from densiflock import (
     EnsembleState,
@@ -12,8 +13,6 @@ from densiflock import (
     MPolicy,
     alignment_weight,
     density_ratio,
-    euclidean_distances,
-    neighbor_sets_di,
     total_momentum,
     velocity_diameter,
 )
@@ -21,7 +20,13 @@ from densiflock.domains import Domain
 from densiflock.dynamics import MODELS, POLICY_KINDS, member_weights
 from densiflock.errors import ConfigError
 from densiflock.graph import build_digraph
-from oracles import dense_membership, neighbor_sets_cs_delta, neighbor_sets_cs_q, table_from_mask
+from oracles import (
+    dense_membership,
+    neighbor_sets_cs_delta,
+    neighbor_sets_cs_q,
+    neighbor_sets_di,
+    table_from_mask,
+)
 
 
 def brute_force_di_table(positions, delta, m):

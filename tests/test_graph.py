@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
 from densiflock import (
+    Domain,
+    ModelParams,
     MPolicy,
+    NeighborSearch,
     build_digraph,
     fiedler_value,
     flocking_certificate,
-    is_r_densely_packed,
     log_linear_fit,
-    neighbor_sets_di,
     strongly_connected_components,
 )
+from densiflock.experiments import certificate_experiment, lattice_state
+from oracles import is_r_densely_packed, neighbor_sets_di
 
 
 def digraph_from_phi(phi):
@@ -242,6 +245,30 @@ def test_packed_clusters_induce_symmetric_connected_digraphs():
     assert found >= 10
 
 
+def test_gate_reads_whole_ensemble_packedness():
+    # One SCC with every particle gated on is the brute-force delta-densely
+    # packed test of the whole ensemble, on the plane and on the torus.
+    delta, outcomes = 1.0, set()
+
+    @given(
+        n=st.integers(1, 24), m=st.integers(1, 4), periodic=st.booleans(),
+        side=st.floats(2.05, 5.0), seed=st.integers(0, 100_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def check(n, m, periodic, side, seed):
+        domain = Domain.periodic(side) if periodic else Domain.unbounded()
+        x = np.random.default_rng(seed).uniform(0, side, (n, 2))
+        table = NeighborSearch(ModelParams("di", n, m=m, delta=delta), domain).table(x, x)
+        labels = strongly_connected_components(build_digraph(table, MPolicy("flat", 1.0), n))
+        rule = labels.cluster_count == 1 and bool((table.sizes() > 0).all())
+        oracle = is_r_densely_packed(x, np.arange(n), delta, m, dist=domain.distances)
+        assert rule == oracle.is_packed
+        outcomes.add(rule)
+
+    check()
+    assert outcomes == {True, False}
+
+
 # --- spectra ----------------------------------------------------------------
 
 
@@ -334,6 +361,13 @@ def test_certificate_requires_gap():
     assert not cert.holds and cert.reason
     near = flocking_certificate(r=1.999999, delta=2.0, m_star=100.0, lambda2=4.0)
     assert near.threshold > 400000
+
+
+def test_certificate_experiment_reads_packedness_and_lambda2_off_the_run():
+    cert = certificate_experiment()
+    table = neighbor_sets_di(lattice_state(spacing=1.0).positions, 2.0, 3)
+    assert cert.packed_throughout
+    assert cert.lambda2 == fiedler_value(build_digraph(table, MPolicy("flat", 1.0), 9))
 
 
 def test_decay_rate_fit_exact_exponential():

@@ -13,7 +13,6 @@ from densiflock import (
     ModelParams,
     ScenarioSpec,
     build_digraph,
-    neighbor_sets_di,
     rk4_step,
     run_simulation,
     simulate,
@@ -22,7 +21,7 @@ from densiflock import (
 from densiflock.dynamics import member_weights
 from densiflock.errors import ConfigError
 from densiflock.integrate import RK4_DISC_RADIUS
-from oracles import dense_table
+from oracles import dense_table, neighbor_sets_di
 
 
 # --- delay buffer ------------------------------------------------------------

@@ -14,7 +14,6 @@ from densiflock import (
     init_random_clusters,
     init_three_body,
     momentum_estimate,
-    neighbor_sets_di,
     parse_config,
     predict_three_body,
     run_simulation,
@@ -22,6 +21,7 @@ from densiflock import (
     total_momentum,
 )
 from densiflock.errors import ConfigError
+from oracles import neighbor_sets_di
 
 
 def three_body_spec(beta, gamma, v_c, n=30, delta=2.0, dt=0.01, t_end=None, seed=2):
