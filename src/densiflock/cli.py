@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _KEY_TYPES, RunConfig, parse_config
+from .config import RunConfig, parse_config, parse_overrides
 from .errors import ConfigError, IntegrationFault
 from .experiments import verify_suite
 from .graph import fiedler_value
@@ -160,22 +160,11 @@ class SweepRow:
     error: str = ""
 
 
-def _apply_overrides(base_text: str, overrides: dict) -> RunConfig:
-    lines = [
-        line
-        for line in base_text.splitlines()
-        if line.split("#", 1)[0].strip().partition("=")[0].strip() not in overrides
-    ]
-    for key, value in overrides.items():
-        lines.append(f"{key} = {value}")
-    return parse_config("\n".join(lines))
-
-
 def _sweep_one(args) -> SweepRow:
     index, base_text, overrides, seed = args
     row = SweepRow(index=index, overrides=overrides, seed=seed)
     try:
-        config = _apply_overrides(base_text, {**overrides, "seed": seed})
+        config = parse_config(base_text, {**overrides, "seed": str(seed)})
         record = run_simulation(config.spec)
         final = record.samples[-1]
         row.regime = _regime_of(record)
@@ -201,9 +190,9 @@ def sweep_runs(
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if "seed" in grid:
         raise ConfigError("--set seed: run seeds derive from the master seed; use --seed")
-    for key in grid:
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"--set {key}: unknown key {key!r}")
+    for key, values in grid.items():
+        for value in values:  # every value converts before any run starts
+            parse_overrides({key: value})
     keys = list(grid)
     if not keys:
         return []
@@ -270,8 +259,6 @@ def _parse_set_args(pairs: list[str]) -> dict[str, list[str]]:
             raise ConfigError(f"--set expects key=v1,v2,..., got {pair!r}")
         key, _, values = pair.partition("=")
         key = key.strip()
-        if "#" in values:
-            raise ConfigError(f"--set {key}: '#' starts a config comment, so no value may hold it")
         if key in grid:
             raise ConfigError(f"--set {key}: key given more than once")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]

@@ -56,7 +56,8 @@ class RunConfig:
     record_clusters: bool = True
 
 
-def _convert(key: str, raw: str, lineno: int):
+def _convert(key: str, raw: str, where: str):
+    """raw as key's type; where (a line or a --set flag) prefixes the error."""
     kind, allowed = _KEY_TYPES[key]
     try:
         if kind == "int":
@@ -81,13 +82,11 @@ def _convert(key: str, raw: str, lineno: int):
             expected = "one of " + "|".join(allowed)
         else:
             expected = "finite float" if kind == "float" else kind
-        raise ConfigError(
-            f"line {lineno}: key '{key}' expects {expected}, got {raw!r}"
-        ) from None
+        raise ConfigError(f"{where}: key '{key}' expects {expected}, got {raw!r}") from None
 
 
 def _scan(text: str) -> dict:
-    entries: dict[str, tuple] = {}
+    entries: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -102,14 +101,28 @@ def _scan(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not raw:
             raise ConfigError(f"line {lineno}: key {key!r} has no value")
-        entries[key] = (_convert(key, raw, lineno), lineno)
+        entries[key] = _convert(key, raw, f"line {lineno}")
     return entries
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat run configuration."""
-    entries = _scan(text)
-    values = {k: v for k, (v, _) in entries.items()}
+def parse_overrides(overrides: dict[str, str]) -> dict:
+    """Each override's raw value converted as its config line would be; an
+    error names the key as the --set flag it came from."""
+    values = {}
+    for key, raw in overrides.items():
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"--set {key}: unknown key {key!r}")
+        values[key] = _convert(key, raw.strip(), f"--set {key}")
+    return values
+
+
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Parse and validate a flat run configuration.
+
+    Each override (key -> raw value) replaces the text's entry for its key,
+    or adds one, as a value: it is never read as config text.
+    """
+    values = {**_scan(text), **parse_overrides(overrides or {})}
 
     scenario = values.get("scenario")
     if scenario is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
 from .domains import Domain
@@ -263,11 +263,32 @@ def member_weights(table: NeighborTable, policy: MPolicy, N: int) -> tuple[csr_m
     return weights, float((m * (sizes - (weights.diagonal() != 0))).max())
 
 
+# Fewest planar velocities for which the hull's pdist beats the full one
+# (timed on a 2-core x86_64 VM: 111 against 120 us at N = 256, 177 against
+# 155 us at N = 320, 6.8 against 0.54 ms at N = 2048).
+HULL_DIAMETER_MIN_N = 300
+
+
 def velocity_diameter(state: EnsembleState) -> float:
-    """Largest pairwise velocity difference norm; zero at consensus."""
+    """Largest pairwise velocity difference norm; zero at consensus.
+
+    The diameter of a point set is attained at two of its convex-hull
+    vertices, so above HULL_DIAMETER_MIN_N planar velocities pdist runs only
+    over the hull's vertices and the points Qhull found coplanar with its
+    facets (option Qc): the same pdist entry, bit for bit.  Qhull rejects
+    fewer than 3 points and collinear or equal ones; those take the full pdist.
+    """
     if state.n < 2:
         return 0.0
-    return float(pdist(state.velocities).max())
+    v = state.velocities
+    if state.n >= HULL_DIAMETER_MIN_N and v.shape[1] == 2:
+        try:
+            hull = ConvexHull(v, qhull_options="Qc")
+        except QhullError:
+            pass
+        else:
+            v = v[np.concatenate([hull.vertices, hull.coplanar[:, 0]])]
+    return float(pdist(v).max())
 
 
 def total_momentum(state: EnsembleState) -> np.ndarray:

@@ -123,13 +123,46 @@ class TrajectoryRecord:
 # stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (rounded down).
 RK4_DISC_RADIUS = 1.3926467
 
+# A Horner step on the CSR hA costs a fixed overhead plus a share per stored
+# entry, one on the dense hA a share per entry of the N x N array.  Timed on a
+# 2-core x86_64 VM (Horner step and operator build, N = 11..2048, fill
+# 0.0003..0.2), CSR wins once N^2 exceeds CSR_ENTRY_COST entries per stored
+# entry plus CSR_CALL_COST; below that, and for every N <= 150, dense wins.
+CSR_ENTRY_COST = 8
+CSR_CALL_COST = 150**2
+
+
+def csr_step_map(N: int, nnz: int) -> bool:
+    """True when the di step map of N particles with nnz stored weights runs
+    on CSR, false when it runs on the dense N x N hA."""
+    return N * N > CSR_ENTRY_COST * nnz + CSR_CALL_COST
+
+
+def _di_operator(weights: csr_matrix, dt: float):
+    """hA = dt (W - diag(W 1)), on CSR over W's own structure or dense, as
+    csr_step_map picks."""
+    N = weights.shape[0]
+    if not csr_step_map(N, weights.nnz):
+        ha = weights.toarray()
+        ha[np.diag_indices_from(ha)] -= ha.sum(axis=1)
+        return np.multiply(ha, dt, out=ha)  # in place: one N x N array
+    # Row i stores M_i at each member of its set.  A nonempty di set holds its
+    # own particle (self is counted), so the diagonal entry M_i - M_i #N_i
+    # is already stored, once per nonempty row, and the structure never changes.
+    sizes = np.diff(weights.indptr)
+    diag = weights.indices == np.repeat(np.arange(N, dtype=weights.indices.dtype), sizes)
+    m = weights.data[diag]
+    data = dt * weights.data
+    data[diag] = dt * (m - m * sizes[sizes > 0])
+    return csr_matrix((data, weights.indices, weights.indptr), shape=weights.shape)
+
 
 def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Domain, step: int):
     """One RK4 step (x, v) -> (x', v') frozen under this neighbor table.
 
     The di force A v, A = W - diag(W 1), ignores x, so its step is exactly
     v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1),
-    evaluated by Horner on hA.
+    evaluated by Horner on hA (see _di_operator).
 
     Raises IntegrationFault for the given step when dt * rho leaves the RK4
     stability disc, rho being the Gershgorin radius of the step's weights
@@ -142,10 +175,8 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
             f"unstable step {step}: h*rho = {dt * rho:.6g} exceeds the RK4 "
             f"stability limit {RK4_DISC_RADIUS}",
         )
-    weights = weights.toarray()
     if params.model == "di":
-        weights[np.diag_indices_from(weights)] -= weights.sum(axis=1)
-        ha = np.multiply(weights, dt, out=weights)  # in place: one N x N array
+        ha = _di_operator(weights, dt)
 
         def propagate(x, v):
             u = v + ha @ v / 4
@@ -155,6 +186,7 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
 
         return propagate
 
+    weights = weights.toarray()
     metric, alpha = domain.distances, params.alpha
 
     def accel(x, v):  # a_i = sum_k W_ik psi_ik (v_k - v_i); the diagonal cancels

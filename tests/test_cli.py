@@ -611,6 +611,24 @@ def test_sweep_rejects_a_value_holding_a_comment_sign(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_value_holding_a_line_break(tmp_path, capsys):
+    # Spliced into the config text, this value would also set spacing = 0.5.
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("scenario = group_vs_individual\nmodel = di\ndelta = 2.0\nshape = a\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--set", "shape=b\nspacing=0.5", "--out", str(out)]) == 1
+    assert "--set shape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_override_replaces_the_base_entry_as_a_value():
+    config = parse_config(GROUP_RUN + "spacing = 2.0\n", {"spacing": "0.5", "output_dir": "a#b"})
+    assert config.spec.spacing == 0.5
+    assert config.output_dir == "a#b"  # a value, not config text: '#' starts no comment
+    with pytest.raises(ConfigError, match="--set spacing"):
+        parse_config(GROUP_RUN, {"spacing": "0.5\nshape = b"})
+
+
 def test_sweep_rejects_out_path_that_is_a_directory_before_any_run(tmp_path, capsys, monkeypatch):
     def no_runs(*args, **kwargs):
         raise AssertionError("the sweep ran before --out was checked")

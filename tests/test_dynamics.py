@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist as euclidean_distances
+from scipy.spatial.distance import pdist
 
 from densiflock import (
     EnsembleState,
@@ -17,7 +18,7 @@ from densiflock import (
     velocity_diameter,
 )
 from densiflock.domains import Domain
-from densiflock.dynamics import MODELS, POLICY_KINDS, member_weights
+from densiflock.dynamics import HULL_DIAMETER_MIN_N, MODELS, POLICY_KINDS, member_weights
 from densiflock.errors import ConfigError
 from densiflock.graph import build_digraph
 from oracles import (
@@ -507,6 +508,41 @@ def test_velocity_diameter_matches_brute_force(ens):
             dx, dy = vel[i, 0] - vel[j, 0], vel[i, 1] - vel[j, 1]
             brute = max(brute, math.sqrt(dx * dx + dy * dy))
     assert velocity_diameter(state) == brute
+
+
+@st.composite
+def velocity_sets(draw):
+    """Velocity sets the hull path must get exactly right: above its
+    crossover (or below 3 points), in d = 1..3, random, drawn from a few
+    repeated points, all equal, collinear, or collinear up to a relative
+    noise of 1e-15..1e-6, at magnitudes 1e-3..1e3 around an offset."""
+    kind = draw(st.sampled_from(["random", "duplicates", "equal", "collinear", "near_collinear"]))
+    d = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    small = draw(st.booleans()) and draw(st.booleans())
+    n = draw(st.integers(1, 2) if small else st.integers(HULL_DIAMETER_MIN_N, HULL_DIAMETER_MIN_N + 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = rng.normal(size=d) * 10.0 ** draw(st.integers(-3, 3))
+    if kind == "random":
+        v = rng.normal(size=(n, d))
+    elif kind == "duplicates":
+        pool = rng.normal(size=(draw(st.integers(1, 6)), d))
+        v = pool[rng.integers(0, len(pool), n)]
+    elif kind == "equal":
+        v = np.zeros((n, d))
+    else:
+        v = rng.normal(size=(n, 1)) * rng.normal(size=d)
+        if kind == "near_collinear":
+            v += rng.normal(size=(n, d)) * 10.0 ** -draw(st.integers(6, 15))
+    return offset + scale * v
+
+
+@given(velocity_sets())
+@settings(max_examples=150, deadline=None)
+def test_velocity_diameter_is_the_full_pdist_maximum(v):
+    # The hull's pdist entry is the full pdist's, bit for bit.
+    state = EnsembleState(0.0, np.zeros_like(v), v)
+    assert velocity_diameter(state) == (pdist(v).max() if len(v) > 1 else 0.0)
 
 
 def test_total_momentum_group_vs_individual_numbers():

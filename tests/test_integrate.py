@@ -1,4 +1,9 @@
 """Stepping scheme, delay buffer, domains, and the run loop."""
+import importlib.util
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +16,12 @@ from densiflock import (
     EnsembleState,
     IntegrationFault,
     ModelParams,
+    NeighborSearch,
     ScenarioSpec,
     build_digraph,
+    init_random_clusters,
+    initial_state,
+    parse_config,
     rk4_step,
     run_simulation,
     simulate,
@@ -20,7 +29,7 @@ from densiflock import (
 )
 from densiflock.dynamics import member_weights
 from densiflock.errors import ConfigError
-from densiflock.integrate import RK4_DISC_RADIUS
+from densiflock.integrate import RK4_DISC_RADIUS, csr_step_map
 from oracles import dense_table, neighbor_sets_di
 
 
@@ -207,13 +216,12 @@ def test_di_propagator_matches_explicit_stages(n, m, policy, h_steps, seed):
     assert np.abs(out.positions - domain.wrap(x)).max() <= tol
 
 
-def _velocity_error_vs_expm(dt, t_end=1.0):
+def _velocity_error_vs_expm(dt, t_end=1.0, state=None, params=None, domain=Domain.unbounded()):
     """Fixed-topology velocities against the exact matrix exponential."""
-    state = _blob_state()
-    params = _di_params(5, m=2)
-    domain = Domain.unbounded()
-    table = neighbor_sets_di(state.positions, params.delta, params.m)
-    w = member_weights(table, params.policy(), 5)[0].toarray()
+    if state is None:
+        state, params = _blob_state(), _di_params(5, m=2)
+    table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
+    w = member_weights(table, params.policy(), params.N)[0].toarray()
     lap = np.diag(w.sum(axis=1)) - w
     record = simulate(state, params, domain, dt, t_end, sample_every=10**9)
     final = record.samples[-1]
@@ -455,3 +463,87 @@ def test_momentum_conserved_on_symmetric_flat_topology():
     record = simulate(state, params, Domain.unbounded(), 0.01, 5.0, sample_every=50)
     mom = record.momentum_series()
     assert np.abs(mom - mom[0]).max() < 1e-12
+
+
+# --- the CSR step map, above its crossover ------------------------------------
+
+
+def _lattice_blob(side=20, seed=6):
+    """side^2 particles on a jittered unit lattice filling a periodic box, with
+    velocities small enough that under delta = 1.5 each set keeps its 3 x 3
+    block for a unit of time."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
+    positions = grid + 0.5 + rng.uniform(-0.01, 0.01, grid.shape)
+    state = EnsembleState(0.0, positions, rng.uniform(-0.01, 0.01, grid.shape))
+    return state, _di_params(side * side, delta=1.5), Domain.periodic(float(side))
+
+
+def test_csr_step_matches_explicit_stages():
+    state, params, domain = _lattice_blob()
+    state.velocities *= 100.0  # order 1, so the tolerance exceeds an ulp of the positions
+    table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
+    assert np.array_equal(table.sizes(), np.full(params.N, 9))
+    assert csr_step_map(params.N, table.indptr[-1])
+    weights = member_weights(table, params.policy(), params.N)[0].toarray()
+    out = rk4_step(state, 0.05, params, DelayBuffer(1, state.positions), domain)
+    x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
+    tol = 1e-14 * np.abs(state.velocities).max()
+    assert np.abs(out.velocities - v).max() <= tol
+    assert np.abs(out.positions - domain.wrap(x)).max() <= tol
+
+
+def test_csr_run_matches_matrix_exponential():
+    state, params, domain = _lattice_blob()
+    assert _velocity_error_vs_expm(0.05, state=state, params=params, domain=domain) < 1e-8
+
+
+def test_csr_run_is_byte_identical_on_rerun():
+    state, params, domain = _lattice_blob()
+    state.velocities *= 100.0  # topology switches, so the run crosses epochs
+    a, b = (simulate(state, params, domain, 0.01, 0.5, sample_every=5) for _ in range(2))
+    for sa, sb in zip(a.samples, b.samples, strict=True):
+        assert sa.state.positions.tobytes() == sb.state.positions.tobytes()
+        assert sa.state.velocities.tobytes() == sb.state.velocities.tobytes()
+    assert not _same_table(a.samples[0].table, a.samples[-1].table)
+
+
+def test_step_map_is_dense_at_the_small_workloads_and_csr_at_n2048():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "specs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_specs", path)
+    specs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specs)
+    picked = {}
+    for name, configs in specs.WORKLOADS.items():
+        for config in configs:
+            if config["model"] != "di":
+                continue
+            spec = parse_config(specs.config_text(config, seed=3)).spec
+            x = initial_state(spec).positions
+            table = NeighborSearch(spec.params, spec.domain).table(x, x)
+            n = spec.params.N
+            picked[name, n] = csr_step_map(n, table.indptr[-1])
+            # Dense below the crossover whatever the table holds.
+            assert n > 150 or not csr_step_map(n, 0)
+    assert picked == {
+        ("oracle_n11", 11): False,
+        ("observe_n64", 64): False,
+        ("formation_run_n64", 64): False,
+        ("di_scale_n2048", 2048): True,
+    }
+
+
+def test_large_di_run_allocates_no_n_by_n_array():
+    # N^2 * 8 / 8 bytes: an eighth of one N x N float64 array.
+    n = 4096
+    L = 25.0 * math.sqrt(n / 64)  # the paper's density, 64 particles per 25 x 25
+    state = init_random_clusters(n, L, seed=1)
+    params = _di_params(n)
+    tracemalloc.start()
+    try:
+        record = simulate(state, params, Domain.periodic(L), 0.01, 0.02, sample_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(record.samples) == 3
+    assert peak < n * n * 8 / 8
