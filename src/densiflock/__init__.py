@@ -17,7 +17,6 @@ from .dynamics import (
     NeighborSearch,
     NeighborTable,
     alignment_weight,
-    density_ratio,
     total_momentum,
     velocity_diameter,
 )
@@ -35,7 +34,6 @@ from .integrate import (
     DelayBuffer,
     TrajectoryRecord,
     TrajectorySample,
-    rk4_step,
     simulate,
 )
 from .scenarios import (

@@ -9,10 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .domains import Domain
+from .domains import DOMAIN_KINDS, Domain
 from .dynamics import MODELS, POLICY_KINDS, ModelParams
 from .errors import ConfigError
-from .scenarios import DEFAULT_CLUSTER_SIZE, SCENARIOS, ScenarioSpec
+from .scenarios import DEFAULT_CLUSTER_SIZE, GROUP_SHAPE_ROWS, SCENARIOS, ScenarioSpec
 
 # key -> (type tag, allowed values or None)
 _KEY_TYPES = {
@@ -28,14 +28,14 @@ _KEY_TYPES = {
     "dt": ("float", None),
     "t_end": ("float", None),
     "sample_every": ("int", None),
-    "domain": ("choice", ("unbounded", "periodic")),
+    "domain": ("choice", DOMAIN_KINDS),
     "L": ("float", None),
     "seed": ("int", None),
     "scenario": ("choice", SCENARIOS),
     "beta": ("float", None),
     "gamma": ("float", None),
     "v_c": ("float", None),
-    "shape": ("choice", ("a", "b")),
+    "shape": ("choice", tuple(GROUP_SHAPE_ROWS)),
     "delta_variant": ("int", None),
     "spacing": ("float", None),
     "margin": ("float", None),

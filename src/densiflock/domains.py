@@ -13,6 +13,8 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 
+DOMAIN_KINDS = ("unbounded", "periodic")
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -22,7 +24,7 @@ class Domain:
     L: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("unbounded", "periodic"):
+        if self.kind not in DOMAIN_KINDS:
             raise ConfigError(f"unknown domain kind {self.kind!r}")
         if self.kind == "periodic":
             if self.L is None or not 0 < self.L < np.inf:

@@ -13,6 +13,7 @@ Four velocity-alignment rules share one state representation:
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,6 @@ class MPolicy:
         """Infimum of M over neighborhood sizes 1..N (attained at size N)."""
         return float(self.values(N, [N])[0])
 
-    def m_sup(self, N: int) -> float:
-        """Supremum of M over neighborhood sizes 1..N (attained at size 1)."""
-        return float(self.values(N, [1])[0])
-
 
 @dataclass
 class ModelParams:
@@ -100,6 +97,9 @@ class ModelParams:
             raise ConfigError("alpha must be > 0")
         if self.h_steps < 1:
             raise ConfigError("h_steps must be >= 1")
+        # The delay ring's maxlen, h_steps + 1, must fit a Py_ssize_t.
+        if self.h_steps >= sys.maxsize:
+            raise ConfigError(f"h_steps must be < {sys.maxsize}")
         if self.m_policy is None:
             self.m_policy = DEFAULT_POLICY[self.model]
         self.policy()  # checks m_policy and kappa
@@ -295,11 +295,3 @@ def total_momentum(state: EnsembleState) -> np.ndarray:
     """Componentwise sum of all velocities."""
     return state.velocities.sum(axis=0)
 
-
-def density_ratio(N: int, m: int, delta: float, L: float) -> tuple[float, float]:
-    """(average density N/L^2, gating density m/(pi delta^2)) for the square box."""
-    if not L > 0:
-        raise ConfigError("L must be > 0")
-    rho_a = N / L**2
-    rho_m = m / (np.pi * delta**2)
-    return rho_a, rho_m

@@ -213,27 +213,6 @@ def _advance(x: np.ndarray, v: np.ndarray, step_map, domain: Domain, step: int):
     return domain.wrap(x_next), v_next
 
 
-def rk4_step(
-    state: EnsembleState,
-    dt: float,
-    params: ModelParams,
-    buffer: DelayBuffer,
-    domain: Domain,
-) -> EnsembleState:
-    """Advance one step; positions are wrapped back into a periodic box.
-
-    The step's neighbor table (hence every gating decision) is computed once
-    and reused by all four stages.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    step = int(round(state.t / dt))
-    table = NeighborSearch(params, domain).table(state.positions, buffer.delayed())
-    step_map = _step_map(table, dt, params, domain, step)
-    x, v = _advance(state.positions, state.velocities, step_map, domain, step)
-    return EnsembleState(state.t + dt, x, v)
-
-
 def simulate(
     initial: EnsembleState,
     params: ModelParams,

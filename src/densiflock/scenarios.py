@@ -15,7 +15,7 @@ Four scenario families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ SCENARIO_FIELDS = {
     "three_body": ("n_cluster", "beta", "gamma", "v_c"),
 }
 SCENARIOS = tuple(SCENARIO_FIELDS)
+GENERATOR_FIELDS = frozenset().union(*SCENARIO_FIELDS.values())
 REGIMES = ("stability", "breaking", "sticking", "undetermined")
 
 # Lattice layouts for the group-versus-individual runs: shape "a" is
@@ -77,7 +78,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for name in ("n_cluster", "beta", "gamma", "v_c", "shape", "spacing", "margin"):
+        for name in (f.name for f in fields(self) if f.name in GENERATOR_FIELDS):
             if getattr(self, name) is not None and name not in SCENARIO_FIELDS[self.scenario]:
                 raise ConfigError(f"scenario {self.scenario} takes no {name}")
         if not self.dt > 0:

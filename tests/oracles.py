@@ -1,14 +1,16 @@
 """Dense brute-force neighbor rules, the N x N masks the package's search must
-reproduce table for table, the brute-force r-densely-packed test, and one-set
-shorthands over that search."""
+reproduce table for table, the brute-force r-densely-packed test, one-set
+shorthands over that search, a stepwise reference that runs the package's
+step engine under the brute-force table, and the paper's density ratio."""
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from densiflock import ModelParams, NeighborSearch, NeighborTable
+from densiflock import ConfigError, EnsembleState, ModelParams, NeighborSearch, NeighborTable
 from densiflock.domains import Domain
+from densiflock.integrate import _advance, _step_map
 
 
 def table_from_mask(mask):
@@ -114,3 +116,28 @@ def neighbor_sets_di(delayed_positions, delta, m, domain=Domain.unbounded()):
     if not np.isfinite(x).all():
         raise ValueError("non-finite coordinates")
     return _one_step_table(ModelParams("di", len(x), m=m, delta=delta), x, domain)
+
+
+def rk4_step(state, dt, params, buffer, domain):
+    """Advance one step; positions are wrapped back into a periodic box.
+
+    The step's neighbor table (hence every gating decision) is the brute-force
+    dense_table, computed once and reused by all four stages of the package's
+    step map.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    step = int(round(state.t / dt))
+    table = dense_table(params, state.positions, buffer.delayed(), domain)
+    step_map = _step_map(table, dt, params, domain, step)
+    x, v = _advance(state.positions, state.velocities, step_map, domain, step)
+    return EnsembleState(state.t + dt, x, v)
+
+
+def density_ratio(N: int, m: int, delta: float, L: float) -> tuple[float, float]:
+    """(average density N/L^2, gating density m/(pi delta^2)) for the square box."""
+    if not L > 0:
+        raise ConfigError("L must be > 0")
+    rho_a = N / L**2
+    rho_m = m / (np.pi * delta**2)
+    return rho_a, rho_m

@@ -13,7 +13,6 @@ from densiflock import (
     ScenarioSpec,
     classify_chain,
     classify_three_body,
-    density_ratio,
     predict_three_body,
     run_simulation,
 )
@@ -24,7 +23,7 @@ from densiflock.experiments import (
     momentum_experiment,
     oracle_run,
 )
-from oracles import is_r_densely_packed
+from oracles import density_ratio, is_r_densely_packed
 
 DOCUMENTED_SEED = 0  # fixed seed for the qualitative cluster-formation checks
 

@@ -1,5 +1,6 @@
 """Configuration format, file outputs, sweeps, and the verify battery."""
 import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -471,6 +472,18 @@ def test_run_rejects_negative_seed(tmp_path, capsys, base):
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "seed" in err and "Traceback" not in err
+
+
+def test_run_rejects_h_steps_the_delay_ring_cannot_hold(tmp_path, capsys):
+    # The ring's maxlen, h_steps + 1, must fit a Py_ssize_t.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_RUN + f"h_steps = {sys.maxsize}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "h_steps" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    config = parse_config(BASE_RUN + f"h_steps = {sys.maxsize - 1}\n")
+    assert config.spec.params.h_steps == sys.maxsize - 1
 
 
 def test_run_rejects_output_dir_that_is_a_file(tmp_path, capsys):

@@ -13,7 +13,6 @@ from densiflock import (
     ModelParams,
     MPolicy,
     alignment_weight,
-    density_ratio,
     total_momentum,
     velocity_diameter,
 )
@@ -23,6 +22,7 @@ from densiflock.errors import ConfigError
 from densiflock.graph import build_digraph
 from oracles import (
     dense_membership,
+    density_ratio,
     neighbor_sets_cs_delta,
     neighbor_sets_cs_q,
     neighbor_sets_di,
@@ -330,9 +330,9 @@ def test_m_policy_values():
 def test_m_policy_bounds():
     pol = MPolicy("per_neighbor", 2.0)
     assert pol.m_star(10) == pytest.approx(0.2)
-    assert pol.m_sup(10) == pytest.approx(2.0)
+    assert pol.values(10, [1])[0] == pytest.approx(2.0)
     flat = MPolicy("flat", 2.0)
-    assert flat.m_star(10) == flat.m_sup(10) == pytest.approx(0.2)
+    assert flat.m_star(10) == flat.values(10, [1])[0] == pytest.approx(0.2)
 
 
 # --- coupling weights -----------------------------------------------------

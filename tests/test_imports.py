@@ -49,6 +49,51 @@ def test_imports_point_to_lower_layers():
     assert upward == []
 
 
+# analytic is the closed-form oracle that experiments reads and that the
+# three-body event checks will extend; its helpers are exempt as a whole.
+EXEMPT_MODULES = {"analytic"}
+UNREFERENCED_ALLOWED = {
+    # The leading-order three-body prediction; tests compare the runs with it
+    # until an exact regime map gives the analytic layer a production caller.
+    "predict_three_body",
+}
+
+
+def _definitions(tree):
+    """Every function and class in tree, methods as Class.method; dunder
+    methods, which Python calls itself, aside."""
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield node.name
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    methods.add(item)
+                    yield f"{node.name}.{item.name}"
+        elif isinstance(node, ast.FunctionDef) and node not in methods:
+            if not node.name.startswith("__"):
+                yield node.name
+
+
+def test_every_src_definition_has_a_src_reference():
+    # Code that only tests call belongs in tests/ (an oracle there) or nowhere.
+    references, defined = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                references.add(node.attr)
+        if path.stem not in EXEMPT_MODULES:
+            defined.extend(_definitions(tree))
+    unreferenced = [
+        name for name in defined
+        if name.rsplit(".", 1)[-1] not in references and name not in UNREFERENCED_ALLOWED
+    ]
+    assert unreferenced == []
+
+
 # Benchmark tracer targets whose code has moved or gone; the tracer records
 # them as absent.  Every other target must resolve, so a refactor cannot drop
 # a per-layer span unnoticed.

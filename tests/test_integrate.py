@@ -22,7 +22,6 @@ from densiflock import (
     init_random_clusters,
     initial_state,
     parse_config,
-    rk4_step,
     run_simulation,
     simulate,
     strongly_connected_components,
@@ -30,7 +29,7 @@ from densiflock import (
 from densiflock.dynamics import member_weights
 from densiflock.errors import ConfigError
 from densiflock.integrate import RK4_DISC_RADIUS, csr_step_map
-from oracles import dense_table, neighbor_sets_di
+from oracles import dense_table, neighbor_sets_di, rk4_step
 
 
 # --- delay buffer ------------------------------------------------------------
@@ -247,11 +246,17 @@ def test_rk4_fourth_order_convergence():
         ModelParams(model="cs", N=6),
         ModelParams(model="cs_delta", N=6, delta=2.0),
         ModelParams(model="cs_q", N=6, q=2),
+        # Delayed di on a spread-out state whose gates switch within the 10 steps.
+        ModelParams(model="di", N=6, m=2, delta=2.0, h_steps=3),
     ],
 )
 def test_simulate_matches_stepwise_rk4(params):
-    # The run loop's fast path reproduces the public per-step operation bitwise.
-    state = _blob_state(n=6, scale=0.5, vel_scale=0.3)
+    # The run loop's fast path reproduces the per-step reference bitwise.
+    if params.h_steps > 1:
+        rng = np.random.default_rng(5)
+        state = EnsembleState(0.0, rng.uniform(0.0, 3.5, (6, 2)), rng.uniform(-2.0, 2.0, (6, 2)))
+    else:
+        state = _blob_state(n=6, scale=0.5, vel_scale=0.3)
     domain = Domain.periodic(8.0)
     record = simulate(state, params, domain, 0.05, 0.5, sample_every=1)
 
@@ -265,6 +270,9 @@ def test_simulate_matches_stepwise_rk4(params):
         assert _same_table(sample.table, dense_table(params, cur.positions, buf.delayed(), domain))
         cur = rk4_step(cur, 0.05, params, buf, domain)
         buf.push(cur.positions)
+    if params.h_steps > 1:  # the case cannot silently stay static
+        gated = [tuple(s.table.sizes() > 0) for s in record.samples]
+        assert any(a != b for a, b in zip(gated, gated[1:]))
 
 
 def _switching_di_run():
