@@ -44,10 +44,6 @@ from .scenarios import (
     classify_chain,
     classify_group,
     classify_three_body,
-    init_chain,
-    init_group_vs_individual,
-    init_random_clusters,
-    init_three_body,
     initial_state,
     momentum_estimate,
     predict_three_body,

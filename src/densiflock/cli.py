@@ -20,7 +20,7 @@ from .errors import ConfigError, IntegrationFault
 from .experiments import verify_suite
 from .graph import fiedler_value
 from .integrate import TrajectoryRecord
-from .scenarios import classify_chain, classify_group, classify_three_body, run_simulation
+from .scenarios import regime_of, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -137,17 +137,6 @@ def cmd_run(config: RunConfig) -> list[Path]:
 # Sweeps
 
 
-def _regime_of(record: TrajectoryRecord) -> str:
-    scenario = record.spec.scenario
-    if scenario == "three_body":
-        return classify_three_body(record).regime
-    if scenario == "chain":
-        return classify_chain(record).regime
-    if scenario == "group_vs_individual":
-        return "flip" if classify_group(record).momentum_flipped else "no_flip"
-    return ""
-
-
 @dataclass
 class SweepRow:
     index: int
@@ -167,7 +156,7 @@ def _sweep_one(args) -> SweepRow:
         config = parse_config(base_text, {**overrides, "seed": str(seed)})
         record = run_simulation(config.spec)
         final = record.samples[-1]
-        row.regime = _regime_of(record)
+        row.regime = regime_of(record)
         row.final_mom0 = float(final.momentum[0])
         row.final_mom1 = float(final.momentum[1])
         row.final_clusters = final.n_clusters
@@ -202,13 +191,11 @@ def sweep_runs(
         for i, combo in enumerate(combos)
     ]
     if jobs > 1 and len(tasks) > 1:
-        # The pool starts all its workers at once, so never more than runs.
+        # The pool starts all its workers at once, so never more than runs;
+        # map returns the rows in task order.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_one, tasks))
-    else:
-        rows = [_sweep_one(t) for t in tasks]
-    rows.sort(key=lambda r: r.index)
-    return rows
+            return list(pool.map(_sweep_one, tasks))
+    return [_sweep_one(t) for t in tasks]
 
 
 def write_sweep_csv(rows: list[SweepRow], keys: list[str], path: Path) -> Path:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from .domains import DOMAIN_KINDS, Domain
 from .dynamics import MODELS, POLICY_KINDS, ModelParams
 from .errors import ConfigError
-from .scenarios import DEFAULT_CLUSTER_SIZE, GROUP_SHAPE_ROWS, SCENARIOS, ScenarioSpec
+from .scenarios import GROUP_SHAPE_ROWS, LATTICES, SCENARIOS, ScenarioSpec
 
 # key -> (type tag, allowed values or None)
 _KEY_TYPES = {
@@ -36,7 +36,6 @@ _KEY_TYPES = {
     "gamma": ("float", None),
     "v_c": ("float", None),
     "shape": ("choice", tuple(GROUP_SHAPE_ROWS)),
-    "delta_variant": ("int", None),
     "spacing": ("float", None),
     "margin": ("float", None),
     "output_dir": ("str", None),
@@ -131,21 +130,12 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     if model is None:
         raise ConfigError("missing required key 'model'")
 
-    if "delta_variant" in values:
-        if scenario != "chain":
-            raise ConfigError("key 'delta_variant' only applies to scenario chain")
-        variant = values["delta_variant"]
-        if variant not in (2, 3, 4):
-            raise ConfigError("key 'delta_variant': must be one of 2|3|4")
-        if values.setdefault("delta", float(variant)) != float(variant):
-            raise ConfigError("key 'delta_variant': conflicts with explicit delta")
-
     if scenario == "random_clusters":
         if "n" not in values:
             raise ConfigError("scenario random_clusters requires key 'n'")
         n_particles = values["n"]
     else:
-        values["n_cluster"] = values.get("n", DEFAULT_CLUSTER_SIZE.get(scenario))
+        values["n_cluster"] = values.get("n", LATTICES.get(scenario, {}).get("n"))
         if values["n_cluster"] is None:
             raise ConfigError(f"scenario {scenario} requires key 'n'")
         n_particles = values["n_cluster"] + 1

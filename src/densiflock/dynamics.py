@@ -93,6 +93,9 @@ class ModelParams:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.N < 1:
             raise ConfigError("n must be >= 1")
+        # NeighborSearch.table keys each pair as row * N + col in int64.
+        if self.N * self.N >= 2**63:
+            raise ConfigError(f"n must keep N*N < 2**63, got N={self.N}")
         if not self.alpha > 0:
             raise ConfigError("alpha must be > 0")
         if self.h_steps < 1:

@@ -1,13 +1,15 @@
-"""Initial-condition generators, run descriptions, and regime classifiers.
+"""Run descriptions, their initial conditions, and regime classifiers.
 
-Four scenario families:
+``initial_state(spec)`` builds the initial ensemble of a validated
+``ScenarioSpec``; it is the one entry to the four scenario families:
 
 * ``random_clusters`` -- seeded random positions and velocities in a periodic
   box, half the ensemble given a fixed velocity bias.
 * ``group_vs_individual`` -- a 28-particle lattice drifting right meets a fast
   singleton coming the other way; two lattice shapes probe whether the
   singleton can flip the total momentum.
-* ``chain`` -- a vertical 21-particle chain crossed by a fast singleton.
+* ``chain`` -- a vertical 21-particle chain, the one-column lattice, crossed
+  by a fast singleton.
 * ``three_body`` -- a resting cluster (core ``a`` of N-1 particles plus edge
   member ``b``) and a constant-velocity intruder ``c`` escaping along the
   line through all three; the setting behind the reduced analytic solution.
@@ -39,17 +41,16 @@ REGIMES = ("stability", "breaking", "sticking", "undetermined")
 # Lattice layouts for the group-versus-individual runs: shape "a" is
 # elongated along the approach axis, shape "b" is a deep block.
 GROUP_SHAPE_ROWS = {"a": 2, "b": 7}
-DEFAULT_CLUSTER_SIZE = {"group_vs_individual": 28, "chain": 21}
-DEFAULT_SPACING = {"group_vs_individual": 1.0, "chain": 0.95}
+# The lattice-plus-singleton scenarios: default cluster size and spacing, the
+# singleton's start beyond the lattice's right edge, and the x velocities of
+# the cluster and of the singleton.
+LATTICES = {
+    "group_vs_individual": dict(n=28, spacing=1.0, gap=3.0, v_cluster=0.1, v_single=-2.7),
+    "chain": dict(n=21, spacing=0.95, gap=8.0, v_cluster=0.1, v_single=-8.0),
+}
 DEFAULT_MARGIN = 2.0
 # Horizons; three_body's is 3 N instead, scaling with the consensus rate.
 DEFAULT_T_END = {"random_clusters": 150.0, "group_vs_individual": 30.0, "chain": 30.0}
-GROUP_GAP = 3.0
-GROUP_V_CLUSTER = (0.1, 0.0)
-GROUP_V_SINGLE = (-2.7, 0.0)
-CHAIN_GAP = 8.0
-CHAIN_V_CHAIN = (0.1, 0.0)
-CHAIN_V_SINGLE = (-8.0, 0.0)
 
 
 @dataclass
@@ -98,80 +99,51 @@ class ScenarioSpec:
                 raise ConfigError("scenario random_clusters requires domain = periodic")
             if self.margin is None:
                 self.margin = DEFAULT_MARGIN
-            _check_margin(self.margin, self.domain.L)
+            if self.margin < 0 or 2 * self.margin >= self.domain.L:
+                raise ConfigError("margin must satisfy 0 <= margin < L/2")
             return
         if self.n_cluster is None:
             raise ConfigError("scenario requires the resting-cluster size n")
         if self.params.N != self.n_cluster + 1:
             raise ConfigError("particle count must equal cluster size + 1")
         if self.scenario == "three_body":
-            self._check_three_body()
+            if self.params.model != "di":
+                raise ConfigError("three_body runs use the di model")
+            for key in ("beta", "gamma", "v_c"):
+                if getattr(self, key) is None:
+                    raise ConfigError(f"three_body requires {key}")
+            _check_three_body_geometry(self.beta, self.gamma, self.params.delta)
+            if not self.params.delta / 1000.0 < self.beta:
+                raise ConfigError("three_body requires beta > delta/1000, the core's jitter")
+            if not self.n_cluster > self.params.m:
+                raise ConfigError("three_body requires cluster size n > m")
             return
         if self.spacing is None:
-            self.spacing = DEFAULT_SPACING[self.scenario]
+            self.spacing = LATTICES[self.scenario]["spacing"]
         if self.scenario == "chain":
-            _check_chain(self.n_cluster, self.spacing)
+            if self.n_cluster < 2:
+                raise ConfigError(f"chain requires n >= 2, got n={self.n_cluster}")
         else:
             self.shape = self.shape or "a"
-            _check_group(self.shape, self.n_cluster, self.spacing)
-
-    def _check_three_body(self):
-        if self.params.model != "di":
-            raise ConfigError("three_body runs use the di model")
-        for key in ("beta", "gamma", "v_c"):
-            if getattr(self, key) is None:
-                raise ConfigError(f"three_body requires {key}")
-        _core_jitter(self.beta, self.gamma, self.params.delta)
-        if not self.n_cluster > self.params.m:
-            raise ConfigError("three_body requires cluster size n > m")
-
-
-# One check per scenario rule, shared by ScenarioSpec and the generators.
-
-
-def _check_margin(margin: float, L: float) -> None:
-    if margin < 0 or 2 * margin >= L:
-        raise ConfigError("margin must satisfy 0 <= margin < L/2")
-
-
-def _check_spacing(spacing: float) -> None:
-    if not spacing > 0:
-        raise ConfigError(f"spacing must be > 0, got {spacing}")
-
-
-def _check_group(shape: str, n: int, spacing: float) -> int:
-    """Check the group rules; returns the lattice's row count."""
-    rows = GROUP_SHAPE_ROWS.get(shape)
-    if rows is None:
-        raise ConfigError("shape must be 'a' or 'b'")
-    if not (n > 0 and n % rows == 0):
-        raise ConfigError(f"shape {shape!r} needs n a positive multiple of {rows}, got n={n}")
-    _check_spacing(spacing)
-    return rows
-
-
-def _check_chain(n: int, spacing: float) -> None:
-    if n < 2:
-        raise ConfigError(f"chain requires n >= 2, got n={n}")
-    _check_spacing(spacing)
+            rows = GROUP_SHAPE_ROWS.get(self.shape)
+            if rows is None:
+                raise ConfigError("shape must be 'a' or 'b'")
+            if not (self.n_cluster > 0 and self.n_cluster % rows == 0):
+                raise ConfigError(
+                    f"shape {self.shape!r} needs n a positive multiple of {rows}, "
+                    f"got n={self.n_cluster}"
+                )
+        if not self.spacing > 0:
+            raise ConfigError(f"spacing must be > 0, got {self.spacing}")
 
 
 def _check_three_body_geometry(beta: float, gamma: float, delta: float) -> None:
+    """The three-body rule that ScenarioSpec and predict_three_body share."""
     if not (0 < beta < delta <= gamma and gamma - beta < delta):
         raise ConfigError(
             "three_body requires 0 < beta < delta <= gamma and gamma - beta < delta, "
             f"got beta={beta}, gamma={gamma}, delta={delta}"
         )
-
-
-def _core_jitter(beta: float, gamma: float, delta: float) -> float:
-    """Check the three-body geometry; returns the core's spread delta/1000,
-    which must stay below beta."""
-    _check_three_body_geometry(beta, gamma, delta)
-    spread = delta / 1000.0
-    if not spread < beta:
-        raise ConfigError("three_body requires beta > delta/1000, the core's jitter")
-    return spread
 
 
 @dataclass
@@ -209,17 +181,15 @@ class GroupResult:
     momentum_flipped: bool
 
 
-def init_random_clusters(
-    N: int, L: float, seed: int, margin: float = DEFAULT_MARGIN
-) -> EnsembleState:
+def _random_clusters(spec: ScenarioSpec) -> EnsembleState:
     """Uniform positions in [margin, L-margin]^2 with biased random velocities.
 
     Velocities are r_i (cos a_i, sin a_i) with r_i ~ U[0,1], a_i ~ U[0,2pi];
     the first floor(N/2) particles additionally get the drift r_i * (0.5, 1)
     so the ensemble average does not vanish.
     """
-    _check_margin(margin, L)
-    rng = np.random.default_rng(seed)
+    N, L, margin = spec.params.N, spec.domain.L, spec.margin
+    rng = np.random.default_rng(spec.seed)
     positions = rng.uniform(margin, L - margin, size=(N, 2))
     r = rng.uniform(0.0, 1.0, size=N)
     ang = rng.uniform(0.0, 2.0 * np.pi, size=N)
@@ -229,69 +199,48 @@ def init_random_clusters(
     return EnsembleState(0.0, positions, velocities)
 
 
-def init_three_body(
-    N: int,
-    beta: float,
-    gamma: float,
-    v_c: float,
-    delta: float,
-    seed: int = 0,
-) -> EnsembleState:
+def _three_body(spec: ScenarioSpec) -> EnsembleState:
     """Resting cluster plus escaping intruder, all on one line.
 
-    Layout (index order): particles 0..N-2 jittered within delta/1000 of the
-    origin at rest, edge member b = N-1 at (beta, 0) at rest, intruder
-    c = N at (gamma, 0) moving with (v_c, 0) -- along the common line, so
+    Layout (index order): particles 0..n-2 jittered within delta/1000 of the
+    origin at rest, edge member b = n-1 at (beta, 0) at rest, intruder
+    c = n at (gamma, 0) moving with (v_c, 0) -- along the common line, so
     separations grow exactly by the integrated relative velocities.
     """
-    a_spread = _core_jitter(beta, gamma, delta)
-    rng = np.random.default_rng(seed)
-    positions = np.zeros((N + 1, 2))
+    n = spec.n_cluster
+    a_spread = spec.params.delta / 1000.0
+    rng = np.random.default_rng(spec.seed)
+    positions = np.zeros((n + 1, 2))
     # Core jitter stays in the x <= 0 half-box: no core particle may creep
     # inside the intruder's ball when gamma sits exactly at the range delta.
-    positions[: N - 1, 0] = -rng.uniform(0.0, a_spread, size=N - 1)
-    positions[: N - 1, 1] = rng.uniform(-a_spread / 2, a_spread / 2, size=N - 1)
-    positions[N - 1] = (beta, 0.0)
-    positions[N] = (gamma, 0.0)
-    velocities = np.zeros((N + 1, 2))
-    velocities[N] = (v_c, 0.0)
+    positions[: n - 1, 0] = -rng.uniform(0.0, a_spread, size=n - 1)
+    positions[: n - 1, 1] = rng.uniform(-a_spread / 2, a_spread / 2, size=n - 1)
+    positions[n - 1] = (spec.beta, 0.0)
+    positions[n] = (spec.gamma, 0.0)
+    velocities = np.zeros((n + 1, 2))
+    velocities[n] = (spec.v_c, 0.0)
     return EnsembleState(0.0, positions, velocities)
 
 
-def init_group_vs_individual(
-    shape: str,
-    cluster_size: int = DEFAULT_CLUSTER_SIZE["group_vs_individual"],
-    spacing: float = DEFAULT_SPACING["group_vs_individual"],
-) -> EnsembleState:
+def _lattice(spec: ScenarioSpec) -> EnsembleState:
     """Lattice cluster drifting right, singleton approaching from the right.
 
-    Shape "a" lays the cluster out in 2 rows (long side along the approach
-    axis); shape "b" in 7 rows (deep block).  The singleton starts GROUP_GAP
-    beyond the lattice's right edge on its horizontal midline, so the total
-    initial momentum is cluster_size * GROUP_V_CLUSTER + GROUP_V_SINGLE.
+    A group lays its cluster out in its shape's row count; a chain is the
+    one-column lattice.  The singleton starts the scenario's gap beyond the
+    lattice's right edge, on its horizontal midline.
     """
-    rows = _check_group(shape, cluster_size, spacing)
-    cols = cluster_size // rows
-    xs = (np.arange(cols) - (cols - 1) / 2) * spacing
-    ys = (np.arange(rows) - (rows - 1) / 2) * spacing
+    layout = LATTICES[spec.scenario]
+    n = spec.n_cluster
+    rows = GROUP_SHAPE_ROWS[spec.shape] if spec.shape else n
+    cols = n // rows
+    xs = (np.arange(cols) - (cols - 1) / 2) * spec.spacing
+    ys = (np.arange(rows) - (rows - 1) / 2) * spec.spacing
     gx, gy = np.meshgrid(xs, ys)
     lattice = np.column_stack([gx.ravel(), gy.ravel()])
-    single = np.array([[xs.max() + GROUP_GAP, 0.0]])
-    positions = np.vstack([lattice, single])
-    velocities = np.vstack([np.tile(GROUP_V_CLUSTER, (cluster_size, 1)), GROUP_V_SINGLE])
-    return EnsembleState(0.0, positions, velocities)
-
-
-def init_chain(
-    n_chain: int = DEFAULT_CLUSTER_SIZE["chain"],
-    spacing: float = DEFAULT_SPACING["chain"],
-) -> EnsembleState:
-    """Vertical chain of n_chain particles, fast singleton incoming on its midline."""
-    _check_chain(n_chain, spacing)
-    ys = (np.arange(n_chain) - (n_chain - 1) / 2) * spacing
-    chain = np.column_stack([np.zeros(n_chain), ys])
-    positions = np.vstack([chain, [[CHAIN_GAP, 0.0]]])
-    velocities = np.vstack([np.tile(CHAIN_V_CHAIN, (n_chain, 1)), CHAIN_V_SINGLE])
+    positions = np.vstack([lattice, [xs.max() + layout["gap"], 0.0]])
+    velocities = np.zeros((n + 1, 2))
+    velocities[:n, 0] = layout["v_cluster"]
+    velocities[n, 0] = layout["v_single"]
     return EnsembleState(0.0, positions, velocities)
 
 
@@ -416,20 +365,25 @@ def classify_group(record: TrajectoryRecord) -> GroupResult:
     return GroupResult(bool(mom_x.min() < 0))
 
 
+def regime_of(record: TrajectoryRecord) -> str:
+    """A record's regime by its scenario's classifier; "" for random_clusters."""
+    scenario = record.spec.scenario
+    if scenario == "three_body":
+        return classify_three_body(record).regime
+    if scenario == "chain":
+        return classify_chain(record).regime
+    if scenario == "group_vs_individual":
+        return "flip" if classify_group(record).momentum_flipped else "no_flip"
+    return ""
+
+
 def initial_state(spec: ScenarioSpec) -> EnsembleState:
     """Build the scenario's initial ensemble (deterministic per seed)."""
     if spec.scenario == "random_clusters":
-        return init_random_clusters(spec.params.N, spec.domain.L, spec.seed, spec.margin)
+        return _random_clusters(spec)
     if spec.scenario == "three_body":
-        return init_three_body(
-            spec.n_cluster, spec.beta, spec.gamma, spec.v_c, spec.params.delta,
-            seed=spec.seed,
-        )
-    if spec.scenario == "group_vs_individual":
-        return init_group_vs_individual(spec.shape, spec.n_cluster, spec.spacing)
-    if spec.scenario == "chain":
-        return init_chain(spec.n_cluster, spec.spacing)
-    raise ConfigError(f"unknown scenario {spec.scenario!r}")
+        return _three_body(spec)
+    return _lattice(spec)
 
 
 def run_simulation(spec: ScenarioSpec) -> TrajectoryRecord:

@@ -263,7 +263,7 @@ def test_clusters_csv_packedness_matches_geometric_test(tmp_path):
     # The writer reads packedness off the gate; recompute it geometrically.
     runs = [
         BASE_RUN.replace("n = 16", "n = 40").replace("L = 25.0", "L = 15.0") + "h_steps = 3\n",
-        "scenario = chain\nmodel = di\ndelta_variant = 2\nt_end = 5.0\n",
+        "scenario = chain\nmodel = di\ndelta = 2.0\nt_end = 5.0\n",
     ]
     kinds = set()
     for i, text in enumerate(runs):
@@ -428,7 +428,7 @@ def test_unstable_run_exits_with_integration_fault(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "scenario = chain\nmodel = di\nm_policy = constant\nkappa = 500\n"
-        f"delta_variant = 2\nt_end = 1.0\noutput_dir = {tmp_path / 'out'}\n"
+        f"delta = 2.0\nt_end = 1.0\noutput_dir = {tmp_path / 'out'}\n"
     )
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -484,6 +484,25 @@ def test_run_rejects_h_steps_the_delay_ring_cannot_hold(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     config = parse_config(BASE_RUN + f"h_steps = {sys.maxsize - 1}\n")
     assert config.spec.params.h_steps == sys.maxsize - 1
+
+
+def test_parse_rejects_a_particle_count_whose_pair_keys_overflow_int64():
+    # NeighborSearch.table keys each pair as row * N + col in int64; only
+    # parsed here, never run.
+    with pytest.raises(ConfigError, match="n must"):
+        parse_config(BASE_RUN.replace("n = 16", "n = 3037000500"))
+    config = parse_config(BASE_RUN.replace("n = 16", "n = 3037000499"))
+    assert config.spec.params.N == 3037000499
+
+
+def test_run_rejects_a_particle_count_beyond_int64(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    text = BASE_RUN.replace("n = 16", "n = 9223372036854775808")
+    cfg.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "n must" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_output_dir_that_is_a_file(tmp_path, capsys):

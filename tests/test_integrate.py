@@ -19,7 +19,6 @@ from densiflock import (
     NeighborSearch,
     ScenarioSpec,
     build_digraph,
-    init_random_clusters,
     initial_state,
     parse_config,
     run_simulation,
@@ -545,8 +544,8 @@ def test_large_di_run_allocates_no_n_by_n_array():
     # N^2 * 8 / 8 bytes: an eighth of one N x N float64 array.
     n = 4096
     L = 25.0 * math.sqrt(n / 64)  # the paper's density, 64 particles per 25 x 25
-    state = init_random_clusters(n, L, seed=1)
     params = _di_params(n)
+    state = initial_state(ScenarioSpec("random_clusters", params, Domain.periodic(L), seed=1))
     tracemalloc.start()
     try:
         record = simulate(state, params, Domain.periodic(L), 0.01, 0.02, sample_every=1)

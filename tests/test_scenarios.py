@@ -1,4 +1,6 @@
-"""Generators, regime classifiers, and the contact-loss predictions."""
+"""Initial states, regime classifiers, and the contact-loss predictions."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,7 @@ from densiflock import (
     classify_chain,
     classify_group,
     classify_three_body,
-    init_chain,
-    init_group_vs_individual,
-    init_random_clusters,
-    init_three_body,
+    initial_state,
     momentum_estimate,
     parse_config,
     predict_three_body,
@@ -42,11 +41,54 @@ def three_body_spec(beta, gamma, v_c, n=30, delta=2.0, dt=0.01, t_end=None, seed
     )
 
 
+def random_clusters_spec(n, L, seed, margin=None):
+    return ScenarioSpec(
+        scenario="random_clusters",
+        params=ModelParams(model="di", N=n, m=3, delta=2.0),
+        domain=Domain.periodic(L),
+        seed=seed,
+        margin=margin,
+    )
+
+
+def chain_spec(delta, t_end=30.0, spacing=None):
+    return ScenarioSpec(
+        scenario="chain",
+        params=ModelParams(
+            model="di", N=22, m=3, delta=float(delta), kappa=1.0, m_policy="constant"
+        ),
+        domain=Domain.unbounded(),
+        dt=0.01,
+        t_end=t_end,
+        sample_every=10,
+        n_cluster=21,
+        spacing=spacing,
+    )
+
+
+def group_spec(shape, spacing=1.0, model="di", t_end=30.0, n=28):
+    if model == "di":
+        params = ModelParams(model="di", N=n + 1, m=3, delta=2.0, kappa=1.0)
+    else:
+        params = ModelParams(model=model, N=n + 1, kappa=1.0)
+    return ScenarioSpec(
+        scenario="group_vs_individual",
+        params=params,
+        domain=Domain.unbounded(),
+        dt=0.01,
+        t_end=t_end,
+        sample_every=10,
+        n_cluster=n,
+        shape=shape,
+        spacing=spacing,
+    )
+
+
 # --- generators -----------------------------------------------------------------
 
 
 def test_random_clusters_shape_and_bias():
-    state = init_random_clusters(64, 25.0, seed=0, margin=2.0)
+    state = initial_state(random_clusters_spec(64, 25.0, seed=0, margin=2.0))
     assert state.n == 64
     assert state.positions.min() >= 2.0 and state.positions.max() <= 23.0
     # First half carries the positive drift; speeds beyond the unbiased cap show it.
@@ -54,27 +96,27 @@ def test_random_clusters_shape_and_bias():
 
 
 def test_random_clusters_deterministic_per_seed():
-    a = init_random_clusters(16, 25.0, seed=3)
-    b = init_random_clusters(16, 25.0, seed=3)
+    a = initial_state(random_clusters_spec(16, 25.0, seed=3))
+    b = initial_state(random_clusters_spec(16, 25.0, seed=3))
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.velocities, b.velocities)
-    c = init_random_clusters(16, 25.0, seed=4)
+    c = initial_state(random_clusters_spec(16, 25.0, seed=4))
     assert not np.array_equal(a.positions, c.positions)
 
 
 def test_random_clusters_single_particle_gets_no_drift():
-    state = init_random_clusters(1, 25.0, seed=0)
+    state = initial_state(random_clusters_spec(1, 25.0, seed=0))
     assert np.linalg.norm(state.velocities[0]) <= 1.0
 
 
 def test_random_clusters_margin_validation():
-    with pytest.raises(ConfigError):
-        init_random_clusters(8, 10.0, seed=0, margin=5.0)
+    with pytest.raises(ConfigError, match="margin"):
+        random_clusters_spec(8, 10.0, seed=0, margin=5.0)
 
 
 def test_three_body_layout_and_initial_tables():
     n, beta, gamma, delta = 30, 1.0, 2.0, 2.0
-    state = init_three_body(n, beta, gamma, v_c=1.0, delta=delta)
+    state = initial_state(three_body_spec(beta, gamma, v_c=1.0, n=n, delta=delta, seed=0))
     assert state.n == n + 1
     b, c = n - 1, n
     assert state.positions[b, 0] == beta and state.positions[c, 0] == gamma
@@ -99,17 +141,18 @@ def test_three_body_zero_velocity_is_static():
 
 
 def test_three_body_constraint_validation():
-    with pytest.raises(ConfigError):
-        init_three_body(30, beta=2.5, gamma=3.0, v_c=1.0, delta=2.0)
-    with pytest.raises(ConfigError):
-        init_three_body(30, beta=1.0, gamma=1.5, v_c=1.0, delta=2.0)
-    with pytest.raises(ConfigError):
-        init_three_body(30, beta=0.5, gamma=2.6, v_c=1.0, delta=2.0)  # gap too wide
+    geometry = "0 < beta < delta <= gamma"
+    with pytest.raises(ConfigError, match=geometry):
+        three_body_spec(beta=2.5, gamma=3.0, v_c=1.0, n=30, delta=2.0)
+    with pytest.raises(ConfigError, match=geometry):
+        three_body_spec(beta=1.0, gamma=1.5, v_c=1.0, n=30, delta=2.0)
+    with pytest.raises(ConfigError, match=geometry):
+        three_body_spec(beta=0.5, gamma=2.6, v_c=1.0, n=30, delta=2.0)  # gap too wide
 
 
 def test_group_shapes_share_momentum_and_differ_in_positions():
-    a = init_group_vs_individual("a")
-    b = init_group_vs_individual("b")
+    a = initial_state(group_spec("a", spacing=None))
+    b = initial_state(group_spec("b", spacing=None))
     for state in (a, b):
         assert state.n == 29
         mom = total_momentum(state)
@@ -120,11 +163,11 @@ def test_group_shapes_share_momentum_and_differ_in_positions():
 
 
 def test_group_shape_geometry():
-    a = init_group_vs_individual("a", spacing=1.0)
+    a = initial_state(group_spec("a", spacing=1.0))
     # Elongated shape: 14 columns by 2 rows.
     assert len(np.unique(a.positions[:28, 0])) == 14
     assert len(np.unique(a.positions[:28, 1])) == 2
-    b = init_group_vs_individual("b", spacing=1.0)
+    b = initial_state(group_spec("b", spacing=1.0))
     assert len(np.unique(b.positions[:28, 0])) == 4
     assert len(np.unique(b.positions[:28, 1])) == 7
     # The singleton starts to the right of each lattice, on its midline.
@@ -134,12 +177,12 @@ def test_group_shape_geometry():
 
 
 def test_group_shape_divisibility():
-    with pytest.raises(ConfigError):
-        init_group_vs_individual("b", cluster_size=30)
+    with pytest.raises(ConfigError, match="multiple of 7"):
+        group_spec("b", spacing=None, n=30)
 
 
 def test_chain_layout():
-    state = init_chain()
+    state = initial_state(chain_spec(2))
     assert state.n == 22
     assert np.all(state.positions[:21, 0] == 0.0)
     spacing = np.diff(np.sort(state.positions[:21, 1]))
@@ -258,8 +301,8 @@ def test_classify_requires_matching_scenario():
 
 
 def test_classify_rejects_a_record_without_spec():
-    state = init_chain(3)
     params = ModelParams(model="di", N=4, m=3, delta=2.0)
+    state = initial_state(ScenarioSpec("chain", params, Domain.unbounded(), n_cluster=3))
     record = simulate(state, params, Domain.unbounded(), 0.01, 0.0)
     assert record.spec is None
     for classify, scenario in (
@@ -297,6 +340,65 @@ CONFIG_BASES = {
 }
 
 
+# Non-default generator fields of each scenario, with its model and domain.
+SPEC_VARIANTS = {
+    "random_clusters": dict(
+        params=ModelParams(model="cs", N=17), domain=Domain.periodic(20.0), margin=3.5,
+    ),
+    "group_vs_individual": dict(
+        params=ModelParams(model="di", N=15, m=3, delta=2.0), domain=Domain.unbounded(),
+        n_cluster=14, shape="b", spacing=0.8,
+    ),
+    "chain": dict(
+        params=ModelParams(model="di", N=6, m=3, delta=2.0), domain=Domain.unbounded(),
+        n_cluster=5, spacing=1.3,
+    ),
+    "three_body": dict(
+        params=ModelParams(model="di", N=12, m=3, delta=3.0), domain=Domain.unbounded(),
+        n_cluster=11, beta=0.5, gamma=3.2, v_c=-0.7,
+    ),
+}
+# sha256 of each initial state's positions.tobytes() + velocities.tobytes(); "base"
+# takes SPEC_BASES, which leave the defaulted fields unset, "variant" SPEC_VARIANTS.
+STATE_DIGESTS = {
+    "random_clusters": {
+        ("base", 0): "b5e5485d72512ad8951df6ac23dcf063debd7787ce0838084d80270f810c9fea",
+        ("base", 7): "af396f87bcbd798205c301b1d525e62caf776f7534a9cff7c616566f23690ef0",
+        ("variant", 0): "b42821490d8547526803d6a37ea7588918aa06afe71130ccc0c4670e57a71dbe",
+        ("variant", 7): "698c80d769999b3864f30c11751e15a355fa4ad5b001076ef740954404064ccb",
+    },
+    "group_vs_individual": {
+        ("base", 0): "44b0da5d5db5abf82f04ea16cac85236e69e7b40ce882988877c748c304321c5",
+        ("base", 7): "44b0da5d5db5abf82f04ea16cac85236e69e7b40ce882988877c748c304321c5",
+        ("variant", 0): "d77650e36e4558ae31c4b19ab4b2827350694826e0faa89f4d82d74fa4d9e970",
+        ("variant", 7): "d77650e36e4558ae31c4b19ab4b2827350694826e0faa89f4d82d74fa4d9e970",
+    },
+    "chain": {
+        ("base", 0): "ad8fa408c2b38f4f3264f8b3fef8916d472f8f00989963ee1404438de4407236",
+        ("base", 7): "ad8fa408c2b38f4f3264f8b3fef8916d472f8f00989963ee1404438de4407236",
+        ("variant", 0): "390f2c083a885f538768b203bc80cf3d29ac6ad4ccd5a9d732d6d2b295d02c17",
+        ("variant", 7): "390f2c083a885f538768b203bc80cf3d29ac6ad4ccd5a9d732d6d2b295d02c17",
+    },
+    "three_body": {
+        ("base", 0): "f871729464523f5a95bc007c80f85796c565eb67273865f256c775c34e009081",
+        ("base", 7): "5fadc2ace7cbf1ca61dc0d342e06c9796491100a1ae5c39fa1ae35f64767312a",
+        ("variant", 0): "33ffdc67fa3c43a7a9fa4f02760d088058a269389c6c518619ada1a5d8e268ff",
+        ("variant", 7): "21233d8f1735e153358425229f99a526f72f406e7a6039fa8bc7eea08926fff3",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, fields, seed",
+    [(scenario, *case) for scenario, cases in STATE_DIGESTS.items() for case in cases],
+)
+def test_initial_state_bytes_are_pinned(scenario, fields, seed):
+    table = SPEC_BASES if fields == "base" else SPEC_VARIANTS
+    state = initial_state(ScenarioSpec(scenario, seed=seed, **table[scenario]))
+    data = state.positions.tobytes() + state.velocities.tobytes()
+    assert hashlib.sha256(data).hexdigest() == STATE_DIGESTS[scenario][fields, seed]
+
+
 @pytest.mark.parametrize(
     "scenario, field, value",
     [
@@ -324,21 +426,6 @@ def test_library_and_config_default_to_one_horizon(scenario):
     assert spec.t_end == {"three_body": 93.0, "random_clusters": 150.0}.get(scenario, 30.0)
 
 
-def chain_spec(delta, t_end=30.0, spacing=None):
-    return ScenarioSpec(
-        scenario="chain",
-        params=ModelParams(
-            model="di", N=22, m=3, delta=float(delta), kappa=1.0, m_policy="constant"
-        ),
-        domain=Domain.unbounded(),
-        dt=0.01,
-        t_end=t_end,
-        sample_every=10,
-        n_cluster=21,
-        spacing=spacing,
-    )
-
-
 def test_chain_narrow_range_splits():
     result = classify_chain(run_simulation(chain_spec(2)))
     assert result.split
@@ -351,24 +438,6 @@ def test_chain_wide_range_pushes_whole_cluster():
     assert result.regime == "push"
     assert result.chain_vx_final < 0
     assert result.single_vx_final < 0
-
-
-def group_spec(shape, spacing=1.0, model="di", t_end=30.0):
-    if model == "di":
-        params = ModelParams(model="di", N=29, m=3, delta=2.0, kappa=1.0)
-    else:
-        params = ModelParams(model=model, N=29, kappa=1.0)
-    return ScenarioSpec(
-        scenario="group_vs_individual",
-        params=params,
-        domain=Domain.unbounded(),
-        dt=0.01,
-        t_end=t_end,
-        sample_every=10,
-        n_cluster=28,
-        shape=shape,
-        spacing=spacing,
-    )
 
 
 def test_group_momentum_flip_depends_on_shape():
