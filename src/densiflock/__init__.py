@@ -13,7 +13,6 @@ from .domains import Domain
 from .dynamics import (
     EnsembleState,
     ModelParams,
-    MPolicy,
     NeighborSearch,
     NeighborTable,
     alignment_weight,
@@ -31,7 +30,6 @@ from .graph import (
     strongly_connected_components,
 )
 from .integrate import (
-    DelayBuffer,
     TrajectoryRecord,
     TrajectorySample,
     simulate,

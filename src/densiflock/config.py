@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .domains import DOMAIN_KINDS, Domain
+from .domains import Domain
 from .dynamics import MODELS, POLICY_KINDS, ModelParams
 from .errors import ConfigError
 from .scenarios import GROUP_SHAPE_ROWS, LATTICES, SCENARIOS, ScenarioSpec
@@ -28,7 +28,7 @@ _KEY_TYPES = {
     "dt": ("float", None),
     "t_end": ("float", None),
     "sample_every": ("int", None),
-    "domain": ("choice", DOMAIN_KINDS),
+    "domain": ("choice", ("unbounded", "periodic")),
     "L": ("float", None),
     "seed": ("int", None),
     "scenario": ("choice", SCENARIOS),
@@ -135,10 +135,10 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             raise ConfigError("scenario random_clusters requires key 'n'")
         n_particles = values["n"]
     else:
-        values["n_cluster"] = values.get("n", LATTICES.get(scenario, {}).get("n"))
-        if values["n_cluster"] is None:
+        n_cluster = values.get("n", LATTICES.get(scenario, {}).get("n"))
+        if n_cluster is None:
             raise ConfigError(f"scenario {scenario} requires key 'n'")
-        n_particles = values["n_cluster"] + 1
+        n_particles = n_cluster + 1
 
     if model == "di":
         values.setdefault("m", 3)  # conventional gate; override with key 'm'
@@ -149,11 +149,11 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     if domain_kind is None:
         domain_kind = "periodic" if scenario == "random_clusters" else "unbounded"
     if domain_kind == "periodic":
-        domain = Domain.periodic(values.get("L", 25.0))
+        domain = Domain(values.get("L", 25.0))
     else:
         if "L" in values:
             raise ConfigError("key 'L' only applies to periodic domains")
-        domain = Domain.unbounded()
+        domain = Domain()
 
     spec = ScenarioSpec(params=params, domain=domain, **_fields(ScenarioSpec, values))
     return RunConfig(spec=spec, **_fields(RunConfig, values))

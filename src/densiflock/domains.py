@@ -13,36 +13,20 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 
-DOMAIN_KINDS = ("unbounded", "periodic")
-
 
 @dataclass(frozen=True)
 class Domain:
-    """Either kind="unbounded", or kind="periodic" with side length L."""
+    """The unbounded plane when L is None, else the periodic box of side L."""
 
-    kind: str
     L: float | None = None
 
     def __post_init__(self):
-        if self.kind not in DOMAIN_KINDS:
-            raise ConfigError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "periodic":
-            if self.L is None or not 0 < self.L < np.inf:
-                raise ConfigError("periodic domain requires a finite side length L > 0")
-        elif self.L is not None:
-            raise ConfigError("unbounded domain takes no side length")
-
-    @classmethod
-    def unbounded(cls) -> "Domain":
-        return cls("unbounded")
-
-    @classmethod
-    def periodic(cls, L: float) -> "Domain":
-        return cls("periodic", float(L))
+        if self.L is not None and not 0 < self.L < np.inf:
+            raise ConfigError("periodic domain requires a finite side length L > 0")
 
     @property
     def is_periodic(self) -> bool:
-        return self.kind == "periodic"
+        return self.L is not None
 
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         """Map coordinates into [0, L)^d; identity on the unbounded plane."""

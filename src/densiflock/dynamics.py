@@ -1,4 +1,4 @@
-"""Particle state, interaction rules, normalization policies, and diagnostics.
+"""Particle state, interaction rules, normalization prefactors, and diagnostics.
 
 Four velocity-alignment rules share one state representation:
 
@@ -42,38 +42,6 @@ def alignment_weight(s, alpha: float = 0.5):
     return (1.0 + np.asarray(s, dtype=float)) ** (-alpha)
 
 
-@dataclass(frozen=True)
-class MPolicy:
-    """Normalization rule M(N, i, #N_i) scaling every interaction term.
-
-    kind "flat" gives kappa/N, "per_neighbor" gives kappa/#N_i, and
-    "constant" gives kappa.  Every value is strictly positive, so for a
-    fixed N the infimum M_* and supremum M^* over feasible neighborhood
-    sizes 1..N are positive and finite.
-    """
-
-    kind: str
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ConfigError(f"unknown m_policy {self.kind!r}")
-        if not self.kappa > 0:
-            raise ConfigError("kappa must be > 0")
-
-    def values(self, N: int, sizes) -> np.ndarray:
-        """M(N, i, #N_i) for each particle's set size #N_i; 0 where the set is empty."""
-        sizes = np.asarray(sizes)
-        if self.kind == "per_neighbor":
-            return np.divide(self.kappa, sizes, out=np.zeros(len(sizes)), where=sizes > 0)
-        scale = self.kappa / N if self.kind == "flat" else self.kappa
-        return np.where(sizes > 0, scale, 0.0)
-
-    def m_star(self, N: int) -> float:
-        """Infimum of M over neighborhood sizes 1..N (attained at size N)."""
-        return float(self.values(N, [N])[0])
-
-
 @dataclass
 class ModelParams:
     """Model selection plus every scalar knob the interaction rules read."""
@@ -105,7 +73,10 @@ class ModelParams:
             raise ConfigError(f"h_steps must be < {sys.maxsize}")
         if self.m_policy is None:
             self.m_policy = DEFAULT_POLICY[self.model]
-        self.policy()  # checks m_policy and kappa
+        if self.m_policy not in POLICY_KINDS:
+            raise ConfigError(f"unknown m_policy {self.m_policy!r}")
+        if not self.kappa > 0:
+            raise ConfigError("kappa must be > 0")
 
         needs_delta = self.model in ("di", "cs_delta")
         if needs_delta:
@@ -132,8 +103,23 @@ class ModelParams:
         elif self.q is not None:
             raise ConfigError(f"model {self.model} takes no q")
 
-    def policy(self) -> MPolicy:
-        return MPolicy(self.m_policy, self.kappa)
+    def prefactors(self, sizes) -> np.ndarray:
+        """M(N, i, #N_i) for each particle's set size #N_i; 0 where the set is empty.
+
+        m_policy "flat" gives kappa/N, "per_neighbor" kappa/#N_i, and
+        "constant" kappa.  Every value is strictly positive, so the infimum
+        M_* over feasible set sizes 1..N is positive and finite.
+        """
+        sizes = np.asarray(sizes)
+        if self.m_policy == "per_neighbor":
+            return np.divide(self.kappa, sizes, out=np.zeros(len(sizes)), where=sizes > 0)
+        scale = self.kappa / self.N if self.m_policy == "flat" else self.kappa
+        return np.where(sizes > 0, scale, 0.0)
+
+    @property
+    def m_star(self) -> float:
+        """Infimum of M over set sizes 1..N (attained at size N)."""
+        return float(self.prefactors([self.N])[0])
 
 
 @dataclass
@@ -256,12 +242,12 @@ class NeighborSearch:
 # row-wise by M(N, i, #N_i), times psi(|x_i - x_k|) for the cs family.
 
 
-def member_weights(table: NeighborTable, policy: MPolicy, N: int) -> tuple[csr_matrix, float]:
+def member_weights(table: NeighborTable, params: ModelParams) -> tuple[csr_matrix, float]:
     """W[i, k] = M(N, i, #N_i) for k in set i, as CSR over the table's own
     indptr/indices, and the radius rho = max_i sum_{k != i} W_ik of the
     Gershgorin disc |z + rho| <= rho that holds the spectrum of W - diag(W 1)."""
-    sizes = table.sizes()
-    m = policy.values(N, sizes)
+    sizes, N = table.sizes(), table.n
+    m = params.prefactors(sizes)
     weights = csr_matrix((np.repeat(m, sizes), table.indices, table.indptr), shape=(N, N))
     return weights, float((m * (sizes - (weights.diagonal() != 0))).max())
 

@@ -32,12 +32,11 @@ def oracle_run(dt: float = 1e-3) -> tuple:
             model="di", N=n + 1, m=3, delta=ORACLE_SPEC["delta"], kappa=1.0,
             m_policy="constant",
         ),
-        domain=Domain.unbounded(),
+        domain=Domain(),
         dt=dt,
         t_end=10.0,
         sample_every=100,
         seed=1,
-        n_cluster=n,
         beta=ORACLE_SPEC["beta"],
         gamma=ORACLE_SPEC["gamma"],
         v_c=ORACLE_SPEC["v_c"],
@@ -63,7 +62,7 @@ def momentum_experiment() -> float:
     """Max momentum drift of a packed 3x3 lattice under flat normalization, t in [0, 50]."""
     state = lattice_state(spacing=0.8)
     params = ModelParams(model="di", N=9, m=3, delta=2.0, kappa=1.0, m_policy="flat")
-    record = simulate(state, params, Domain.unbounded(), 0.01, 50.0, sample_every=10)
+    record = simulate(state, params, Domain(), 0.01, 50.0, sample_every=10)
     mom = record.momentum_series()
     return float(np.abs(mom - mom[0]).max())
 
@@ -94,14 +93,14 @@ def certificate_experiment() -> CertificateOutcome:
 
     # Phi of the initial table at kappa = 1, from a zero-step run.
     unit = ModelParams(model="di", N=n, m=m, delta=delta, m_policy="flat")
-    lam2 = fiedler_value(simulate(state, unit, Domain.unbounded(), 0.01, 0.0).samples[0].phi)
+    lam2 = fiedler_value(simulate(state, unit, Domain(), 0.01, 0.0).samples[0].phi)
     threshold = 2.0 / (lam2 * (delta - r))
     kappa = 1.5 * n * threshold  # flat policy: M_* = kappa / n
     params = ModelParams(model="di", N=n, m=m, delta=delta, kappa=kappa, m_policy="flat")
-    m_star = params.policy().m_star(n)
+    m_star = params.m_star
     cert = flocking_certificate(r, delta, m_star, lam2)
 
-    record = simulate(state, params, Domain.unbounded(), 0.01, 100.0, sample_every=10)
+    record = simulate(state, params, Domain(), 0.01, 100.0, sample_every=10)
     # The whole lattice is delta-densely packed iff the gate is on everywhere
     # (every open delta-ball on the delayed positions holds more than m) and
     # the gated digraph, then the full delta-graph, is one component.
@@ -163,7 +162,7 @@ def verify_suite(tol_scale: float = 1.0) -> list[CheckResult]:
     spec = ScenarioSpec(
         scenario="random_clusters",
         params=ModelParams(model="di", N=64, m=3, delta=2.0, kappa=1.0),
-        domain=Domain.periodic(25.0),
+        domain=Domain(25.0),
         dt=0.01,
         t_end=30.0,
         sample_every=1,

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .dynamics import MPolicy, NeighborTable, member_weights
+from .dynamics import ModelParams, NeighborTable, member_weights
 
 
 @dataclass(eq=False)
@@ -45,14 +45,14 @@ class FlockingCertificate:
     reason: str = ""
 
 
-def build_digraph(table: NeighborTable, policy: MPolicy, N: int) -> csr_matrix:
+def build_digraph(table: NeighborTable, params: ModelParams) -> csr_matrix:
     """Influence digraph Phi with phi[i, k] = M_i / M_* for k in set i.
 
     Phi is the coupling weights W of member_weights, CSR over the table's own
     indptr/indices, with each entry divided by M_*.
     """
-    phi, _ = member_weights(table, policy, N)
-    phi.data /= policy.m_star(N)
+    phi, _ = member_weights(table, params)
+    phi.data /= params.m_star
     return phi
 
 

@@ -1,8 +1,8 @@
 """Classic fourth-order Runge-Kutta time stepping with per-step topology.
 
 One incremental search reads the neighbor relation once per step (di from the
-delay buffer, the cs family from the current positions); it is held fixed for
-the step: di by its exact RK4 propagator, the cs family by four stages with
+delayed positions, the cs family from the current positions); it is held fixed
+for the step: di by its exact RK4 propagator, the cs family by four stages with
 distance weights at the staged positions.  A topology epoch, a run of steps
 under one relation, shares one step map, digraph and cluster labeling.
 """
@@ -46,30 +46,6 @@ def step_count(t_end: float, dt: float) -> int:
             f"t_end must be a finite whole number of dt steps, got t_end={t_end!r}, dt={dt!r}"
         )
     return round(steps)
-
-
-class DelayBuffer:
-    """Ring of recent position snapshots realizing the topology delay.
-
-    With snapshots pushed for steps 0..n, delayed() returns the snapshot of
-    step max(n - h_steps, 0): the initial positions serve until the buffer
-    has aged past the delay.
-    """
-
-    def __init__(self, h_steps: int, initial=None):
-        if h_steps < 1:
-            raise ValueError("h_steps must be >= 1")
-        self._ring: deque[np.ndarray] = deque(maxlen=h_steps + 1)
-        if initial is not None:
-            self.push(initial)
-
-    def push(self, positions: np.ndarray) -> None:
-        self._ring.append(np.array(positions, dtype=float, copy=True))
-
-    def delayed(self) -> np.ndarray:
-        if not self._ring:
-            raise ValueError("buffer holds no snapshot")
-        return self._ring[0]
 
 
 @dataclass(eq=False)
@@ -168,7 +144,7 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
     stability disc, rho being the Gershgorin radius of the step's weights
     (psi <= 1, so it also bounds the cs family's staged weights).
     """
-    weights, rho = member_weights(table, params.policy(), params.N)
+    weights, rho = member_weights(table, params)
     if dt * rho > RK4_DISC_RADIUS:
         raise IntegrationFault(
             step,
@@ -230,21 +206,21 @@ def simulate(
     """
     if initial.n != params.N:
         raise ValueError("initial state particle count differs from params.N")
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got dt={dt!r}")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     x = domain.wrap(initial.positions.copy())
     v = initial.velocities.copy()
     n_steps = step_count(t_end, dt)
-    buffer = DelayBuffer(params.h_steps, x)
-    policy = params.policy()
+    # The delay ring: ring[0] holds the positions of step max(step - h_steps, 0).
+    ring = deque([x], maxlen=params.h_steps + 1)
 
     search = NeighborSearch(params, domain)
     record = TrajectoryRecord(spec)
     epoch = None
     for step in range(n_steps + 1):
-        table = search.table(x, buffer.delayed())
+        table = search.table(x, ring[0])
         # A topology epoch is a run of steps under one table, which the search
         # returns as one object.  The step map and the sampled Phi and labels
         # are built from it at most once per epoch, when first needed.
@@ -252,11 +228,11 @@ def simulate(
             epoch, step_map, phi = table, None, None
         if step % sample_every == 0 or step == n_steps:
             if phi is None:
-                phi = build_digraph(table, policy, table.n)
+                phi = build_digraph(table, params)
                 labels = strongly_connected_components(phi)
             state = EnsembleState(step * dt, x, v)
             record.samples.append(TrajectorySample(
-                step=step, t=state.t, state=state, delayed_positions=buffer.delayed(),
+                step=step, t=state.t, state=state, delayed_positions=ring[0],
                 table=table, phi=phi, labels=labels,
                 vmax=velocity_diameter(state), momentum=total_momentum(state),
             ))
@@ -265,5 +241,5 @@ def simulate(
         if step_map is None:
             step_map = _step_map(table, dt, params, domain, step)
         x, v = _advance(x, v, step_map, domain, step)
-        buffer.push(x)
+        ring.append(x)
     return record

@@ -30,9 +30,9 @@ from .integrate import TrajectoryRecord, step_count
 # The generator fields each scenario reads; ScenarioSpec rejects the others.
 SCENARIO_FIELDS = {
     "random_clusters": ("margin",),
-    "group_vs_individual": ("n_cluster", "shape", "spacing"),
-    "chain": ("n_cluster", "spacing"),
-    "three_body": ("n_cluster", "beta", "gamma", "v_c"),
+    "group_vs_individual": ("shape", "spacing"),
+    "chain": ("spacing",),
+    "three_body": ("beta", "gamma", "v_c"),
 }
 SCENARIOS = tuple(SCENARIO_FIELDS)
 GENERATOR_FIELDS = frozenset().union(*SCENARIO_FIELDS.values())
@@ -68,7 +68,6 @@ class ScenarioSpec:
     sample_every: int = 10
     seed: int = 0
     # Generator fields; None when the scenario does not use them.
-    n_cluster: int | None = None
     beta: float | None = None
     gamma: float | None = None
     v_c: float | None = None
@@ -82,8 +81,8 @@ class ScenarioSpec:
         for name in (f.name for f in fields(self) if f.name in GENERATOR_FIELDS):
             if getattr(self, name) is not None and name not in SCENARIO_FIELDS[self.scenario]:
                 raise ConfigError(f"scenario {self.scenario} takes no {name}")
-        if not self.dt > 0:
-            raise ConfigError("dt must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be finite and > 0, got dt={self.dt!r}")
         if self.t_end is None:
             self.t_end = DEFAULT_T_END.get(self.scenario, 3.0 * self.params.N)
         step_count(self.t_end, self.dt)
@@ -99,19 +98,17 @@ class ScenarioSpec:
                 raise ConfigError("scenario random_clusters requires domain = periodic")
             if self.margin is None:
                 self.margin = DEFAULT_MARGIN
-            if self.margin < 0 or 2 * self.margin >= self.domain.L:
+            if not (0 <= self.margin and 2 * self.margin < self.domain.L):
                 raise ConfigError("margin must satisfy 0 <= margin < L/2")
             return
-        if self.n_cluster is None:
-            raise ConfigError("scenario requires the resting-cluster size n")
-        if self.params.N != self.n_cluster + 1:
-            raise ConfigError("particle count must equal cluster size + 1")
         if self.scenario == "three_body":
             if self.params.model != "di":
                 raise ConfigError("three_body runs use the di model")
             for key in ("beta", "gamma", "v_c"):
                 if getattr(self, key) is None:
                     raise ConfigError(f"three_body requires {key}")
+            if not math.isfinite(self.v_c):
+                raise ConfigError(f"three_body requires a finite v_c, got v_c={self.v_c}")
             _check_three_body_geometry(self.beta, self.gamma, self.params.delta)
             if not self.params.delta / 1000.0 < self.beta:
                 raise ConfigError("three_body requires beta > delta/1000, the core's jitter")
@@ -133,8 +130,13 @@ class ScenarioSpec:
                     f"shape {self.shape!r} needs n a positive multiple of {rows}, "
                     f"got n={self.n_cluster}"
                 )
-        if not self.spacing > 0:
-            raise ConfigError(f"spacing must be > 0, got {self.spacing}")
+        if not 0 < self.spacing < math.inf:
+            raise ConfigError(f"spacing must be finite and > 0, got {self.spacing}")
+
+    @property
+    def n_cluster(self) -> int:
+        """Size of the resting cluster: every particle but the last, the singleton."""
+        return self.params.N - 1
 
 
 def _check_three_body_geometry(beta: float, gamma: float, delta: float) -> None:

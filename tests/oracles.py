@@ -1,7 +1,8 @@
 """Dense brute-force neighbor rules, the N x N masks the package's search must
 reproduce table for table, the brute-force r-densely-packed test, one-set
-shorthands over that search, a stepwise reference that runs the package's
-step engine under the brute-force table, and the paper's density ratio."""
+shorthands over that search and over the prefactor rule, a stepwise reference
+that runs the package's step engine under the brute-force table, and the
+paper's density ratio."""
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class PackedReport:
     is_packed: bool
 
 
-def is_r_densely_packed(delayed_positions, cluster, r, m, dist=Domain.unbounded().distances):
+def is_r_densely_packed(delayed_positions, cluster, r, m, dist=Domain().distances):
     """Test whether a cluster is r-densely packed.
 
     Condition 1 -- the positions thickened by open balls of radius r/2 form a
@@ -92,22 +93,27 @@ def dense_table(params, positions, delayed, domain):
     return table_from_mask(dense_membership(params, positions, delayed, domain.distances))
 
 
+def prefactor_params(m_policy, N, kappa=1.0):
+    """Params of N particles whose prefactor rule M(N, i, #N_i) is m_policy at kappa."""
+    return ModelParams("cs", N, kappa=kappa, m_policy=m_policy)
+
+
 def _one_step_table(params, positions, domain):
     x = np.atleast_2d(np.asarray(positions, dtype=float))
     return NeighborSearch(params, domain).table(x, x)
 
 
-def neighbor_sets_cs_delta(positions, delta, domain=Domain.unbounded()):
+def neighbor_sets_cs_delta(positions, delta, domain=Domain()):
     """The package's closed delta-balls of one position set."""
     return _one_step_table(ModelParams("cs_delta", len(positions), delta=delta), positions, domain)
 
 
-def neighbor_sets_cs_q(positions, q, domain=Domain.unbounded()):
+def neighbor_sets_cs_q(positions, q, domain=Domain()):
     """The package's q nearest others of one position set."""
     return _one_step_table(ModelParams("cs_q", len(positions), q=q), positions, domain)
 
 
-def neighbor_sets_di(delayed_positions, delta, m, domain=Domain.unbounded()):
+def neighbor_sets_di(delayed_positions, delta, m, domain=Domain()):
     """The package's density-gated sets of one delayed position set: k enters
     set i exactly when dist(x_k, x_i) < delta and the open ball around x_i
     holds strictly more than m particles (count includes i, so a gated
@@ -118,8 +124,9 @@ def neighbor_sets_di(delayed_positions, delta, m, domain=Domain.unbounded()):
     return _one_step_table(ModelParams("di", len(x), m=m, delta=delta), x, domain)
 
 
-def rk4_step(state, dt, params, buffer, domain):
-    """Advance one step; positions are wrapped back into a periodic box.
+def rk4_step(state, dt, params, delayed, domain):
+    """Advance one step from the delayed positions' topology; positions are
+    wrapped back into a periodic box.
 
     The step's neighbor table (hence every gating decision) is the brute-force
     dense_table, computed once and reused by all four stages of the package's
@@ -128,7 +135,7 @@ def rk4_step(state, dt, params, buffer, domain):
     if not dt > 0:
         raise ValueError("dt must be > 0")
     step = int(round(state.t / dt))
-    table = dense_table(params, state.positions, buffer.delayed(), domain)
+    table = dense_table(params, state.positions, delayed, domain)
     step_map = _step_map(table, dt, params, domain, step)
     x, v = _advance(state.positions, state.velocities, step_map, domain, step)
     return EnsembleState(state.t + dt, x, v)

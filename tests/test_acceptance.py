@@ -53,7 +53,7 @@ def test_criterion_02_velocity_diameter_monotone():
         scenario="random_clusters",
         params=ModelParams(model="di", N=64, m=3, delta=2.0, kappa=1.0,
                            m_policy="per_neighbor"),
-        domain=Domain.periodic(25.0),
+        domain=Domain(25.0),
         dt=0.01,
         t_end=150.0,
         sample_every=1,
@@ -103,12 +103,11 @@ def _three_body_spec(beta, v_c, dt, t_end):
         scenario="three_body",
         params=ModelParams(model="di", N=n + 1, m=3, delta=2.0, kappa=1.0,
                            m_policy="constant"),
-        domain=Domain.unbounded(),
+        domain=Domain(),
         dt=dt,
         t_end=t_end,
         sample_every=5,
         seed=2,
-        n_cluster=n,
         beta=beta,
         gamma=2.0,
         v_c=v_c,
@@ -183,7 +182,7 @@ def _cluster_formation_spec(model):
     return ScenarioSpec(
         scenario="random_clusters",
         params=params,
-        domain=Domain.periodic(25.0),
+        domain=Domain(25.0),
         dt=0.01,
         t_end=150.0,
         sample_every=50,
@@ -202,7 +201,7 @@ def test_criterion_08_cluster_formation():
             big += 1
             rep = is_r_densely_packed(
                 di_final.delayed_positions, members, r=2.0, m=3,
-                dist=Domain.periodic(25.0).distances,
+                dist=Domain(25.0).distances,
             )
             packed_ok = packed_ok and rep.is_packed
     ok = di_final.n_clusters >= 2 and cs_final.n_clusters == 1 and big >= 1 and packed_ok
@@ -233,11 +232,10 @@ def test_criterion_09_momentum_flip_calibration():
         spec = ScenarioSpec(
             scenario="group_vs_individual",
             params=ModelParams(model="cs", N=29, kappa=1.0),
-            domain=Domain.unbounded(),
+            domain=Domain(),
             dt=0.01,
             t_end=30.0,
             sample_every=10,
-            n_cluster=28,
             shape=shape,
         )
         mom = run_simulation(spec).momentum_series()
@@ -263,11 +261,10 @@ def _chain_spec(delta):
         scenario="chain",
         params=ModelParams(model="di", N=22, m=3, delta=float(delta), kappa=1.0,
                            m_policy="constant"),
-        domain=Domain.unbounded(),
+        domain=Domain(),
         dt=0.01,
         t_end=30.0,
         sample_every=10,
-        n_cluster=21,
     )
 
 

@@ -11,7 +11,6 @@ from scipy.spatial.distance import pdist
 from densiflock import (
     EnsembleState,
     ModelParams,
-    MPolicy,
     alignment_weight,
     total_momentum,
     velocity_diameter,
@@ -26,6 +25,7 @@ from oracles import (
     neighbor_sets_cs_delta,
     neighbor_sets_cs_q,
     neighbor_sets_di,
+    prefactor_params,
     table_from_mask,
 )
 
@@ -95,7 +95,7 @@ def rule_inputs(draw):
 
 
 def _domain(L):
-    return Domain.unbounded() if L is None else Domain.periodic(L)
+    return Domain() if L is None else Domain(L)
 
 
 def neighbor_sets_di_ghost(delayed_positions, delta, m, L):
@@ -147,12 +147,12 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def dense_member_weights(mask, policy, N):
+def dense_member_weights(mask, params):
     """W = mask scaled row-wise by M(N, i, #N_i) as a dense array, and the
     Gershgorin radius max_i M_i (#N_i - [i in N_i]); the dense construction
     member_weights must reproduce bit for bit."""
     sizes = mask.sum(axis=1)
-    m = policy.values(N, sizes)
+    m = params.prefactors(sizes)
     return mask * m[:, None], float((m * (sizes - mask.diagonal())).max())
 
 
@@ -218,7 +218,7 @@ def test_di_grid_and_ghost_match_min_image(n, seed):
     rng = np.random.default_rng(seed)
     L, delta = 10.0, 1.3
     pos = rng.uniform(0, L, size=(n, 2))
-    domain = Domain.periodic(L)
+    domain = Domain(L)
     scan = neighbor_sets_di(pos, delta, 2, domain)
     ghost = neighbor_sets_di_ghost(pos, delta, 2, L=L)
     assert same_table(scan, ghost)
@@ -308,31 +308,31 @@ def test_cs_q_range_validation():
 # --- normalization --------------------------------------------------------
 
 
-# M(N, i, #N_i) per normalization, read off MPolicy.values.
+# M(N, i, #N_i) per normalization, read off ModelParams.prefactors.
 
 
 def test_m_value_flat():
-    assert MPolicy("flat", 1.0).values(64, [5])[0] == pytest.approx(1 / 64)
+    assert prefactor_params("flat", 64).prefactors([5])[0] == pytest.approx(1 / 64)
 
 
 def test_m_value_per_neighbor():
-    assert MPolicy("per_neighbor", 1.0).values(64, [4])[0] == pytest.approx(0.25)
+    assert prefactor_params("per_neighbor", 64).prefactors([4])[0] == pytest.approx(0.25)
 
 
 def test_m_value_constant():
-    assert MPolicy("constant", 1.0).values(64, [1])[0] == 1.0
+    assert prefactor_params("constant", 64).prefactors([1])[0] == 1.0
 
 
 def test_m_policy_values():
-    assert not MPolicy("per_neighbor", 1.0).values(64, [0, 0]).any()  # empty sets
+    assert not prefactor_params("per_neighbor", 64).prefactors([0, 0]).any()  # empty sets
 
 
 def test_m_policy_bounds():
-    pol = MPolicy("per_neighbor", 2.0)
-    assert pol.m_star(10) == pytest.approx(0.2)
-    assert pol.values(10, [1])[0] == pytest.approx(2.0)
-    flat = MPolicy("flat", 2.0)
-    assert flat.m_star(10) == flat.values(10, [1])[0] == pytest.approx(0.2)
+    pol = prefactor_params("per_neighbor", 10, kappa=2.0)
+    assert pol.m_star == pytest.approx(0.2)
+    assert pol.prefactors([1])[0] == pytest.approx(2.0)
+    flat = prefactor_params("flat", 10, kappa=2.0)
+    assert flat.m_star == flat.prefactors([1])[0] == pytest.approx(0.2)
 
 
 # --- coupling weights -----------------------------------------------------
@@ -355,17 +355,16 @@ def test_member_weights_match_dense_oracle(case, data):
         model, n, kappa=data.draw(st.floats(0.1, 5.0)),
         m_policy=data.draw(st.sampled_from(POLICY_KINDS)), **knobs,
     )
-    policy = params.policy()
     mask = dense_membership(params, pos, pos, _domain(L).distances)
     table = table_from_mask(mask)
 
-    weights, rho = member_weights(table, policy, n)
-    dense, dense_rho = dense_member_weights(mask, policy, n)
+    weights, rho = member_weights(table, params)
+    dense, dense_rho = dense_member_weights(mask, params)
     assert same_bits(weights.toarray(), dense)
     assert rho == dense_rho
-    phi = build_digraph(table, policy, n)
-    values = policy.values(n, table.sizes())
-    assert same_bits(phi.data, np.repeat(values / policy.m_star(n), table.sizes()))
+    phi = build_digraph(table, params)
+    values = params.prefactors(table.sizes())
+    assert same_bits(phi.data, np.repeat(values / params.m_star, table.sizes()))
 
 
 # --- accelerations ---------------------------------------------------------
@@ -375,14 +374,14 @@ def _state(positions, velocities):
     return EnsembleState(0.0, positions, velocities)
 
 
-def _force(state, table, policy, pair_weight=None):
+def _force(state, table, m_policy, pair_weight=None):
     """a_i = sum_k W_ik (v_k - v_i) with W = M(N, i, #N_i) on the table's sets,
     times pair_weight(x) when given.
 
     Written out here as the oracle: the package steps di by its propagator and
     folds the cs family's force into its RK4 stages.
     """
-    weights, _ = dense_member_weights(membership(table), policy, state.n)
+    weights, _ = dense_member_weights(membership(table), prefactor_params(m_policy, state.n))
     if pair_weight is not None:
         weights = weights * pair_weight(state.positions)
     v = state.velocities
@@ -397,14 +396,14 @@ def test_acceleration_di_consensus_is_equilibrium():
     pos = np.random.default_rng(0).uniform(0, 1, (5, 2))
     state = _state(pos, np.tile([0.3, -0.4], (5, 1)))
     table = neighbor_sets_di(pos, 2.0, 1)
-    a = _force(state, table, MPolicy("per_neighbor"))
+    a = _force(state, table, "per_neighbor")
     assert np.abs(a).max() < 1e-15
 
 
 def test_acceleration_di_empty_sets_free_stream():
     state = _state([[0.0, 0.0], [5.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
     table = neighbor_sets_di(state.positions, 1.0, 3)
-    a = _force(state, table, MPolicy("per_neighbor"))
+    a = _force(state, table, "per_neighbor")
     assert np.all(a == 0)
 
 
@@ -412,7 +411,7 @@ def test_acceleration_di_two_mutual_neighbors():
     # m=1, per-neighbor with kappa=1, set size 2: a = +-0.5 (v_other - v_self).
     state = _state([[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
     table = neighbor_sets_di(state.positions, 1.0, 1)
-    a = _force(state, table, MPolicy("per_neighbor", 1.0))
+    a = _force(state, table, "per_neighbor")
     assert a == pytest.approx(np.array([[0.5, 0.0], [-0.5, 0.0]]))
 
 
@@ -420,7 +419,7 @@ def test_acceleration_cs_two_particles_hand_value():
     # distance 3, flat M=1/2: a_0 = 0.5 * (1+3)^(-1/2) * 1 = 0.25.
     state = _state([[0.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
     table = table_from_mask(np.ones((2, 2), dtype=bool))
-    a = _force(state, table, MPolicy("flat", 1.0), _cs_weight)
+    a = _force(state, table, "flat", _cs_weight)
     assert a[0, 0] == pytest.approx(0.25)
     assert a[1, 0] == pytest.approx(-0.25)
 
@@ -428,7 +427,7 @@ def test_acceleration_cs_two_particles_hand_value():
 def test_acceleration_cs_delta_compact_support():
     state = _state([[0.0, 0.0], [5.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
     table = neighbor_sets_cs_delta(state.positions, 2.0)
-    a = _force(state, table, MPolicy("per_neighbor", 1.0), _cs_weight)
+    a = _force(state, table, "per_neighbor", _cs_weight)
     assert np.all(a == 0)
 
 
@@ -447,7 +446,7 @@ def test_di_rotation_translation_equivariance(ens, angle, seed2):
     pos, vel = ens
     shift = np.random.default_rng(seed2).uniform(-5, 5, 2)
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-    policy = MPolicy("per_neighbor", 1.0)
+    policy = "per_neighbor"
 
     table = neighbor_sets_di(pos, 2.0, 2)
     a = _force(_state(pos, vel), table, policy)
@@ -463,7 +462,7 @@ def test_di_rotation_translation_equivariance(ens, angle, seed2):
 @settings(max_examples=50, deadline=None)
 def test_velocity_shift_invariance(ens, shift):
     pos, vel = ens
-    policy = MPolicy("per_neighbor", 1.0)
+    policy = "per_neighbor"
     table = neighbor_sets_di(pos, 2.0, 2)
     a = _force(_state(pos, vel), table, policy)
     a2 = _force(_state(pos, vel + shift), table, policy)
@@ -474,15 +473,15 @@ def test_velocity_shift_invariance(ens, shift):
 @settings(max_examples=50, deadline=None)
 def test_di_acceleration_bounded_by_weighted_diameter(ens):
     pos, vel = ens
-    policy = MPolicy("per_neighbor", 1.0)
+    params = prefactor_params("per_neighbor", len(pos))
     table = neighbor_sets_di(pos, 2.0, 2)
     state = _state(pos, vel)
-    a = _force(state, table, policy)
+    a = _force(state, table, params.m_policy)
     v_diam = velocity_diameter(state)
     for i, members in enumerate(table_as_lists(table)):
         if len(members) == 0:
             continue
-        total_weight = len(members) * policy.values(state.n, [len(members)])[0]
+        total_weight = len(members) * params.prefactors([len(members)])[0]
         assert np.linalg.norm(a[i]) <= total_weight * v_diam + 1e-12
 
 
@@ -584,6 +583,13 @@ def test_model_params_validation():
         ModelParams(model="cs_q", N=8, q=8)
     with pytest.raises(ConfigError):
         ModelParams(model="cs", N=8, delta=2.0)
+    with pytest.raises(ConfigError, match="m_policy"):
+        ModelParams(model="cs", N=8, m_policy="uniform")
+    for kappa in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="kappa"):
+            ModelParams(model="cs", N=8, kappa=kappa)
+    with pytest.raises(ConfigError, match="h_steps"):
+        ModelParams(model="di", N=8, m=3, delta=1.0, h_steps=0)
     params = ModelParams(model="di", N=8, m=3, delta=1.0)
     assert params.m_policy == "per_neighbor"
     assert ModelParams(model="cs", N=8).m_policy == "flat"

@@ -8,7 +8,6 @@ from scipy.sparse import csr_matrix
 from densiflock import (
     Domain,
     ModelParams,
-    MPolicy,
     NeighborSearch,
     build_digraph,
     fiedler_value,
@@ -17,7 +16,7 @@ from densiflock import (
     strongly_connected_components,
 )
 from densiflock.experiments import certificate_experiment, lattice_state
-from oracles import is_r_densely_packed, neighbor_sets_di
+from oracles import is_r_densely_packed, neighbor_sets_di, prefactor_params
 
 
 def digraph_from_phi(phi):
@@ -47,14 +46,14 @@ def scc_oracle_labels(adj):
 
 def test_build_digraph_empty_sets():
     table = neighbor_sets_di([[0.0, 0.0], [9.0, 0.0]], 1.0, 3)
-    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 2)
+    phi = build_digraph(table, prefactor_params("per_neighbor", 2))
     assert np.all(phi.toarray() == 0)
 
 
 def test_build_digraph_fully_mixed_per_neighbor():
     pos = [[0, 0], [0.5, 0], [0, 0.5], [0.5, 0.5]]
     table = neighbor_sets_di(pos, 2.0, 3)
-    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 4)
+    phi = build_digraph(table, prefactor_params("per_neighbor", 4))
     # All set sizes are 4 = N, so every M_i equals M_* and phi is the ones block.
     assert np.all(phi.toarray() == 1.0)
 
@@ -62,7 +61,7 @@ def test_build_digraph_fully_mixed_per_neighbor():
 def test_build_digraph_collinear_asymmetric():
     pos = [[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]]
     table = neighbor_sets_di(pos, 1.0, 2)
-    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 3).toarray()
+    phi = build_digraph(table, prefactor_params("per_neighbor", 3)).toarray()
     assert np.all(phi[0] == 0) and np.all(phi[2] == 0)
     assert np.count_nonzero(phi[1]) == 3
     assert not np.array_equal(phi, phi.T)
@@ -71,7 +70,7 @@ def test_build_digraph_collinear_asymmetric():
 def test_build_digraph_row_consistency():
     pos = np.random.default_rng(5).uniform(0, 3, (10, 2))
     table = neighbor_sets_di(pos, 1.5, 2)
-    phi = build_digraph(table, MPolicy("per_neighbor", 1.0), 10)
+    phi = build_digraph(table, prefactor_params("per_neighbor", 10))
     assert isinstance(phi, csr_matrix)
     assert phi.nnz == table.sizes().sum()
     assert np.shares_memory(phi.indices, table.indices)
@@ -79,14 +78,14 @@ def test_build_digraph_row_consistency():
 
 
 def test_m_star_variants():
-    pol = MPolicy("per_neighbor", 1.0)
-    assert pol.m_star(4) == pytest.approx(0.25)
+    pol = prefactor_params("per_neighbor", 4)
+    assert pol.m_star == pytest.approx(0.25)
     table = neighbor_sets_di([[0, 0], [0.5, 0], [0, 0.5], [9, 9]], 2.0, 2)
     # Realized sets have size 3, so the realized minimum is 1/3 > 1/4.
     sizes = table.sizes()
-    assert pol.values(4, sizes)[sizes > 0].min() == pytest.approx(1 / 3)
+    assert pol.prefactors(sizes)[sizes > 0].min() == pytest.approx(1 / 3)
     empty = neighbor_sets_di([[0.0, 0.0], [9.0, 0.0]], 1.0, 3)
-    assert not pol.values(2, empty.sizes()).any()
+    assert not prefactor_params("per_neighbor", 2).prefactors(empty.sizes()).any()
 
 
 # --- strongly connected components -------------------------------------------
@@ -237,7 +236,7 @@ def test_packed_clusters_induce_symmetric_connected_digraphs():
             continue
         found += 1
         table = neighbor_sets_di(pos, delta, m)
-        g = build_digraph(table, MPolicy("per_neighbor", 1.0), n)
+        g = build_digraph(table, prefactor_params("per_neighbor", n))
         phi = g.toarray()
         assert np.array_equal(phi > 0, (phi > 0).T)
         labels = strongly_connected_components(g)
@@ -256,10 +255,10 @@ def test_gate_reads_whole_ensemble_packedness():
     )
     @settings(max_examples=300, deadline=None)
     def check(n, m, periodic, side, seed):
-        domain = Domain.periodic(side) if periodic else Domain.unbounded()
+        domain = Domain(side) if periodic else Domain()
         x = np.random.default_rng(seed).uniform(0, side, (n, 2))
         table = NeighborSearch(ModelParams("di", n, m=m, delta=delta), domain).table(x, x)
-        labels = strongly_connected_components(build_digraph(table, MPolicy("flat", 1.0), n))
+        labels = strongly_connected_components(build_digraph(table, prefactor_params("flat", n)))
         rule = labels.cluster_count == 1 and bool((table.sizes() > 0).all())
         oracle = is_r_densely_packed(x, np.arange(n), delta, m, dist=domain.distances)
         assert rule == oracle.is_packed
@@ -367,7 +366,7 @@ def test_certificate_experiment_reads_packedness_and_lambda2_off_the_run():
     cert = certificate_experiment()
     table = neighbor_sets_di(lattice_state(spacing=1.0).positions, 2.0, 3)
     assert cert.packed_throughout
-    assert cert.lambda2 == fiedler_value(build_digraph(table, MPolicy("flat", 1.0), 9))
+    assert cert.lambda2 == fiedler_value(build_digraph(table, prefactor_params("flat", 9)))
 
 
 def test_decay_rate_fit_exact_exponential():

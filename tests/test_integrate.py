@@ -1,7 +1,8 @@
-"""Stepping scheme, delay buffer, domains, and the run loop."""
+"""Stepping scheme, topology delay, domains, and the run loop."""
 import importlib.util
 import math
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.linalg import expm
 
 import densiflock.integrate
 from densiflock import (
-    DelayBuffer,
     Domain,
     EnsembleState,
     IntegrationFault,
@@ -31,63 +31,34 @@ from densiflock.integrate import RK4_DISC_RADIUS, csr_step_map
 from oracles import dense_table, neighbor_sets_di, rk4_step
 
 
-# --- delay buffer ------------------------------------------------------------
-
-
-def test_delay_buffer_returns_initial_until_aged():
-    snapshots = [np.full((1, 2), float(k)) for k in range(5)]
-    buf = DelayBuffer(h_steps=2, initial=snapshots[0])
-    # Step n uses x_{max(n-2, 0)}.
-    assert buf.delayed()[0, 0] == 0  # step 0
-    buf.push(snapshots[1])
-    assert buf.delayed()[0, 0] == 0  # step 1
-    buf.push(snapshots[2])
-    assert buf.delayed()[0, 0] == 0  # step 2
-    buf.push(snapshots[3])
-    assert buf.delayed()[0, 0] == 1  # step 3
-    buf.push(snapshots[4])
-    assert buf.delayed()[0, 0] == 2  # step 4
-
-
-def test_delay_buffer_copies_snapshots():
-    x = np.zeros((1, 2))
-    buf = DelayBuffer(1, x)
-    x[0, 0] = 99.0
-    assert buf.delayed()[0, 0] == 0.0
-
-
-def test_delay_buffer_rejects_zero_delay():
-    with pytest.raises(ValueError):
-        DelayBuffer(0)
-
-
 # --- domains ------------------------------------------------------------------
 
 
 def test_min_image_wraparound():
-    domain = Domain.periodic(25.0)
+    domain = Domain(25.0)
     assert domain.distances([0.5, 0.0], [24.9, 0.0])[0, 0] == pytest.approx(0.6)
     assert domain.distances([3.0, 4.0], [3.0, 4.0])[0, 0] == 0.0
     assert domain.distances([0.0, 0.0], [12.5, 0.0])[0, 0] == pytest.approx(12.5)
 
 
 def test_unbounded_distance_is_euclidean():
-    domain = Domain.unbounded()
+    domain = Domain()
     assert domain.distances([0.0, 0.0], [3.0, 4.0])[0, 0] == pytest.approx(5.0)
 
 
 def test_wrap_maps_into_box():
-    domain = Domain.periodic(10.0)
+    domain = Domain(10.0)
     wrapped = domain.wrap(np.array([[10.0, -0.1], [23.5, 5.0]]))
     assert np.allclose(wrapped, [[0.0, 9.9], [3.5, 5.0]])
     # -1e-17 mod 25 rounds up to 25, which is the torus point 0.
-    tiny = Domain.periodic(25.0).wrap(np.array([[-1e-17, 3.0]]))
+    tiny = Domain(25.0).wrap(np.array([[-1e-17, 3.0]]))
     assert tiny.tolist() == [[0.0, 3.0]]
 
 
 def test_periodic_box_side_must_be_finite():
-    with pytest.raises(ConfigError, match="L"):
-        Domain.periodic(float("inf"))
+    for L in (np.inf, 0.0, -1.0, np.nan):
+        with pytest.raises(ConfigError, match="L"):
+            Domain(L)
 
 
 def _min_image_oracle(a, b, L):
@@ -121,7 +92,7 @@ def periodic_point_sets(draw):
 @settings(max_examples=200, deadline=None)
 def test_min_image_bitwise_equals_difference_tensor(case):
     L, a, b = case
-    got = Domain.periodic(L).distances(a, b)
+    got = Domain(L).distances(a, b)
     assert got.tobytes() == _min_image_oracle(a, b, L).tobytes()
 
 
@@ -138,19 +109,17 @@ def test_rk4_free_streaming_exact():
     # Gated-out particles keep their velocity and move linearly.
     state = EnsembleState(0.0, [[0.0, 0.0], [10.0, 0.0]], [[1.0, 0.5], [-2.0, 0.0]])
     params = _di_params(2)
-    domain = Domain.unbounded()
-    buf = DelayBuffer(1, state.positions)
-    out = rk4_step(state, 0.25, params, buf, domain)
+    domain = Domain()
+    out = rk4_step(state, 0.25, params, state.positions, domain)
     assert np.array_equal(out.velocities, state.velocities)
     assert np.allclose(out.positions, state.positions + 0.25 * state.velocities, atol=0)
 
 
 def test_rk4_periodic_reentry():
-    domain = Domain.periodic(5.0)
+    domain = Domain(5.0)
     state = EnsembleState(0.0, [[4.9, 1.0], [2.0, 2.0]], [[1.0, 0.0], [0.0, 0.0]])
     params = _di_params(2)
-    buf = DelayBuffer(1, state.positions)
-    out = rk4_step(state, 0.5, params, buf, domain)
+    out = rk4_step(state, 0.5, params, state.positions, domain)
     assert out.positions[0, 0] == pytest.approx(0.4)
     assert np.array_equal(out.velocities, state.velocities)
 
@@ -194,32 +163,30 @@ def _explicit_di_rk4(x, v, dt, weights):
 def test_di_propagator_matches_explicit_stages(n, m, policy, h_steps, seed):
     rng = np.random.default_rng(seed)
     params = _di_params(n, m=m, h_steps=h_steps, **policy)
-    domain = Domain.periodic(10.0)
+    domain = Domain(10.0)
+    # Positions of steps 0..h_steps; the step h_steps reads those of step 0.
     snapshots = [rng.uniform(3.0, 7.0, (n, 2)) for _ in range(h_steps + 1)]
-    buf = DelayBuffer(h_steps, snapshots[0])
-    for snapshot in snapshots[1:]:
-        buf.push(snapshot)
     state = EnsembleState(0.0, snapshots[-1], rng.uniform(-1.0, 1.0, (n, 2)))
-    table = neighbor_sets_di(buf.delayed(), params.delta, m, domain)
+    table = neighbor_sets_di(snapshots[0], params.delta, m, domain)
     if h_steps > 1:  # the step reads the delayed snapshot, not the current one
         current = neighbor_sets_di(state.positions, params.delta, m, domain)
         assert not _same_table(table, current)
     assert (table.indptr[-1] == 0) == (m == n)
-    weights = member_weights(table, params.policy(), n)[0].toarray()
+    weights = member_weights(table, params)[0].toarray()
 
-    out = rk4_step(state, 0.05, params, buf, domain)
+    out = rk4_step(state, 0.05, params, snapshots[0], domain)
     x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
     tol = 1e-14 * np.abs(state.velocities).max()
     assert np.abs(out.velocities - v).max() <= tol
     assert np.abs(out.positions - domain.wrap(x)).max() <= tol
 
 
-def _velocity_error_vs_expm(dt, t_end=1.0, state=None, params=None, domain=Domain.unbounded()):
+def _velocity_error_vs_expm(dt, t_end=1.0, state=None, params=None, domain=Domain()):
     """Fixed-topology velocities against the exact matrix exponential."""
     if state is None:
         state, params = _blob_state(), _di_params(5, m=2)
     table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
-    w = member_weights(table, params.policy(), params.N)[0].toarray()
+    w = member_weights(table, params)[0].toarray()
     lap = np.diag(w.sum(axis=1)) - w
     record = simulate(state, params, domain, dt, t_end, sample_every=10**9)
     final = record.samples[-1]
@@ -256,19 +223,19 @@ def test_simulate_matches_stepwise_rk4(params):
         state = EnsembleState(0.0, rng.uniform(0.0, 3.5, (6, 2)), rng.uniform(-2.0, 2.0, (6, 2)))
     else:
         state = _blob_state(n=6, scale=0.5, vel_scale=0.3)
-    domain = Domain.periodic(8.0)
+    domain = Domain(8.0)
     record = simulate(state, params, domain, 0.05, 0.5, sample_every=1)
 
     cur = EnsembleState(0.0, domain.wrap(state.positions), state.velocities)
-    buf = DelayBuffer(params.h_steps, cur.positions)
+    ring = deque([cur.positions], maxlen=params.h_steps + 1)
     for k, sample in enumerate(record.samples):
         assert np.array_equal(sample.state.positions, cur.positions)
         assert np.array_equal(sample.state.velocities, cur.velocities)
         if k == len(record.samples) - 1:
             break
-        assert _same_table(sample.table, dense_table(params, cur.positions, buf.delayed(), domain))
-        cur = rk4_step(cur, 0.05, params, buf, domain)
-        buf.push(cur.positions)
+        assert _same_table(sample.table, dense_table(params, cur.positions, ring[0], domain))
+        cur = rk4_step(cur, 0.05, params, ring[0], domain)
+        ring.append(cur.positions)
     if params.h_steps > 1:  # the case cannot silently stay static
         gated = [tuple(s.table.sizes() > 0) for s in record.samples]
         assert any(a != b for a, b in zip(gated, gated[1:]))
@@ -279,7 +246,7 @@ def _switching_di_run():
     spec = ScenarioSpec(
         scenario="random_clusters",
         params=_di_params(30, h_steps=3),
-        domain=Domain.periodic(12.0),
+        domain=Domain(12.0),
         dt=0.01,
         t_end=2.0,
         sample_every=1,
@@ -311,24 +278,39 @@ def test_shared_labels_match_labels_built_from_scratch():
         table = neighbor_sets_di(
             sample.delayed_positions, params.delta, params.m, spec.domain
         )
-        phi = build_digraph(table, params.policy(), params.N)
+        phi = build_digraph(table, params)
         expected = strongly_connected_components(phi)
         assert _same_table(sample.table, table)
         assert np.array_equal(sample.labels.labels, expected.labels)
         assert sample.labels.cluster_count == expected.cluster_count
 
 
+def test_delayed_positions_lag_the_state_by_h_steps():
+    # Two particles out of each other's range stream freely, so every step
+    # moves them; step n's topology reads the positions of step max(n - 2, 0).
+    initial = EnsembleState(0.0, [[0.0, 0.0], [10.0, 0.0]], [[1.0, 0.5], [-2.0, 0.0]])
+    record = simulate(initial, _di_params(2, h_steps=2), Domain(), 0.25, 1.5, sample_every=1)
+    samples = record.samples
+    assert [s.step for s in samples] == list(range(7))
+    assert all(s.table.indptr[-1] == 0 for s in samples)  # no gate ever opens
+    for n, sample in enumerate(samples):
+        assert np.array_equal(sample.delayed_positions, samples[max(n - 2, 0)].state.positions)
+
+
 def test_simulate_keeps_no_view_of_the_callers_positions():
     rng = np.random.default_rng(0)
     initial = EnsembleState(0.0, rng.uniform(0, 2, (5, 2)), rng.uniform(-1, 1, (5, 2)))
-    params = ModelParams("di", 5, m=2, delta=1.5)
-    record = simulate(initial, params, Domain.unbounded(), 0.01, 0.05, sample_every=1)
+    params = ModelParams("di", 5, m=2, delta=1.5, h_steps=2)
+    record = simulate(initial, params, Domain(), 0.01, 0.05, sample_every=1)
     first = record.samples[0]
     before = first.state.positions.copy()
+    delayed = [s.delayed_positions.copy() for s in record.samples]
     initial.positions[0, 0] = 99.0
     initial.velocities[0, 0] = 99.0
     assert np.array_equal(first.state.positions, before)
     assert np.array_equal(first.state.positions, first.delayed_positions)
+    for sample, expected in zip(record.samples, delayed):
+        assert np.array_equal(sample.delayed_positions, expected)
     assert first.state.velocities[0, 0] != 99.0
 
 
@@ -336,7 +318,7 @@ def test_run_is_deterministic():
     spec = ScenarioSpec(
         scenario="random_clusters",
         params=_di_params(16),
-        domain=Domain.periodic(25.0),
+        domain=Domain(25.0),
         dt=0.01,
         t_end=1.0,
         sample_every=10,
@@ -352,7 +334,7 @@ def test_run_is_deterministic():
 
 def test_zero_horizon_records_initial_state_only():
     state = _blob_state()
-    record = simulate(state, _di_params(5, m=2), Domain.unbounded(), 0.01, 0.0)
+    record = simulate(state, _di_params(5, m=2), Domain(), 0.01, 0.0)
     assert len(record.samples) == 1
     assert record.samples[0].t == 0.0
 
@@ -360,12 +342,19 @@ def test_zero_horizon_records_initial_state_only():
 @pytest.mark.parametrize("t_end", [0.015, 0.025, -0.01, np.nan, np.inf])
 def test_simulate_rejects_horizon_off_the_step_grid(t_end):
     with pytest.raises(ValueError, match="t_end"):
-        simulate(_blob_state(), _di_params(5, m=2), Domain.unbounded(), 0.01, t_end)
+        simulate(_blob_state(), _di_params(5, m=2), Domain(), 0.01, t_end)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -0.01])
+def test_simulate_rejects_a_step_that_is_not_finite_and_positive(dt):
+    # dt = inf used to pass: step_count(150, inf) is 0, and t = 0 * inf is nan.
+    with pytest.raises(ValueError, match="dt"):
+        simulate(_blob_state(), _di_params(5, m=2), Domain(), dt, 150.0)
 
 
 def test_sample_times_are_exact_grid_multiples():
     state = _blob_state()
-    record = simulate(state, _di_params(5, m=2), Domain.unbounded(), 0.01, 0.5, sample_every=7)
+    record = simulate(state, _di_params(5, m=2), Domain(), 0.01, 0.5, sample_every=7)
     for s in record.samples:
         assert s.t == s.step * 0.01
 
@@ -376,7 +365,7 @@ def test_integration_fault_reports_step():
     params = _di_params(5, m=2, kappa=1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationFault) as info:
-            simulate(state, params, Domain.unbounded(), 1.0, 10.0)
+            simulate(state, params, Domain(), 1.0, 10.0)
     assert info.value.step >= 0
 
 
@@ -403,14 +392,14 @@ def test_unstable_step_size_raises_fault():
     # h*rho = 2 beyond the limit while dt = 0.03 gives 1.2 within it.
     state = _blob_state()
     params = _di_params(5, m=2, kappa=10.0, m_policy="constant")
-    simulate(state, params, Domain.unbounded(), 0.03, 0.3)
+    simulate(state, params, Domain(), 0.03, 0.3)
     with pytest.raises(IntegrationFault, match=r"h\*rho = 2 .*1\.39") as info:
-        simulate(state, params, Domain.unbounded(), 0.05, 0.5)
+        simulate(state, params, Domain(), 0.05, 0.5)
     assert info.value.step == 0
 
 
 def test_unwrapped_positions_accumulate_across_wraps():
-    domain = Domain.periodic(4.0)
+    domain = Domain(4.0)
     state = EnsembleState(0.0, [[3.8, 1.0], [1.0, 3.9]], [[1.0, 0.0], [0.0, 1.0]])
     params = _di_params(2)
     record = simulate(state, params, domain, 0.1, 6.0, sample_every=10)
@@ -427,7 +416,7 @@ def test_topology_delay_commutes_with_dt_refinement():
     base = ScenarioSpec(
         scenario="random_clusters",
         params=_di_params(16, h_steps=1),
-        domain=Domain.periodic(25.0),
+        domain=Domain(25.0),
         dt=0.02,
         t_end=2.0,
         sample_every=100,
@@ -437,7 +426,7 @@ def test_topology_delay_commutes_with_dt_refinement():
     fine = ScenarioSpec(
         scenario="random_clusters",
         params=_di_params(16, h_steps=2),
-        domain=Domain.periodic(25.0),
+        domain=Domain(25.0),
         dt=0.01,
         t_end=2.0,
         sample_every=200,
@@ -458,7 +447,7 @@ def test_topology_delay_commutes_with_dt_refinement():
 )
 def test_cs_family_runs_and_contracts_velocities(params):
     state = _blob_state(n=12, scale=1.0, vel_scale=1.0, seed=8)
-    record = simulate(state, params, Domain.unbounded(), 0.01, 5.0, sample_every=100)
+    record = simulate(state, params, Domain(), 0.01, 5.0, sample_every=100)
     v = record.vmax_series()
     assert np.isfinite(v).all()
     assert v[-1] < v[0]
@@ -467,7 +456,7 @@ def test_cs_family_runs_and_contracts_velocities(params):
 def test_momentum_conserved_on_symmetric_flat_topology():
     state = _blob_state(n=6, scale=0.4, vel_scale=0.2, seed=12)
     params = _di_params(6, m=2, m_policy="flat")
-    record = simulate(state, params, Domain.unbounded(), 0.01, 5.0, sample_every=50)
+    record = simulate(state, params, Domain(), 0.01, 5.0, sample_every=50)
     mom = record.momentum_series()
     assert np.abs(mom - mom[0]).max() < 1e-12
 
@@ -483,7 +472,7 @@ def _lattice_blob(side=20, seed=6):
     grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
     positions = grid + 0.5 + rng.uniform(-0.01, 0.01, grid.shape)
     state = EnsembleState(0.0, positions, rng.uniform(-0.01, 0.01, grid.shape))
-    return state, _di_params(side * side, delta=1.5), Domain.periodic(float(side))
+    return state, _di_params(side * side, delta=1.5), Domain(float(side))
 
 
 def test_csr_step_matches_explicit_stages():
@@ -492,8 +481,8 @@ def test_csr_step_matches_explicit_stages():
     table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
     assert np.array_equal(table.sizes(), np.full(params.N, 9))
     assert csr_step_map(params.N, table.indptr[-1])
-    weights = member_weights(table, params.policy(), params.N)[0].toarray()
-    out = rk4_step(state, 0.05, params, DelayBuffer(1, state.positions), domain)
+    weights = member_weights(table, params)[0].toarray()
+    out = rk4_step(state, 0.05, params, state.positions, domain)
     x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
     tol = 1e-14 * np.abs(state.velocities).max()
     assert np.abs(out.velocities - v).max() <= tol
@@ -545,10 +534,10 @@ def test_large_di_run_allocates_no_n_by_n_array():
     n = 4096
     L = 25.0 * math.sqrt(n / 64)  # the paper's density, 64 particles per 25 x 25
     params = _di_params(n)
-    state = initial_state(ScenarioSpec("random_clusters", params, Domain.periodic(L), seed=1))
+    state = initial_state(ScenarioSpec("random_clusters", params, Domain(L), seed=1))
     tracemalloc.start()
     try:
-        record = simulate(state, params, Domain.periodic(L), 0.01, 0.02, sample_every=1)
+        record = simulate(state, params, Domain(L), 0.01, 0.02, sample_every=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

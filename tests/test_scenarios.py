@@ -29,12 +29,11 @@ def three_body_spec(beta, gamma, v_c, n=30, delta=2.0, dt=0.01, t_end=None, seed
         params=ModelParams(
             model="di", N=n + 1, m=3, delta=delta, kappa=1.0, m_policy="constant"
         ),
-        domain=Domain.unbounded(),
+        domain=Domain(),
         dt=dt,
         t_end=3.0 * (n + 1) if t_end is None else t_end,
         sample_every=5,
         seed=seed,
-        n_cluster=n,
         beta=beta,
         gamma=gamma,
         v_c=v_c,
@@ -45,7 +44,7 @@ def random_clusters_spec(n, L, seed, margin=None):
     return ScenarioSpec(
         scenario="random_clusters",
         params=ModelParams(model="di", N=n, m=3, delta=2.0),
-        domain=Domain.periodic(L),
+        domain=Domain(L),
         seed=seed,
         margin=margin,
     )
@@ -57,11 +56,10 @@ def chain_spec(delta, t_end=30.0, spacing=None):
         params=ModelParams(
             model="di", N=22, m=3, delta=float(delta), kappa=1.0, m_policy="constant"
         ),
-        domain=Domain.unbounded(),
+        domain=Domain(),
         dt=0.01,
         t_end=t_end,
         sample_every=10,
-        n_cluster=21,
         spacing=spacing,
     )
 
@@ -74,11 +72,10 @@ def group_spec(shape, spacing=1.0, model="di", t_end=30.0, n=28):
     return ScenarioSpec(
         scenario="group_vs_individual",
         params=params,
-        domain=Domain.unbounded(),
+        domain=Domain(),
         dt=0.01,
         t_end=t_end,
         sample_every=10,
-        n_cluster=n,
         shape=shape,
         spacing=spacing,
     )
@@ -290,10 +287,9 @@ def test_classify_requires_matching_scenario():
         ScenarioSpec(
             scenario="chain",
             params=ModelParams(model="di", N=22, m=3, delta=2.0, m_policy="constant"),
-            domain=Domain.unbounded(),
+            domain=Domain(),
             dt=0.01,
             t_end=0.0,
-            n_cluster=21,
         )
     )
     with pytest.raises(ValueError):
@@ -302,8 +298,8 @@ def test_classify_requires_matching_scenario():
 
 def test_classify_rejects_a_record_without_spec():
     params = ModelParams(model="di", N=4, m=3, delta=2.0)
-    state = initial_state(ScenarioSpec("chain", params, Domain.unbounded(), n_cluster=3))
-    record = simulate(state, params, Domain.unbounded(), 0.01, 0.0)
+    state = initial_state(ScenarioSpec("chain", params, Domain()))
+    record = simulate(state, params, Domain(), 0.01, 0.0)
     assert record.spec is None
     for classify, scenario in (
         (classify_chain, "chain"),
@@ -317,19 +313,17 @@ def test_classify_rejects_a_record_without_spec():
 # Smallest valid generator fields of each scenario, with its model and domain.
 SPEC_BASES = {
     "random_clusters": dict(
-        params=ModelParams(model="di", N=64, m=3, delta=2.0), domain=Domain.periodic(25.0),
+        params=ModelParams(model="di", N=64, m=3, delta=2.0), domain=Domain(25.0),
     ),
     "group_vs_individual": dict(
-        params=ModelParams(model="di", N=29, m=3, delta=2.0), domain=Domain.unbounded(),
-        n_cluster=28,
+        params=ModelParams(model="di", N=29, m=3, delta=2.0), domain=Domain(),
     ),
     "chain": dict(
-        params=ModelParams(model="di", N=22, m=3, delta=2.0), domain=Domain.unbounded(),
-        n_cluster=21,
+        params=ModelParams(model="di", N=22, m=3, delta=2.0), domain=Domain(),
     ),
     "three_body": dict(
-        params=ModelParams(model="di", N=31, m=3, delta=2.0), domain=Domain.unbounded(),
-        n_cluster=30, beta=1.0, gamma=2.0, v_c=0.03,
+        params=ModelParams(model="di", N=31, m=3, delta=2.0), domain=Domain(),
+        beta=1.0, gamma=2.0, v_c=0.03,
     ),
 }
 CONFIG_BASES = {
@@ -343,19 +337,19 @@ CONFIG_BASES = {
 # Non-default generator fields of each scenario, with its model and domain.
 SPEC_VARIANTS = {
     "random_clusters": dict(
-        params=ModelParams(model="cs", N=17), domain=Domain.periodic(20.0), margin=3.5,
+        params=ModelParams(model="cs", N=17), domain=Domain(20.0), margin=3.5,
     ),
     "group_vs_individual": dict(
-        params=ModelParams(model="di", N=15, m=3, delta=2.0), domain=Domain.unbounded(),
-        n_cluster=14, shape="b", spacing=0.8,
+        params=ModelParams(model="di", N=15, m=3, delta=2.0), domain=Domain(),
+        shape="b", spacing=0.8,
     ),
     "chain": dict(
-        params=ModelParams(model="di", N=6, m=3, delta=2.0), domain=Domain.unbounded(),
-        n_cluster=5, spacing=1.3,
+        params=ModelParams(model="di", N=6, m=3, delta=2.0), domain=Domain(),
+        spacing=1.3,
     ),
     "three_body": dict(
-        params=ModelParams(model="di", N=12, m=3, delta=3.0), domain=Domain.unbounded(),
-        n_cluster=11, beta=0.5, gamma=3.2, v_c=-0.7,
+        params=ModelParams(model="di", N=12, m=3, delta=3.0), domain=Domain(),
+        beta=0.5, gamma=3.2, v_c=-0.7,
     ),
 }
 # sha256 of each initial state's positions.tobytes() + velocities.tobytes(); "base"
@@ -405,7 +399,6 @@ def test_initial_state_bytes_are_pinned(scenario, fields, seed):
         ("chain", "beta", 1.0),
         ("chain", "margin", 3.0),
         ("chain", "shape", "b"),
-        ("random_clusters", "n_cluster", 63),
         ("random_clusters", "spacing", 1.0),
         ("group_vs_individual", "v_c", 1.0),
         ("three_body", "spacing", 1.0),
@@ -416,6 +409,24 @@ def test_spec_rejects_generator_fields_its_scenario_ignores(scenario, field, val
     ScenarioSpec(scenario, **SPEC_BASES[scenario])
     with pytest.raises(ConfigError, match=field):
         ScenarioSpec(scenario, **SPEC_BASES[scenario], **{field: value})
+
+
+@pytest.mark.parametrize(
+    "scenario, field, value",
+    [
+        ("random_clusters", "dt", np.inf),
+        ("random_clusters", "margin", np.nan),
+        ("three_body", "v_c", np.nan),
+        ("three_body", "v_c", np.inf),
+        ("chain", "spacing", np.inf),
+    ],
+)
+def test_spec_rejects_non_finite_values(scenario, field, value):
+    # The config path rejects these as it reads them.  A library spec took
+    # them and failed later: 0 steps with t = nan, an OverflowError, or a
+    # ValueError from EnsembleState.
+    with pytest.raises(ConfigError, match=field):
+        ScenarioSpec(scenario, **{**SPEC_BASES[scenario], field: value})
 
 
 @pytest.mark.parametrize("scenario", list(SPEC_BASES))

@@ -1,10 +1,11 @@
 """The incremental neighbor search: Verlet shell, skip certificate, epoch identity."""
 import math
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from densiflock import DelayBuffer, Domain, ModelParams, NeighborSearch
+from densiflock import Domain, ModelParams, NeighborSearch
 from densiflock.dynamics import MODELS, SHELL_SKIN
 from densiflock.experiments import oracle_run
 from oracles import dense_table
@@ -51,7 +52,7 @@ def walks(draw):
         knobs["h_steps"] = draw(st.integers(1, 3))
     if model == "cs_q":
         knobs["q"] = draw(st.integers(1, n - 1))
-    domain = Domain.unbounded() if L is None else Domain.periodic(L)
+    domain = Domain() if L is None else Domain(L)
     return ModelParams(model, n, **knobs), domain, x + np.cumsum(moves, axis=0), draw(st.booleans())
 
 
@@ -60,21 +61,21 @@ def walks(draw):
 def test_search_matches_dense_rule_at_every_step(walk):
     params, domain, path, wrap = walk
     search = NeighborSearch(params, domain)
-    buffer = DelayBuffer(params.h_steps, path[0])
+    ring = deque([path[0]], maxlen=params.h_steps + 1)
     skin = SHELL_SKIN * (params.delta or 0.0)
     previous = expected_before = None
     for k, x in enumerate(path):
         x = domain.wrap(x) if wrap else x  # the search also reads unwrapped positions
         if k:
-            buffer.push(x)
+            ring.append(x)
         ref = getattr(search, "ref", None)  # positions at the last filter
-        table = search.table(x, buffer.delayed())
-        expected = dense_table(params, x, buffer.delayed(), domain)
+        table = search.table(x, ring[0])
+        expected = dense_table(params, x, ring[0], domain)
         assert same_table(table, expected)
         # Equal sets come back as the same object, changed sets as a new one.
         if previous is not None:
             assert (table is previous) == same_table(expected, expected_before)
-        y = buffer.delayed() if params.model == "di" else x
+        y = ring[0] if params.model == "di" else x
         if ref is not None and domain.lengths(y - ref).max() > skin / 2:
             assert search.drift == 0.0  # a move past half the skin rebuilds the shell
         previous, expected_before = table, expected
@@ -90,7 +91,7 @@ def point_sets(draw):
     x = rng.uniform(-scale, scale, size=(n, d))
     if draw(st.booleans()):  # exact half-box and grid separations
         x = np.round(x) * (L or 1.0) / 2
-    return x, Domain.unbounded() if L is None else Domain.periodic(L)
+    return x, Domain() if L is None else Domain(L)
 
 
 @given(point_sets())
@@ -121,7 +122,7 @@ def test_certificate_covers_both_ends_of_a_pair():
     # Two particles just outside each other's ball each step toward the other
     # by less than the margin, but together by more.
     eps = 1e-3
-    search = NeighborSearch(ModelParams("cs_delta", 2, delta=1.0), Domain.unbounded())
+    search = NeighborSearch(ModelParams("cs_delta", 2, delta=1.0), Domain())
     x = np.array([[0.0, 0.0], [1.0 + eps, 0.0]])
     assert search.table(x, x).indptr.tolist() == [0, 1, 2]
     y = x + [[0.6 * eps, 0.0], [-0.6 * eps, 0.0]]
