@@ -13,6 +13,7 @@ Four velocity-alignment rules share one state representation:
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -75,13 +76,13 @@ class ModelParams:
             self.m_policy = DEFAULT_POLICY[self.model]
         if self.m_policy not in POLICY_KINDS:
             raise ConfigError(f"unknown m_policy {self.m_policy!r}")
-        if not self.kappa > 0:
-            raise ConfigError("kappa must be > 0")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError("kappa must be finite and > 0")
 
         needs_delta = self.model in ("di", "cs_delta")
         if needs_delta:
-            if self.delta is None or not self.delta > 0:
-                raise ConfigError(f"model {self.model} requires delta > 0")
+            if self.delta is None or not 0 < self.delta < math.inf:
+                raise ConfigError(f"model {self.model} requires a finite delta > 0")
         elif self.delta is not None:
             raise ConfigError(f"model {self.model} takes no delta")
 

@@ -99,19 +99,34 @@ class TrajectoryRecord:
 # stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (rounded down).
 RK4_DISC_RADIUS = 1.3926467
 
-# A Horner step on the CSR hA costs a fixed overhead plus a share per stored
-# entry, one on the dense hA a share per entry of the N x N array.  Timed on a
-# 2-core x86_64 VM (Horner step and operator build, N = 11..2048, fill
-# 0.0003..0.2), CSR wins once N^2 exceeds CSR_ENTRY_COST entries per stored
-# entry plus CSR_CALL_COST; below that, and for every N <= 150, dense wins.
+# The di step map takes one of three paths.  A Horner step on the CSR hA costs
+# a fixed overhead plus a share per stored entry, one on the dense hA a share
+# per entry of the N x N array.  Timed on a 2-core x86_64 VM (Horner step and
+# operator build, N = 11..2048, fill 0.0003..0.2), CSR wins once N^2 exceeds
+# CSR_ENTRY_COST entries per stored entry plus CSR_CALL_COST; below that, and
+# for every N <= 150, dense wins.  For the smallest N a Horner step is mostly
+# numpy's per-call overhead (4 products and 9 elementwise calls, 8-17 us), and
+# one product with the epoch's step matrix S (2N x N) takes 2-3.5 us.  Building
+# S (three N x N products) adds to the epoch's step map the savings of 2.0-2.5
+# steps at N = 11, 1.5-3.4 at N = 24, 3.2-4.0 at N = 32, 3.9-4.7 at N = 40,
+# 6-7 at N = 64 and 21-36 at N = 128 (same VM, one BLAS thread, _step_map
+# timed with either path, three runs).  Up to STEP_MATRIX_MAX_N the matrix
+# pays back within about 4 steps, and a longer epoch gains 12-13 us a step.
 CSR_ENTRY_COST = 8
 CSR_CALL_COST = 150**2
+STEP_MATRIX_MAX_N = 32
 
 
 def csr_step_map(N: int, nnz: int) -> bool:
     """True when the di step map of N particles with nnz stored weights runs
     on CSR, false when it runs on the dense N x N hA."""
     return N * N > CSR_ENTRY_COST * nnz + CSR_CALL_COST
+
+
+def matrix_step_map(N: int) -> bool:
+    """True when the di step map of N particles is one product with the
+    epoch's precomputed step matrix, whatever its table holds."""
+    return N <= STEP_MATRIX_MAX_N
 
 
 def _di_operator(weights: csr_matrix, dt: float):
@@ -138,7 +153,8 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
 
     The di force A v, A = W - diag(W 1), ignores x, so its step is exactly
     v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1),
-    evaluated by Horner on hA (see _di_operator).
+    evaluated by Horner on hA (see _di_operator), or for small N precomputed
+    as one step matrix (see matrix_step_map).
 
     Raises IntegrationFault for the given step when dt * rho leaves the RK4
     stability disc, rho being the Gershgorin radius of the step's weights
@@ -153,6 +169,21 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
         )
     if params.model == "di":
         ha = _di_operator(weights, dt)
+        N = table.n
+        if matrix_step_map(N):
+            # The same polynomials by Horner on the identity, once per epoch:
+            # S = [h Q3(hA); P4(hA)] makes each step one product.
+            eye = np.eye(N)
+            u = eye + ha / 4
+            u = eye + ha @ u / 3
+            u = eye + ha @ u / 2
+            s = np.vstack((dt * u, eye + ha @ u))
+
+            def propagate(x, v):
+                out = s @ v
+                return x + out[:N], out[N:]
+
+            return propagate
 
         def propagate(x, v):
             u = v + ha @ v / 4

@@ -603,6 +603,18 @@ def test_model_params_validation():
     ModelParams(model="cs", N=8, alpha=1.0)
 
 
+def test_model_params_rejects_infinite_kappa_and_delta():
+    # kappa = inf built Phi as inf / inf and faulted at step 0; delta = inf
+    # made every pair a neighbor.
+    for model, kw in (("di", {"m": 3, "delta": 2.0}), ("cs", {})):
+        with pytest.raises(ConfigError, match="kappa"):
+            ModelParams(model=model, N=8, kappa=float("inf"), **kw)
+    for model, kw in (("di", {"m": 3}), ("cs_delta", {})):
+        with pytest.raises(ConfigError, match="delta"):
+            ModelParams(model=model, N=8, delta=float("inf"), **kw)
+    ModelParams(model="di", N=8, m=3, delta=1e300, kappa=1e300)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         EnsembleState(0.0, [[0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])

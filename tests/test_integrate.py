@@ -27,7 +27,12 @@ from densiflock import (
 )
 from densiflock.dynamics import member_weights
 from densiflock.errors import ConfigError
-from densiflock.integrate import RK4_DISC_RADIUS, csr_step_map
+from densiflock.integrate import (
+    RK4_DISC_RADIUS,
+    STEP_MATRIX_MAX_N,
+    csr_step_map,
+    matrix_step_map,
+)
 from oracles import dense_table, neighbor_sets_di, rk4_step
 
 
@@ -527,6 +532,53 @@ def test_step_map_is_dense_at_the_small_workloads_and_csr_at_n2048():
         ("formation_run_n64", 64): False,
         ("di_scale_n2048", 2048): True,
     }
+
+
+def test_step_map_is_a_matrix_product_at_oracle_n11_only():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "specs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_specs", path)
+    specs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specs)
+    picked = {}
+    for name, configs in specs.WORKLOADS.items():
+        for config in configs:
+            if config["model"] == "di":
+                n = parse_config(specs.config_text(config, seed=3)).spec.params.N
+                picked[name, n] = matrix_step_map(n)
+    assert picked == {
+        ("oracle_n11", 11): True,
+        ("observe_n64", 64): False,
+        ("formation_run_n64", 64): False,
+        ("di_scale_n2048", 2048): False,
+    }
+
+
+# --- the step matrix, below its crossover -------------------------------------
+
+
+@pytest.mark.parametrize("n, matrix", [(STEP_MATRIX_MAX_N, True), (STEP_MATRIX_MAX_N + 1, False)])
+def test_step_matches_explicit_stages_on_both_sides_of_the_matrix_crossover(n, matrix):
+    state, params, domain = _blob_state(n, scale=2.0, vel_scale=1.0), _di_params(n), Domain(10.0)
+    table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
+    assert (table.sizes() > 0).all()
+    assert matrix_step_map(n) == matrix and not csr_step_map(n, table.indptr[-1])
+    weights = member_weights(table, params)[0].toarray()
+    out = rk4_step(state, 0.05, params, state.positions, domain)
+    x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
+    tol = 1e-14 * np.abs(state.velocities).max()
+    assert np.abs(out.velocities - v).max() <= tol
+    assert np.abs(out.positions - domain.wrap(x)).max() <= tol
+
+
+def test_matrix_run_is_byte_identical_on_rerun():
+    n = 24
+    assert matrix_step_map(n)
+    state, params, domain = _blob_state(n, scale=3.0, vel_scale=1.0), _di_params(n), Domain(8.0)
+    a, b = (simulate(state, params, domain, 0.01, 0.5, sample_every=5) for _ in range(2))
+    for sa, sb in zip(a.samples, b.samples, strict=True):
+        assert sa.state.positions.tobytes() == sb.state.positions.tobytes()
+        assert sa.state.velocities.tobytes() == sb.state.velocities.tobytes()
+    assert not _same_table(a.samples[0].table, a.samples[-1].table)
 
 
 def test_large_di_run_allocates_no_n_by_n_array():
