@@ -20,7 +20,6 @@ _KEY_TYPES = {
     "n": ("int", None),
     "m": ("int", None),
     "delta": ("float", None),
-    "q": ("int", None),
     "kappa": ("float", None),
     "alpha": ("float", None),
     "m_policy": ("choice", POLICY_KINDS),

@@ -1,15 +1,14 @@
 """Particle state, interaction rules, normalization prefactors, and diagnostics.
 
-Four velocity-alignment rules share one state representation:
+Two velocity-alignment rules share one state representation:
 
 * ``di`` -- density-gated consensus: particle i is pulled toward the
   velocities of the particles inside the open ball B(x_i, delta), but only
   when that ball holds strictly more than m particles (itself included).
   Neighborhoods are evaluated on delayed positions, which the integrator
   supplies through its snapshot buffer.
-* ``cs`` -- classic all-to-all alignment with weight psi(s) = (1+s)^(-alpha).
-* ``cs_delta`` -- the same weight cut off at range delta (closed ball).
-* ``cs_q`` -- alignment restricted to the q closest other particles.
+* ``cs`` -- classic all-to-all alignment with weight psi(s) = (1+s)^(-alpha),
+  the contrast the gated clusters are measured against.
 """
 from __future__ import annotations
 
@@ -25,21 +24,16 @@ from scipy.spatial.distance import pdist
 from .domains import Domain
 from .errors import ConfigError
 
-MODELS = ("di", "cs", "cs_delta", "cs_q")
+MODELS = ("di", "cs")
 POLICY_KINDS = ("flat", "per_neighbor", "constant")
 
 # Prefactor conventions the models usually appear with: mean-field scaling
-# for cs, per-neighbor averaging for the local rules.
-DEFAULT_POLICY = {
-    "di": "per_neighbor",
-    "cs": "flat",
-    "cs_delta": "per_neighbor",
-    "cs_q": "per_neighbor",
-}
+# for cs, per-neighbor averaging for the gated rule.
+DEFAULT_POLICY = {"di": "per_neighbor", "cs": "flat"}
 
 
 def alignment_weight(s, alpha: float = 0.5):
-    """Communication weight (1 + s)^(-alpha) used by the cs family."""
+    """Communication weight (1 + s)^(-alpha) used by cs."""
     return (1.0 + np.asarray(s, dtype=float)) ** (-alpha)
 
 
@@ -52,7 +46,6 @@ class ModelParams:
     kappa: float = 1.0
     m: int | None = None
     delta: float | None = None
-    q: int | None = None
     alpha: float = 0.5
     m_policy: str | None = None
     h_steps: int = 1
@@ -65,8 +58,8 @@ class ModelParams:
         # NeighborSearch.table keys each pair as row * N + col in int64.
         if self.N * self.N >= 2**63:
             raise ConfigError(f"n must keep N*N < 2**63, got N={self.N}")
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError("alpha must be finite and > 0")
         if self.h_steps < 1:
             raise ConfigError("h_steps must be >= 1")
         # The delay ring's maxlen, h_steps + 1, must fit a Py_ssize_t.
@@ -79,30 +72,22 @@ class ModelParams:
         if not 0 < self.kappa < math.inf:
             raise ConfigError("kappa must be finite and > 0")
 
-        needs_delta = self.model in ("di", "cs_delta")
-        if needs_delta:
-            if self.delta is None or not 0 < self.delta < math.inf:
-                raise ConfigError(f"model {self.model} requires a finite delta > 0")
-        elif self.delta is not None:
-            raise ConfigError(f"model {self.model} takes no delta")
-
-        # di weighs no distance (no alpha); the cs family reads current positions (no delay).
+        # di weighs no distance (no alpha); cs couples everyone (no delta, no
+        # gate) at the current positions (no delay).
         if self.model == "di":
+            if self.delta is None or not 0 < self.delta < math.inf:
+                raise ConfigError("model di requires a finite delta > 0")
             if self.m is None or self.m < 1:
                 raise ConfigError("model di requires m >= 1")
             if self.alpha != 0.5:
                 raise ConfigError("model di takes no alpha")
         else:
+            if self.delta is not None:
+                raise ConfigError("model cs takes no delta")
             if self.m is not None:
-                raise ConfigError(f"model {self.model} takes no m")
+                raise ConfigError("model cs takes no m")
             if self.h_steps != 1:
-                raise ConfigError(f"model {self.model} takes no h_steps")
-
-        if self.model == "cs_q":
-            if self.q is None or not 1 <= self.q <= self.N - 1:
-                raise ConfigError("model cs_q requires 1 <= q <= n-1")
-        elif self.q is not None:
-            raise ConfigError(f"model {self.model} takes no q")
+                raise ConfigError("model cs takes no h_steps")
 
     def prefactors(self, sizes) -> np.ndarray:
         """M(N, i, #N_i) for each particle's set size #N_i; 0 where the set is empty.
@@ -175,13 +160,11 @@ SHELL_SKIN = 0.4
 
 
 class NeighborSearch:
-    """One run's neighbor rule: table(positions, delayed) is the step's
-    NeighborTable, the same object for as long as the sets hold.
+    """One run's neighbor rule: table(delayed) is the step's NeighborTable,
+    the same object for as long as the sets hold.
 
     di takes the open delta-balls of the delayed positions, kept only where the
-    ball holds more than m particles (self counted); cs_delta the closed
-    delta-balls of the current positions; cs_q the q closest others, distance
-    ties breaking toward the lower index; cs everyone.  di and cs_delta filter
+    ball holds more than m particles (self counted); cs everyone.  di filters
     a Verlet shell, the kd-tree's pairs within delta + s, rebuilt once twice
     the bound D on each particle's displacement since the build reaches s.  A
     step that moved no particle by half the margin (the least |d - delta| over
@@ -197,35 +180,28 @@ class NeighborSearch:
         # arrays share them; int32 would wrap once the entry count can reach 2**31.
         self.itype = np.int32 if params.N**2 < 2**31 else np.intp
 
-    def table(self, positions: np.ndarray, delayed: np.ndarray) -> NeighborTable:
+    def table(self, delayed: np.ndarray) -> NeighborTable:
         p, N = self.params, self.params.N
         if p.model == "cs":
             return self.current or self._keep(N * np.arange(N + 1), np.tile(np.arange(N), N))
-        if p.model == "cs_q":
-            d = self.domain.distances(positions, positions)
-            np.fill_diagonal(d, np.inf)
-            # Stable sort keeps equal distances in index order.
-            order = np.argsort(d, axis=1, kind="stable")[:, : p.q]
-            return self._keep(p.q * np.arange(N + 1), np.sort(order, axis=1).ravel())
-        y = delayed if p.model == "di" else positions
         if self.ref is not None:
-            moved = self.domain.lengths(y - self.ref).max()
+            moved = self.domain.lengths(delayed - self.ref).max()
             if 2 * moved + self.slack < self.margin:
                 return self.current
             self.drift += moved
         if self.ref is None or 2 * self.drift + self.slack >= self.skin:
-            tree = cKDTree(self.domain.wrap(y), boxsize=self.domain.L)
+            tree = cKDTree(self.domain.wrap(delayed), boxsize=self.domain.L)
             self.pairs = tree.query_pairs(p.delta + self.skin, output_type="ndarray").T
             self.flags, self.drift = None, 0.0
         i, j = self.pairs
-        d = self.domain.pair_distances(y, i, j)
-        self.ref = y.copy()
+        d = self.domain.pair_distances(delayed, i, j)
+        self.ref = delayed.copy()
         self.margin = min(np.abs(d - p.delta).min(initial=np.inf), self.skin - 2 * self.drift)
-        flags = d < p.delta if p.model == "di" else d <= p.delta
+        flags = d < p.delta
         if np.array_equal(flags, self.flags):
             return self.current
         self.flags, i, j = flags, i[flags], j[flags]
-        gated = 1 + np.bincount(i, minlength=N) + np.bincount(j, minlength=N) > (p.m or 0)
+        gated = 1 + np.bincount(i, minlength=N) + np.bincount(j, minlength=N) > p.m
         rows, cols = np.concatenate([i, j, np.arange(N)]), np.concatenate([j, i, np.arange(N)])
         key = np.sort((rows * N + cols)[gated[rows]])
         return self._keep(np.searchsorted(key, N * np.arange(N + 1)), key % N)
@@ -240,7 +216,7 @@ class NeighborSearch:
 
 
 # One coupling formula: a = (W - diag(W 1)) v, with W the membership scaled
-# row-wise by M(N, i, #N_i), times psi(|x_i - x_k|) for the cs family.
+# row-wise by M(N, i, #N_i), times psi(|x_i - x_k|) for cs.
 
 
 def member_weights(table: NeighborTable, params: ModelParams) -> tuple[csr_matrix, float]:

@@ -1,10 +1,10 @@
 """Classic fourth-order Runge-Kutta time stepping with per-step topology.
 
 One incremental search reads the neighbor relation once per step (di from the
-delayed positions, the cs family from the current positions); it is held fixed
-for the step: di by its exact RK4 propagator, the cs family by four stages with
-distance weights at the staged positions.  A topology epoch, a run of steps
-under one relation, shares one step map, digraph and cluster labeling.
+delayed positions; cs couples everyone); it is held fixed for the step: di by
+its exact RK4 propagator, cs by four stages with distance weights at the
+staged positions.  A topology epoch, a run of steps under one relation, shares
+one step map, digraph and cluster labeling.
 """
 from __future__ import annotations
 
@@ -158,7 +158,7 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
 
     Raises IntegrationFault for the given step when dt * rho leaves the RK4
     stability disc, rho being the Gershgorin radius of the step's weights
-    (psi <= 1, so it also bounds the cs family's staged weights).
+    (psi <= 1, so it also bounds cs's staged weights).
     """
     weights, rho = member_weights(table, params)
     if dt * rho > RK4_DISC_RADIUS:
@@ -193,11 +193,11 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
 
         return propagate
 
-    weights = weights.toarray()
-    metric, alpha = domain.distances, params.alpha
+    # cs's all-to-all sets share one size, N, so every W_ik is M_*.
+    metric, alpha, m_star = domain.distances, params.alpha, params.m_star
 
-    def accel(x, v):  # a_i = sum_k W_ik psi_ik (v_k - v_i); the diagonal cancels
-        w = weights * alignment_weight(metric(x, x), alpha)
+    def accel(x, v):  # a_i = sum_k M_* psi_ik (v_k - v_i); the diagonal cancels
+        w = m_star * alignment_weight(metric(x, x), alpha)
         return w @ v - w.sum(axis=1, keepdims=True) * v
 
     def stages(x, v):
@@ -251,7 +251,7 @@ def simulate(
     record = TrajectoryRecord(spec)
     epoch = None
     for step in range(n_steps + 1):
-        table = search.table(x, ring[0])
+        table = search.table(ring[0])
         # A topology epoch is a run of steps under one table, which the search
         # returns as one object.  The step map and the sampled Phi and labels
         # are built from it at most once per epoch, when first needed.

@@ -24,26 +24,14 @@ def table_from_mask(mask):
     return NeighborTable(indptr, np.nonzero(mask)[1].astype(itype))
 
 
-def dense_membership(params, positions, delayed, dist):
+def dense_membership(params, delayed, dist):
     """mask[i, k] is true when k belongs to particle i's set, from one N x N
     distance matrix: di the open delta-balls of the delayed positions, gated on
-    holding more than m particles (self counted); cs_delta the closed
-    delta-balls of the current positions; cs_q the q closest others, ties
-    toward the lower index; cs everyone."""
-    if params.model == "di":
-        inside = dist(delayed, delayed) < params.delta
-        return inside & (inside.sum(axis=1) > params.m)[:, None]
+    holding more than m particles (self counted); cs everyone."""
     if params.model == "cs":
         return np.ones((params.N, params.N), dtype=bool)
-    if params.model == "cs_delta":
-        return dist(positions, positions) <= params.delta
-    d = dist(positions, positions).copy()
-    np.fill_diagonal(d, np.inf)
-    # Stable sort keeps equal distances in index order.
-    order = np.argsort(d, axis=1, kind="stable")[:, : params.q]
-    mask = np.zeros(d.shape, dtype=bool)
-    mask[np.arange(len(d))[:, None], order] = True
-    return mask
+    inside = dist(delayed, delayed) < params.delta
+    return inside & (inside.sum(axis=1) > params.m)[:, None]
 
 
 @dataclass
@@ -89,28 +77,13 @@ def is_r_densely_packed(delayed_positions, cluster, r, m, dist=Domain().distance
     )
 
 
-def dense_table(params, positions, delayed, domain):
-    return table_from_mask(dense_membership(params, positions, delayed, domain.distances))
+def dense_table(params, delayed, domain):
+    return table_from_mask(dense_membership(params, delayed, domain.distances))
 
 
 def prefactor_params(m_policy, N, kappa=1.0):
     """Params of N particles whose prefactor rule M(N, i, #N_i) is m_policy at kappa."""
     return ModelParams("cs", N, kappa=kappa, m_policy=m_policy)
-
-
-def _one_step_table(params, positions, domain):
-    x = np.atleast_2d(np.asarray(positions, dtype=float))
-    return NeighborSearch(params, domain).table(x, x)
-
-
-def neighbor_sets_cs_delta(positions, delta, domain=Domain()):
-    """The package's closed delta-balls of one position set."""
-    return _one_step_table(ModelParams("cs_delta", len(positions), delta=delta), positions, domain)
-
-
-def neighbor_sets_cs_q(positions, q, domain=Domain()):
-    """The package's q nearest others of one position set."""
-    return _one_step_table(ModelParams("cs_q", len(positions), q=q), positions, domain)
 
 
 def neighbor_sets_di(delayed_positions, delta, m, domain=Domain()):
@@ -121,7 +94,7 @@ def neighbor_sets_di(delayed_positions, delta, m, domain=Domain()):
     x = np.atleast_2d(np.asarray(delayed_positions, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("non-finite coordinates")
-    return _one_step_table(ModelParams("di", len(x), m=m, delta=delta), x, domain)
+    return NeighborSearch(ModelParams("di", len(x), m=m, delta=delta), domain).table(x)
 
 
 def rk4_step(state, dt, params, delayed, domain):
@@ -135,7 +108,7 @@ def rk4_step(state, dt, params, delayed, domain):
     if not dt > 0:
         raise ValueError("dt must be > 0")
     step = int(round(state.t / dt))
-    table = dense_table(params, state.positions, delayed, domain)
+    table = dense_table(params, delayed, domain)
     step_map = _step_map(table, dt, params, domain, step)
     x, v = _advance(state.positions, state.velocities, step_map, domain, step)
     return EnsembleState(state.t + dt, x, v)

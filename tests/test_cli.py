@@ -94,7 +94,7 @@ def test_parse_table_defaults():
 def test_parse_rejects_bad_values():
     bad = [
         ("scenario = random_clusters\nmodel = di\nn = 64\ndelta = 0\n", "delta"),
-        ("scenario = random_clusters\nmodel = cs_q\nn = 64\n", "cs_q"),
+        ("scenario = random_clusters\nmodel = cs_q\nn = 64\n", "removed model cs_q"),
         ("scenario = random_clusters\nmodel = di\nn = 64\ndelta = 2\nn = 3\n", "duplicate"),
         ("scenario = random_clusters\nmodel = di\nn = sixty\ndelta = 2\n", "int"),
         ("model = di\nn = 8\ndelta = 2\n", "scenario"),
@@ -109,6 +109,24 @@ def test_parse_rejects_bad_values():
     for text, label in bad:
         with pytest.raises(ConfigError):
             parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "line", ["model = cs_q", "model = cs_delta", "q = 2"], ids=["cs_q", "cs_delta", "q"]
+)
+def test_removed_models_and_their_key_fail_cleanly(tmp_path, capsys, line):
+    # The models are di and cs, and no key names a neighbor count q: such a
+    # config is a ConfigError naming the model or the key, exit 1.
+    key = line.partition(" ")[0]
+    text = BASE_RUN.replace("model = di", line) if key == "model" else BASE_RUN + line + "\n"
+    with pytest.raises(ConfigError, match="unknown key 'q'" if key == "q" else "key 'model'"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_reports_line_numbers():

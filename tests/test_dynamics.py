@@ -22,8 +22,6 @@ from densiflock.graph import build_digraph
 from oracles import (
     dense_membership,
     density_ratio,
-    neighbor_sets_cs_delta,
-    neighbor_sets_cs_q,
     neighbor_sets_di,
     prefactor_params,
     table_from_mask,
@@ -40,38 +38,6 @@ def brute_force_di_table(positions, delta, m):
             if np.linalg.norm(np.asarray(positions[k]) - np.asarray(positions[i])) < delta
         ]
         sets.append(sorted(ball) if len(ball) > m else [])
-    return sets
-
-
-def pair_distance(a, b, L=None):
-    """One pair's distance, to the nearest periodic image when L is given, by
-    the metric's per-axis arithmetic in scalars."""
-    sq = 0.0
-    for ak, bk in zip(a, b):
-        d = ak - bk
-        if L is not None:
-            d -= round(d / L) * L
-        sq += d * d
-    return math.sqrt(sq)
-
-
-def brute_force_cs_delta_table(positions, delta, L=None):
-    """Per-definition closed delta-balls, one pair at a time."""
-    n = len(positions)
-    return [
-        [k for k in range(n) if pair_distance(positions[i], positions[k], L) <= delta]
-        for i in range(n)
-    ]
-
-
-def brute_force_cs_q_table(positions, q, L=None):
-    """Per-definition q nearest others, ranked by (distance, index), listed ascending."""
-    n = len(positions)
-    sets = []
-    for i in range(n):
-        others = (k for k in range(n) if k != i)
-        ranked = sorted((pair_distance(positions[i], positions[k], L), k) for k in others)
-        sets.append(sorted(k for _, k in ranked[:q]))
     return sets
 
 
@@ -240,71 +206,6 @@ def test_table_from_mask_round_trips(n, seed, p):
         assert not same_table(table, table_from_mask(np.zeros_like(mask)))
 
 
-# --- cs-family neighbor sets ----------------------------------------------
-
-
-def test_cs_delta_closed_ball_at_exact_range():
-    pos = [[0.0, 0.0], [1.0, 0.0]]
-    table = neighbor_sets_cs_delta(pos, delta=1.0)
-    assert table_as_lists(table) == [[0, 1], [0, 1]]
-
-
-def test_cs_delta_beyond_range_leaves_self_only():
-    pos = [[0.0, 0.0], [1.01, 0.0]]
-    table = neighbor_sets_cs_delta(pos, delta=1.0)
-    assert table_as_lists(table) == [[0], [1]]
-
-
-@given(n=st.integers(2, 20), seed=st.integers(0, 10_000), delta=st.floats(0.2, 3.0))
-@settings(max_examples=50, deadline=None)
-def test_cs_delta_table_symmetric(n, seed, delta):
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(0, 4, size=(n, 2))
-    table = neighbor_sets_cs_delta(pos, delta)
-    mat = membership(table)
-    assert (mat == mat.T).all()
-
-
-@given(rule_inputs())
-@settings(max_examples=80, deadline=None)
-def test_cs_delta_matches_brute_force(case):
-    pos, delta, L = case
-    table = neighbor_sets_cs_delta(pos, delta, _domain(L))
-    assert table_as_lists(table) == brute_force_cs_delta_table(pos, delta, L)
-
-
-@given(rule_inputs(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_cs_q_matches_brute_force(case, data):
-    pos, _, L = case
-    q = data.draw(st.integers(1, len(pos) - 1))
-    table = neighbor_sets_cs_q(pos, q, _domain(L))
-    assert table_as_lists(table) == brute_force_cs_q_table(pos, q, L)
-
-
-def test_cs_q_two_particles():
-    table = neighbor_sets_cs_q([[0.0, 0.0], [3.0, 0.0]], q=1)
-    assert table_as_lists(table) == [[1], [0]]
-
-
-def test_cs_q_collinear_not_symmetric():
-    table = neighbor_sets_cs_q([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], q=1)
-    assert table_as_lists(table) == [[1], [0], [1]]
-
-
-def test_cs_q_tie_breaks_toward_lower_index():
-    #
-
-    # 1 is equidistant from 0 and 2.
-    table = neighbor_sets_cs_q([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], q=1)
-    assert table_as_lists(table)[1] == [0]
-
-
-def test_cs_q_range_validation():
-    with pytest.raises(ConfigError):
-        neighbor_sets_cs_q([[0.0, 0.0], [1.0, 0.0]], q=2)
-
-
 # --- normalization --------------------------------------------------------
 
 
@@ -342,20 +243,16 @@ def test_m_policy_bounds():
 @settings(max_examples=150, deadline=None)
 def test_member_weights_match_dense_oracle(case, data):
     # Every model's rule on the plane or a periodic box, grid ties at exactly
-    # delta, di gates that may all stay shut, cs_q sets that never hold self.
+    # delta, di gates that may all stay shut.
     pos, delta, L = case
     n = len(pos)
     model = data.draw(st.sampled_from(MODELS))
-    knobs = {"delta": delta} if model in ("di", "cs_delta") else {}
-    if model == "di":
-        knobs["m"] = data.draw(st.integers(1, n))
-    if model == "cs_q":
-        knobs["q"] = data.draw(st.integers(1, n - 1))
+    knobs = {"delta": delta, "m": data.draw(st.integers(1, n))} if model == "di" else {}
     params = ModelParams(
         model, n, kappa=data.draw(st.floats(0.1, 5.0)),
         m_policy=data.draw(st.sampled_from(POLICY_KINDS)), **knobs,
     )
-    mask = dense_membership(params, pos, pos, _domain(L).distances)
+    mask = dense_membership(params, pos, _domain(L).distances)
     table = table_from_mask(mask)
 
     weights, rho = member_weights(table, params)
@@ -379,7 +276,7 @@ def _force(state, table, m_policy, pair_weight=None):
     times pair_weight(x) when given.
 
     Written out here as the oracle: the package steps di by its propagator and
-    folds the cs family's force into its RK4 stages.
+    folds cs's force into its RK4 stages.
     """
     weights, _ = dense_member_weights(membership(table), prefactor_params(m_policy, state.n))
     if pair_weight is not None:
@@ -422,13 +319,6 @@ def test_acceleration_cs_two_particles_hand_value():
     a = _force(state, table, "flat", _cs_weight)
     assert a[0, 0] == pytest.approx(0.25)
     assert a[1, 0] == pytest.approx(-0.25)
-
-
-def test_acceleration_cs_delta_compact_support():
-    state = _state([[0.0, 0.0], [5.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
-    table = neighbor_sets_cs_delta(state.positions, 2.0)
-    a = _force(state, table, "per_neighbor", _cs_weight)
-    assert np.all(a == 0)
 
 
 @st.composite
@@ -579,26 +469,29 @@ def test_model_params_validation():
         ModelParams(model="di", N=8, m=0, delta=1.0)
     with pytest.raises(ConfigError):
         ModelParams(model="di", N=8, m=3, delta=-1.0)
-    with pytest.raises(ConfigError):
-        ModelParams(model="cs_q", N=8, q=8)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="takes no delta"):
         ModelParams(model="cs", N=8, delta=2.0)
+    with pytest.raises(ConfigError, match="takes no m"):
+        ModelParams(model="cs", N=8, m=3)
     with pytest.raises(ConfigError, match="m_policy"):
         ModelParams(model="cs", N=8, m_policy="uniform")
     for kappa in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="kappa"):
             ModelParams(model="cs", N=8, kappa=kappa)
+    # alpha = inf made psi 0 at every positive distance: cs with no alignment.
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="alpha"):
+            ModelParams(model="cs", N=8, alpha=alpha)
     with pytest.raises(ConfigError, match="h_steps"):
         ModelParams(model="di", N=8, m=3, delta=1.0, h_steps=0)
     params = ModelParams(model="di", N=8, m=3, delta=1.0)
     assert params.m_policy == "per_neighbor"
     assert ModelParams(model="cs", N=8).m_policy == "flat"
-    # di weighs no distance, and the cs family reads current positions.
+    # di weighs no distance, and cs reads current positions.
     with pytest.raises(ConfigError, match="alpha"):
         ModelParams(model="di", N=8, m=3, delta=1.0, alpha=1.0)
-    for model, kw in (("cs", {}), ("cs_delta", {"delta": 1.0}), ("cs_q", {"q": 2})):
-        with pytest.raises(ConfigError, match="h_steps"):
-            ModelParams(model=model, N=8, h_steps=5, **kw)
+    with pytest.raises(ConfigError, match="h_steps"):
+        ModelParams(model="cs", N=8, h_steps=5)
     ModelParams(model="di", N=8, m=3, delta=1.0, h_steps=5)
     ModelParams(model="cs", N=8, alpha=1.0)
 
@@ -609,9 +502,8 @@ def test_model_params_rejects_infinite_kappa_and_delta():
     for model, kw in (("di", {"m": 3, "delta": 2.0}), ("cs", {})):
         with pytest.raises(ConfigError, match="kappa"):
             ModelParams(model=model, N=8, kappa=float("inf"), **kw)
-    for model, kw in (("di", {"m": 3}), ("cs_delta", {})):
-        with pytest.raises(ConfigError, match="delta"):
-            ModelParams(model=model, N=8, delta=float("inf"), **kw)
+    with pytest.raises(ConfigError, match="delta"):
+        ModelParams(model="di", N=8, m=3, delta=float("inf"))
     ModelParams(model="di", N=8, m=3, delta=1e300, kappa=1e300)
 
 

@@ -257,7 +257,7 @@ def test_gate_reads_whole_ensemble_packedness():
     def check(n, m, periodic, side, seed):
         domain = Domain(side) if periodic else Domain()
         x = np.random.default_rng(seed).uniform(0, side, (n, 2))
-        table = NeighborSearch(ModelParams("di", n, m=m, delta=delta), domain).table(x, x)
+        table = NeighborSearch(ModelParams("di", n, m=m, delta=delta), domain).table(x)
         labels = strongly_connected_components(build_digraph(table, prefactor_params("flat", n)))
         rule = labels.cluster_count == 1 and bool((table.sizes() > 0).all())
         oracle = is_r_densely_packed(x, np.arange(n), delta, m, dist=domain.distances)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.spatial.distance import cdist
 
 import densiflock.integrate
 from densiflock import (
@@ -25,7 +26,7 @@ from densiflock import (
     simulate,
     strongly_connected_components,
 )
-from densiflock.dynamics import member_weights
+from densiflock.dynamics import POLICY_KINDS, alignment_weight, member_weights
 from densiflock.errors import ConfigError
 from densiflock.integrate import (
     RK4_DISC_RADIUS,
@@ -215,8 +216,6 @@ def test_rk4_fourth_order_convergence():
     [
         ModelParams(model="di", N=6, m=2, delta=2.0),
         ModelParams(model="cs", N=6),
-        ModelParams(model="cs_delta", N=6, delta=2.0),
-        ModelParams(model="cs_q", N=6, q=2),
         # Delayed di on a spread-out state whose gates switch within the 10 steps.
         ModelParams(model="di", N=6, m=2, delta=2.0, h_steps=3),
     ],
@@ -238,7 +237,7 @@ def test_simulate_matches_stepwise_rk4(params):
         assert np.array_equal(sample.state.velocities, cur.velocities)
         if k == len(record.samples) - 1:
             break
-        assert _same_table(sample.table, dense_table(params, cur.positions, ring[0], domain))
+        assert _same_table(sample.table, dense_table(params, ring[0], domain))
         cur = rk4_step(cur, 0.05, params, ring[0], domain)
         ring.append(cur.positions)
     if params.h_steps > 1:  # the case cannot silently stay static
@@ -442,20 +441,36 @@ def test_topology_delay_commutes_with_dt_refinement():
     assert np.abs(a.samples[-1].state.velocities - b.samples[-1].state.velocities).max() < 1e-5
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        ModelParams(model="cs", N=12),
-        ModelParams(model="cs_delta", N=12, delta=2.0),
-        ModelParams(model="cs_q", N=12, q=3),
-    ],
-)
+@pytest.mark.parametrize("params", [ModelParams("cs", 12, m_policy=p) for p in POLICY_KINDS])
 def test_cs_family_runs_and_contracts_velocities(params):
     state = _blob_state(n=12, scale=1.0, vel_scale=1.0, seed=8)
     record = simulate(state, params, Domain(), 0.01, 5.0, sample_every=100)
     v = record.vmax_series()
     assert np.isfinite(v).all()
     assert v[-1] < v[0]
+
+
+@pytest.mark.parametrize("m_policy", POLICY_KINDS)
+def test_cs_step_equals_explicit_stages_of_the_dense_weights(m_policy):
+    # cs scales psi by the one prefactor M_*; the oracle expands W (N x N,
+    # every row M(N, i, N)) and stages the force W psi(|x_i - x_k|) (v_k - v_i).
+    state = _blob_state(n=7, scale=2.0, vel_scale=1.0, seed=3)
+    params = ModelParams("cs", 7, kappa=1.5, alpha=0.7, m_policy=m_policy)
+    table = dense_table(params, state.positions, Domain())
+    weights = member_weights(table, params)[0].toarray()
+
+    def accel(x, u):
+        w = weights * alignment_weight(cdist(x, x), params.alpha)
+        return w @ u - w.sum(axis=1, keepdims=True) * u
+
+    x, v, dt = state.positions, state.velocities, 0.05
+    kx1, kv1 = v * dt, accel(x, v) * dt
+    kx2, kv2 = (v + kv1 / 2) * dt, accel(x + kx1 / 2, v + kv1 / 2) * dt
+    kx3, kv3 = (v + kv2 / 2) * dt, accel(x + kx2 / 2, v + kv2 / 2) * dt
+    kx4, kv4 = (v + kv3) * dt, accel(x + kx3, v + kv3) * dt
+    out = rk4_step(state, dt, params, state.positions, Domain())
+    assert np.array_equal(out.positions, x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6)
+    assert np.array_equal(out.velocities, v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6)
 
 
 def test_momentum_conserved_on_symmetric_flat_topology():
@@ -521,7 +536,7 @@ def test_step_map_is_dense_at_the_small_workloads_and_csr_at_n2048():
                 continue
             spec = parse_config(specs.config_text(config, seed=3)).spec
             x = initial_state(spec).positions
-            table = NeighborSearch(spec.params, spec.domain).table(x, x)
+            table = NeighborSearch(spec.params, spec.domain).table(x)
             n = spec.params.N
             picked[name, n] = csr_step_map(n, table.indptr[-1])
             # Dense below the crossover whatever the table holds.

@@ -1,8 +1,11 @@
-"""README's library examples run against the package as documented."""
+"""README's library examples run against the package as documented, and its
+Keys block lists the values the config parser accepts."""
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from densiflock.config import _KEY_TYPES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +21,15 @@ def test_readme_python_blocks_print_their_output_comments():
         with contextlib.redirect_stdout(out):
             exec(compile(block, str(README), "exec"), {"__name__": "readme"})
         assert out.getvalue().splitlines() == lines
+
+
+def test_readme_keys_list_every_choice_exactly():
+    # The Keys block's line `key  a | b | ...` of each choice key names the
+    # values the parser accepts, no more and no fewer.
+    block = re.search(r"^Keys:\n\n```\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
+    for key, (kind, allowed) in _KEY_TYPES.items():
+        if kind == "choice":
+            line = re.search(rf"^{key}\s+(.*)$", block, re.M)
+            assert line, f"README Keys block has no {key} line"
+            listed = re.split(r"\s{2,}", line.group(1))[0].split(" | ")
+            assert sorted(listed) == sorted(allowed), key

@@ -45,13 +45,9 @@ def walks(draw):
         moves = rng.normal(0.0, scale, size=(steps, n, 2))
         moves += 7.0 * (rng.random((steps, n, 1)) < 0.02)
     knobs = {}
-    if model in ("di", "cs_delta"):
-        knobs["delta"] = delta
     if model == "di":
-        knobs["m"] = draw(st.integers(1, 4))
-        knobs["h_steps"] = draw(st.integers(1, 3))
-    if model == "cs_q":
-        knobs["q"] = draw(st.integers(1, n - 1))
+        m, h_steps = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        knobs = dict(delta=delta, m=m, h_steps=h_steps)
     domain = Domain() if L is None else Domain(L)
     return ModelParams(model, n, **knobs), domain, x + np.cumsum(moves, axis=0), draw(st.booleans())
 
@@ -69,14 +65,13 @@ def test_search_matches_dense_rule_at_every_step(walk):
         if k:
             ring.append(x)
         ref = getattr(search, "ref", None)  # positions at the last filter
-        table = search.table(x, ring[0])
-        expected = dense_table(params, x, ring[0], domain)
+        table = search.table(ring[0])
+        expected = dense_table(params, ring[0], domain)
         assert same_table(table, expected)
         # Equal sets come back as the same object, changed sets as a new one.
         if previous is not None:
             assert (table is previous) == same_table(expected, expected_before)
-        y = ring[0] if params.model == "di" else x
-        if ref is not None and domain.lengths(y - ref).max() > skin / 2:
+        if ref is not None and domain.lengths(ring[0] - ref).max() > skin / 2:
             assert search.drift == 0.0  # a move past half the skin rebuilds the shell
         previous, expected_before = table, expected
 
@@ -120,10 +115,10 @@ def test_certificate_skips_the_filter_on_the_oracle_run(monkeypatch):
 
 def test_certificate_covers_both_ends_of_a_pair():
     # Two particles just outside each other's ball each step toward the other
-    # by less than the margin, but together by more.
+    # by less than the margin, but together by more: both gates open (m = 1).
     eps = 1e-3
-    search = NeighborSearch(ModelParams("cs_delta", 2, delta=1.0), Domain())
+    search = NeighborSearch(ModelParams("di", 2, m=1, delta=1.0), Domain())
     x = np.array([[0.0, 0.0], [1.0 + eps, 0.0]])
-    assert search.table(x, x).indptr.tolist() == [0, 1, 2]
+    assert search.table(x).indptr.tolist() == [0, 0, 0]
     y = x + [[0.6 * eps, 0.0], [-0.6 * eps, 0.0]]
-    assert search.table(y, y).indptr.tolist() == [0, 2, 4]
+    assert search.table(y).indptr.tolist() == [0, 2, 4]
