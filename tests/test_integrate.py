@@ -216,6 +216,8 @@ def test_rk4_fourth_order_convergence():
     [
         ModelParams(model="di", N=6, m=2, delta=2.0),
         ModelParams(model="cs", N=6),
+        ModelParams(model="di", N=6, m=2, delta=2.0, m_policy="flat"),
+        ModelParams(model="cs", N=6, m_policy="per_neighbor"),
         # Delayed di on a spread-out state whose gates switch within the 10 steps.
         ModelParams(model="di", N=6, m=2, delta=2.0, h_steps=3),
     ],
