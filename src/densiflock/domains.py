@@ -28,13 +28,20 @@ class Domain:
     def is_periodic(self) -> bool:
         return self.L is not None
 
-    def wrap(self, positions: np.ndarray) -> np.ndarray:
-        """Map coordinates into [0, L)^d; identity on the unbounded plane."""
+    def wrap(self, positions: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """Map coordinates into [0, L)^d; identity on the unbounded plane.
+
+        in_place wraps the float array positions itself and returns it.
+        """
+        y = np.asarray(positions, dtype=float)
         if not self.is_periodic:
-            return np.asarray(positions, dtype=float)
-        y = np.mod(np.asarray(positions, dtype=float), self.L)
+            return y
+        if not in_place:
+            y = y.copy()
+        np.mod(y, self.L, out=y)
         # A tiny negative coordinate rounds up to L, the same torus point as 0.
-        return np.where(y == self.L, 0.0, y)
+        y[y == self.L] = 0.0
+        return y
 
     def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pairwise distances to the nearest periodic image (plain Euclidean when unbounded)."""

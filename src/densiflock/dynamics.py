@@ -169,7 +169,8 @@ class NeighborSearch:
     the bound D on each particle's displacement since the build reaches s.  A
     step that moved no particle by half the margin (the least |d - delta| over
     the shell and s - 2 D, both at the last filter) can flip no flag, so it
-    skips the filter.
+    skips the filter.  moved is the largest displacement of the last call's
+    delayed positions from those of the last filter (0 right after one).
     """
 
     def __init__(self, params: ModelParams, domain: Domain):
@@ -185,7 +186,7 @@ class NeighborSearch:
         if p.model == "cs":
             return self.current or self._keep(N * np.arange(N + 1), np.tile(np.arange(N), N))
         if self.ref is not None:
-            moved = self.domain.lengths(delayed - self.ref).max()
+            self.moved = moved = self.domain.lengths(delayed - self.ref).max()
             if 2 * moved + self.slack < self.margin:
                 return self.current
             self.drift += moved
@@ -195,7 +196,7 @@ class NeighborSearch:
             self.flags, self.drift = None, 0.0
         i, j = self.pairs
         d = self.domain.pair_distances(delayed, i, j)
-        self.ref = delayed.copy()
+        self.ref, self.moved = delayed.copy(), 0.0
         self.margin = min(np.abs(d - p.delta).min(initial=np.inf), self.skin - 2 * self.drift)
         flags = d < p.delta
         if np.array_equal(flags, self.flags):

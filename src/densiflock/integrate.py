@@ -4,7 +4,10 @@ One incremental search reads the neighbor relation once per step (di from the
 delayed positions; cs couples everyone); it is held fixed for the step: di by
 its exact RK4 propagator, cs by four stages with distance weights at the
 staged positions.  A topology epoch, a run of steps under one relation, shares
-one step map, digraph and cluster labeling.
+one step map, digraph and cluster labeling.  In a small di epoch whose step
+matrix has no negative entry no speed can grow, so one bound proves every
+step finite, and after a search call how many coming calls would return the
+same table: those steps, a certified stretch, skip the search.
 """
 from __future__ import annotations
 
@@ -148,8 +151,121 @@ def _di_operator(weights: csr_matrix, dt: float):
     return csr_matrix((data, weights.indices, weights.indptr), shape=weights.shape)
 
 
+# Certified stretches.  Rows of A = W - diag(W 1) sum to zero, so P4(hA) and
+# Q3(hA) keep the all-ones vector.  Where the epoch's computed S has no
+# negative entry, every new velocity is thus a weighted average of the old
+# ones, and every position step dt times one: by convexity of the norm no
+# speed exceeds V, the largest at the epoch's first step, and no step moves a
+# particle by more than about dt V.  After a search call that returned the
+# epoch's table, its skip test 2 moved + slack < margin then holds for the k
+# coming calls for which 2 (moved + k dt V) + slack < margin, so those k
+# steps need no call: the search would return the same table.  The bound needs
+# the delayed positions to have moved under this S alone, so a stretch starts
+# h_steps steps into its epoch at the earliest.
+#
+# The float arithmetic widens each term by these allowances, with u = 2^-53
+# and r(n) = 1 + 2 n u, which exceeds (1 + u)^n and (1 - u)^-n while
+# n u <= 1/2:
+# * a row of S: the exact sum of its N entries is at most r(N) times the
+#   computed one (sigma_T, sigma_B the largest of the top and bottom halves);
+# * the product S @ v: each entry lies within r(N) - 1 times
+#   sum_k S_ik |v_kc| of that sum, so |v'_i| <= r(2N + 2) sigma_B max |v_k|
+#   and the position step out_i is at most O = r(2N + 2) sigma_T max |v_k|;
+# * V, computed from d squares, their sum and a root: r(d + 1) V bounds the
+#   speeds, and r(d + 1) V (r(2N + 3) sigma_B)^n those of the n steps left
+#   (the base raised by one more r(1), since the power multiplies its rounding
+#   by n);
+# * x + out rounds each coordinate by u |x + out|, and Domain.wrap moves it by
+#   at most u L (np.mod's fmod is exact; only the + L of a negative
+#   coordinate rounds, and mapping L to 0 keeps the torus point).  A step so
+#   moves a particle by at most P = r(1) O + 2 u sqrt(d) L on the box, where
+#   |x| < sqrt(d) L, and on the plane, where |x| <= sqrt(d) X + n P with X the
+#   largest coordinate at the epoch's first step, by
+#   P = (r(1) O + u sqrt(d) X) / (1 - n u);
+# * Domain.lengths, the search's displacement: on the plane the difference
+#   rounds by u per coordinate, and the squares, their sum and the root by
+#   r(d + 1), so the computed length lies within c = r(d + 2) of the true one.
+#   On the box the difference of two coordinates in [0, L) rounds by u L, the
+#   image shift k L (|k| <= 1) is exact, the subtraction rounds by u L, and a
+#   shift picked on the other side of a half box (the rounded e / L within
+#   3u of 1/2) adds 6 u L: each coordinate's magnitude is within 8 u L, a
+#   length within a = 8 u L sqrt(d) before the factor c.  So
+#   lambda <= c (l + a) and l <= c lambda + a for a true length l and its
+#   computed lambda (a = 0 on the plane), and k steps later l <= l_0 + k P by
+#   the triangle inequality;
+# * the search's test rounds 2 lambda + slack up by at most r(1).
+# Hence R (2 c (c moved + 2 a + k P) + slack) < margin proves k calls idle.
+# Each float formula here adds, multiplies, divides or raises non-negative
+# numbers with at most 9 roundings, so a factor r(10) makes its value an
+# upper bound; R = r(11) exceeds (1 + u) (1 - u)^-9 and so covers both that
+# and the test's rounding.  Where the bounds on |x + out| and on the speeds
+# are finite, no step of the epoch can overflow, so its finiteness test is
+# idle too.
+_U = 2.0**-53
+
+
+def _r(n: int) -> float:
+    return 1 + 2 * n * _U
+
+
+class _StepMatrix:
+    """A small di epoch's step (x, v) -> [x'; v'] as one product with its
+    step matrix S = [h Q3(hA); P4(hA)] (see matrix_step_map), and the bound
+    that certifies its stretches."""
+
+    def __init__(self, s: np.ndarray):
+        self.s, self.n = s, len(s) // 2
+
+    def __call__(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = self.s @ v
+        out[: self.n] += x  # the IEEE sums of x + out[:n], in out's own buffer
+        return out
+
+    def certify(self, x: np.ndarray, v: np.ndarray, domain: Domain, steps: int) -> bool:
+        """True when S has no negative entry and no step of the steps left
+        from (x, v), the epoch's first state, can overflow or move a particle
+        by more than self.reach."""
+        s, N, d = self.s, self.n, x.shape[1]
+        if not (s.min() >= 0 and steps * _U <= 0.5):
+            return False
+        rows = s.sum(axis=1)
+        speed = math.sqrt((v * v).sum(axis=1).max())
+        try:
+            growth = max(rows[N:].max() * _r(2 * N + 3), 1.0) ** steps
+        except OverflowError:
+            return False
+        vmax = _r(10) * _r(d + 1) * speed * growth
+        out = _r(2 * N + 2) * rows[:N].max() * vmax
+        root_d = math.sqrt(d)
+        if domain.is_periodic:
+            self.a = 8 * _U * root_d * domain.L
+            self.reach = _r(10) * (_r(1) * out + 2 * _U * root_d * domain.L)
+            top = _r(10) * (root_d * domain.L + self.reach)
+        else:
+            X = root_d * float(np.abs(x).max())
+            self.a = 0.0
+            self.reach = _r(10) * (_r(1) * out + _U * X) / (1 - steps * _U)
+            top = _r(10) * (X + (steps + 1) * self.reach)
+        self.c = _r(d + 2)
+        return math.isfinite(vmax) and math.isfinite(top)
+
+    def idle_steps(self, search: NeighborSearch, steps: int) -> int:
+        """How many of the next steps (at most steps) need no search call,
+        the search's last call having returned this certified epoch's table."""
+        R, c, a, reach = _r(11), self.c, self.a, self.reach
+        moved, margin, slack = search.moved, search.margin, search.slack
+        room = (margin / R - slack) / (2 * c) - c * moved - 2 * a
+        if not room > 0:
+            return 0
+        k = steps if room >= steps * reach else int(room / reach)
+        while k and R * (2 * c * (c * moved + 2 * a + k * reach) + slack) >= margin:
+            k -= 1
+        return k
+
+
 def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Domain, step: int):
-    """One RK4 step (x, v) -> (x', v') frozen under this neighbor table.
+    """One RK4 step (x, v) -> [x'; v'] frozen under this neighbor table, as
+    one fresh (2N, d) array, so one finiteness test covers both halves.
 
     The di force A v, A = W - diag(W 1), ignores x, so its step is exactly
     v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1),
@@ -177,19 +293,16 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
             u = eye + ha / 4
             u = eye + ha @ u / 3
             u = eye + ha @ u / 2
-            s = np.vstack((dt * u, eye + ha @ u))
-
-            def propagate(x, v):
-                out = s @ v
-                return x + out[:N], out[N:]
-
-            return propagate
+            return _StepMatrix(np.vstack((dt * u, eye + ha @ u)))
 
         def propagate(x, v):
             u = v + ha @ v / 4
             u = v + ha @ u / 3
             u = v + ha @ u / 2
-            return x + dt * u, v + ha @ u
+            out = np.empty((2 * N, x.shape[1]))
+            np.add(x, dt * u, out=out[:N])
+            np.add(v, ha @ u, out=out[N:])
+            return out
 
         return propagate
 
@@ -205,19 +318,22 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
         kx2, kv2 = (v + kv1 / 2) * dt, accel(x + kx1 / 2, v + kv1 / 2) * dt
         kx3, kv3 = (v + kv2 / 2) * dt, accel(x + kx2 / 2, v + kv2 / 2) * dt
         kx4, kv4 = (v + kv3) * dt, accel(x + kx3, v + kv3) * dt
-        return (x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6,
-                v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6)
+        return np.vstack((x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6,
+                          v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6))
 
     return stages
 
 
-def _advance(x: np.ndarray, v: np.ndarray, step_map, domain: Domain, step: int):
+def _advance(x: np.ndarray, v: np.ndarray, step_map, domain: Domain, step: int,
+             checked: bool = True):
     """The step map's output, positions wrapped; raises IntegrationFault for
-    the given step when it is non-finite."""
-    x_next, v_next = step_map(x, v)
-    if not (np.isfinite(x_next).all() and np.isfinite(v_next).all()):
+    the given step when it is non-finite, tested unless a bound proved it
+    finite (checked false)."""
+    out, n = step_map(x, v), len(x)
+    if checked and not np.isfinite(out).all():
         raise IntegrationFault(step)
-    return domain.wrap(x_next), v_next
+    # Wrapped in place: a sample's x' and v' are the two halves of one buffer.
+    return domain.wrap(out[:n], in_place=True), out[n:]
 
 
 def simulate(
@@ -234,6 +350,18 @@ def simulate(
     Samples are recorded every sample_every steps; the initial and final
     steps are always included.  Deterministic: the stepper holds no
     randomness beyond the initial state.
+
+    Each step asks the neighbor search for its table, and raises
+    IntegrationFault when its result is non-finite.  On the step-matrix path
+    (matrix_step_map) an epoch whose S has no negative entry is certified
+    instead: velocities are weighted averages, so no speed exceeds the
+    largest at the epoch's first step, and where the positions this allows
+    stay finite a non-finite step is impossible by the bound and is not
+    tested for.  From h_steps steps into such an epoch, each search call
+    starts a stretch of the coming steps whose delayed positions cannot have
+    moved far enough to fail the search's skip test; those steps are not
+    asked, since the search would return the same table.  Either way the
+    results are the same bit for bit.
     """
     if initial.n != params.N:
         raise ValueError("initial state particle count differs from params.N")
@@ -249,14 +377,17 @@ def simulate(
 
     search = NeighborSearch(params, domain)
     record = TrajectoryRecord(spec)
-    epoch = None
+    epoch, quiet = None, -1
     for step in range(n_steps + 1):
-        table = search.table(ring[0])
+        # Steps up to quiet lie in a certified stretch: the search would
+        # return the epoch's table, so it is not asked.
+        if step > quiet:
+            table = search.table(ring[0])
         # A topology epoch is a run of steps under one table, which the search
         # returns as one object.  The step map and the sampled Phi and labels
         # are built from it at most once per epoch, when first needed.
         if table is not epoch:
-            epoch, step_map, phi = table, None, None
+            epoch, first, step_map, phi = table, step, None, None
         if step % sample_every == 0 or step == n_steps:
             if phi is None:
                 phi = build_digraph(table, params)
@@ -271,6 +402,11 @@ def simulate(
             break
         if step_map is None:
             step_map = _step_map(table, dt, params, domain, step)
-        x, v = _advance(x, v, step_map, domain, step)
+            certified = isinstance(step_map, _StepMatrix) and step_map.certify(
+                x, v, domain, n_steps - step
+            )
+        if certified and step > quiet and step >= first + params.h_steps:
+            quiet = step + step_map.idle_steps(search, n_steps - step)
+        x, v = _advance(x, v, step_map, domain, step, checked=not certified)
         ring.append(x)
     return record

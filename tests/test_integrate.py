@@ -61,6 +61,17 @@ def test_wrap_maps_into_box():
     assert tiny.tolist() == [[0.0, 3.0]]
 
 
+@pytest.mark.parametrize("domain", [Domain(), Domain(25.0)], ids=["plane", "box"])
+def test_wrap_in_place_writes_the_same_bits_into_its_argument(domain):
+    x = np.array([[10.0, -0.1], [53.5, 5.0], [-1e-17, 25.0]])
+    fresh = domain.wrap(x)
+    assert x[1, 0] == 53.5  # without in_place the argument is left alone
+    buffer = np.vstack((x, np.ones((3, 2))))
+    wrapped = domain.wrap(buffer[:3], in_place=True)
+    assert np.shares_memory(wrapped, buffer) and wrapped.tobytes() == fresh.tobytes()
+    assert (buffer[3:] == 1.0).all()
+
+
 def test_periodic_box_side_must_be_finite():
     for L in (np.inf, 0.0, -1.0, np.nan):
         with pytest.raises(ConfigError, match="L"):
@@ -375,6 +386,40 @@ def test_integration_fault_reports_step():
     assert info.value.step >= 0
 
 
+@pytest.mark.parametrize(
+    "params, domain",
+    [(_di_params(4), Domain(6.0)), (_di_params(40), Domain(6.0)), (_di_params(40), Domain()),
+     (ModelParams("cs", 5), Domain(6.0))],
+    ids=["matrix-box", "dense-box", "dense-plane", "cs-box"],
+)
+def test_sampled_state_is_one_buffer_with_no_dead_half(params, domain):
+    # A step's x' and v' are the two halves of one fresh (2N, d) array, the
+    # positions wrapped in place, so a sample keeps no unused copy alive.
+    rng = np.random.default_rng(5)
+    state = EnsembleState(0.0, rng.uniform(0, 6, (params.N, 2)), rng.normal(size=(params.N, 2)))
+    record = simulate(state, params, domain, 0.01, 0.03, sample_every=1)
+    for sample in record.samples[1:]:
+        x, v = sample.state.positions, sample.state.velocities
+        assert x.base is v.base and x.base.nbytes == x.nbytes + v.nbytes
+
+
+@pytest.mark.parametrize("n", [2, 40])
+@pytest.mark.parametrize("speed, dt", [(1.5e308, 0.5), (1e150, 0.75e158)])
+def test_non_finite_step_raises_integration_fault_at_that_step(n, speed, dt):
+    # Ungated particles drift by 0.75e308 a step: x is 0.75e308 after step 0
+    # and 1.5e308 after step 1, and step 2 overflows.  N = 2 takes the step
+    # matrix, N = 40 the dense Horner path.  At speed 1e150 the squared speeds
+    # are finite, so there only the bound on the positions can refuse to
+    # certify the epoch.
+    x = np.column_stack([np.zeros(n), 10.0 * np.arange(n)])
+    v = np.column_stack([np.full(n, speed), np.zeros(n)])
+    assert matrix_step_map(n) == (n == 2) and not csr_step_map(n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationFault) as info:
+            simulate(EnsembleState(0.0, x, v), _di_params(n), Domain(), dt, 10 * dt)
+    assert info.value.step == 2
+
+
 def test_rk4_disc_radius_is_the_stability_limit():
     # Bisect for the largest c with the disc |z + c| <= c inside |R(z)| <= 1,
     # R the RK4 stability polynomial; by the maximum principle the boundary
@@ -612,3 +657,130 @@ def test_large_di_run_allocates_no_n_by_n_array():
         tracemalloc.stop()
     assert len(record.samples) == 3
     assert peak < n * n * 8 / 8
+
+
+# --- certified stretches ----------------------------------------------------
+
+
+def _count_search_calls(monkeypatch):
+    calls = []
+    table = NeighborSearch.table
+
+    def counting(self, delayed):
+        calls.append(1)
+        return table(self, delayed)
+
+    monkeypatch.setattr(NeighborSearch, "table", counting)
+    return calls
+
+
+def _assert_stepwise(record, state, params, domain, dt):
+    """Every sample equals, bit for bit, rk4_step stepping under the
+    brute-force table of the delayed positions."""
+    cur = EnsembleState(0.0, domain.wrap(state.positions), state.velocities)
+    ring = deque([cur.positions], maxlen=params.h_steps + 1)
+    for k, sample in enumerate(record.samples):
+        assert sample.step == k
+        assert sample.state.positions.tobytes() == cur.positions.tobytes()
+        assert sample.state.velocities.tobytes() == cur.velocities.tobytes()
+        assert sample.delayed_positions.tobytes() == ring[0].tobytes()
+        assert _same_table(sample.table, dense_table(params, ring[0], domain))
+        if k < len(record.samples) - 1:
+            cur = rk4_step(cur, dt, params, ring[0], domain)
+            ring.append(cur.positions)
+
+
+def _drifting_groups(n=12, seed=2):
+    """Two gated groups with small internal velocities on a common drift."""
+    rng = np.random.default_rng(seed)
+    centres = np.repeat([[1.0, 1.0], [4.0, 3.5]], [n // 2, n - n // 2], axis=0)
+    positions = centres + rng.uniform(-0.6, 0.6, (n, 2))
+    velocities = [1.0, 0.4] + rng.uniform(-0.05, 0.05, (n, 2))
+    return EnsembleState(0.0, positions, velocities)
+
+
+@pytest.mark.parametrize(
+    "domain, h_steps",
+    [(Domain(), 1), (Domain(6.0), 1), (Domain(6.0), 2)],
+    ids=["plane", "box", "box-delayed"],
+)
+def test_run_with_stretches_matches_stepwise_rk4(monkeypatch, domain, h_steps):
+    state, dt, t_end = _drifting_groups(), 0.01, 8.0
+    params = _di_params(12, h_steps=h_steps)
+    assert matrix_step_map(params.N)
+    calls = _count_search_calls(monkeypatch)
+    record = simulate(state, params, domain, dt, t_end, sample_every=1)
+    steps = record.samples[-1].step
+    assert len(calls) < steps / 4  # most steps lie in stretches
+    _assert_stepwise(record, state, params, domain, dt)
+    assert record.samples[-1].n_clusters > 1 and record.samples[-1].table.indptr[-1] > 0
+    if domain.is_periodic:  # the groups cross the box, so stretches span wraps
+        x = np.array([s.state.positions[0, 0] for s in record.samples])
+        assert (np.diff(x) < 0).any()
+
+
+@pytest.mark.parametrize("h_steps", [1, 3])
+@pytest.mark.parametrize("damped_pair", [False, True])
+@pytest.mark.parametrize("domain", [Domain(), Domain(40.0)], ids=["plane", "box"])
+def test_stretch_ends_before_a_head_on_flip(monkeypatch, domain, h_steps, damped_pair):
+    # Two particles close in on each other at full speed, so each step moves
+    # both by exactly the bound: the last stretch must end before the delayed
+    # distance drops below delta, where both gates open (m = 1).  On the box
+    # the first starts at 39.5 and wraps to 0 at step 50, inside a stretch.  A
+    # gated pair far off, flying apart at 1.5 and damped to rest within a few
+    # steps, sets the epoch's bound V = 1.5 above the racing speed 1:
+    # stretches then end with the search's displacement short of its margin,
+    # and the next one must start from that displacement.
+    x, v = [[-0.5, 0.0], [2.505, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]
+    if damped_pair:
+        x, v = x + [[0.0, 10.0], [0.5, 10.0]], v + [[0.0, 1.5], [0.0, -1.5]]
+    state, dt = EnsembleState(0.0, x, v), 0.01
+    params = _di_params(len(x), m=1, delta=1.0, kappa=50.0, m_policy="constant", h_steps=h_steps)
+    # The distance 3.005 - 0.02 k is below 1 from k = 101 on, so the run's
+    # last step is the first whose delayed positions flip the gates.
+    steps = 101 + h_steps
+    calls = _count_search_calls(monkeypatch)
+    record = simulate(state, params, domain, dt, steps * dt, sample_every=1)
+    _assert_stepwise(record, state, params, domain, dt)
+    assert [s.step for s in record.samples if s.table.sizes()[0]] == [steps]
+    assert len(calls) < steps / 2
+    if domain.is_periodic:
+        assert record.samples[0].state.positions[0, 0] == 39.5
+        assert record.samples[-1].state.positions[0, 0] < 1.0
+
+
+@pytest.mark.parametrize("h_steps", [2, 3, 4])
+def test_stretch_waits_h_steps_for_the_delayed_positions(h_steps):
+    # A and B, gated, fly apart and are damped to a tenth of their speed by
+    # the time their gate closes; B's delayed position, h_steps behind, still
+    # moves at the old speed and enters C's ball a step or two later.  A
+    # stretch started at the new epoch's first step would bound that motion
+    # by the damped speed and miss the flip.
+    state = EnsembleState(
+        0.0, [[0.0, 0.0], [0.97, 0.0], [0.97 + 1.005, 0.0]], [[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    )
+    params = _di_params(3, m=1, delta=1.0, kappa=30.0, m_policy="constant", h_steps=h_steps)
+    record = simulate(state, params, Domain(), 0.01, 1.0, sample_every=1)
+    _assert_stepwise(record, state, params, Domain(), 0.01)
+    assert record.samples[0].table.sizes().tolist() == [2, 2, 0]
+    assert record.samples[-1].table.sizes().tolist() == [0, 2, 2]
+
+
+@pytest.mark.parametrize("dt_rho, negative", [(0.8, False), (1.2, True)])
+def test_step_matrix_with_a_negative_entry_asks_the_search_every_step(
+    monkeypatch, dt_rho, negative
+):
+    # Four particles at rest in a line, 1.5 apart: each is gated with its
+    # neighbours (m = 1), and at h rho = 1.2 the step matrix has a negative
+    # entry.
+    x = np.column_stack([1.5 * np.arange(4), np.zeros(4)])
+    state = EnsembleState(0.0, x, np.zeros((4, 2)))
+    params, domain = _di_params(4, m=1, m_policy="per_neighbor"), Domain()
+    table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
+    dt = dt_rho / member_weights(table, params)[1]
+    step_map = densiflock.integrate._step_map(table, dt, params, domain, 0)
+    assert (step_map.s.min() < 0) == negative
+    calls = _count_search_calls(monkeypatch)
+    record = simulate(state, params, domain, dt, 20 * dt, sample_every=1)
+    assert len(record.samples) == 21 and record.samples[-1].table.indptr[-1] > 0
+    assert len(calls) == 21 if negative else len(calls) < 5

@@ -122,3 +122,21 @@ def test_certificate_covers_both_ends_of_a_pair():
     assert search.table(x).indptr.tolist() == [0, 0, 0]
     y = x + [[0.6 * eps, 0.0], [-0.6 * eps, 0.0]]
     assert search.table(y).indptr.tolist() == [0, 2, 4]
+
+
+def test_stretches_skip_most_search_calls_on_the_oracle_run(monkeypatch):
+    # The oracle's epoch is certified (its step matrix has no negative entry),
+    # so simulate asks the search only where a stretch ends.
+    calls = []
+    table = NeighborSearch.table
+
+    def counting(self, delayed):
+        calls.append(1)
+        return table(self, delayed)
+
+    monkeypatch.setattr(NeighborSearch, "table", counting)
+    record, _, err = oracle_run(dt=1e-3)
+    steps = record.samples[-1].step
+    assert steps == 10_000
+    assert 0 < len(calls) < 0.05 * steps
+    assert err < 1e-10
