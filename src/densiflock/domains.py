@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 
@@ -43,32 +42,21 @@ class Domain:
         y[y == self.L] = 0.0
         return y
 
-    def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pairwise distances to the nearest periodic image (plain Euclidean when unbounded)."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        if not self.is_periodic:
-            return cdist(a, b)
-        # Per axis: the difference, moved to its nearest image, squared in place.
-        sq = np.zeros((len(a), len(b)))
-        for ak, bk in zip(a.T, b.T):
-            sq += self._squared(np.subtract.outer(ak, bk))
-        return np.sqrt(sq, out=sq)
-
-    def pair_distances(self, x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """|x[i] - x[j]| for each index pair, bit for bit distances(x, x)[i, j]."""
+    def distances(self, x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """|x[i] - x[j]| for each index pair, to the nearest periodic image
+        (plain Euclidean when unbounded)."""
         return self.lengths(np.take(x, i, axis=0) - np.take(x, j, axis=0))
 
     def lengths(self, d: np.ndarray) -> np.ndarray:
         """Row lengths of the differences d (consumed), each moved to its
-        nearest image by the per-axis arithmetic of distances."""
+        nearest image axis by axis."""
         d = self._squared(d)
         return np.sqrt(sum(d.T[1:], d[:, 0]))
 
     def _squared(self, d: np.ndarray) -> np.ndarray:
         if self.is_periodic:
             shift = d / self.L
-            np.round(shift, out=shift)
+            np.rint(shift, out=shift)
             shift *= self.L
             d -= shift
         d *= d

@@ -195,7 +195,7 @@ class NeighborSearch:
             self.pairs = tree.query_pairs(p.delta + self.skin, output_type="ndarray").T
             self.flags, self.drift = None, 0.0
         i, j = self.pairs
-        d = self.domain.pair_distances(delayed, i, j)
+        d = self.domain.distances(delayed, i, j)
         self.ref, self.moved = delayed.copy(), 0.0
         self.margin = min(np.abs(d - p.delta).min(initial=np.inf), self.skin - 2 * self.drift)
         flags = d < p.delta

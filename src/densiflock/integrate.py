@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.spatial.distance import squareform
 
 from .domains import Domain
 from .dynamics import (
@@ -306,18 +307,26 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
 
         return propagate
 
-    # cs's all-to-all sets share one size, N, so every W_ik is M_*.
-    metric, alpha, m_star = domain.distances, params.alpha, params.m_star
+    # cs's all-to-all sets share one size, N, so every W_ik is M_*.  IEEE
+    # subtraction and the half-even image shift are antisymmetric, so the
+    # computed |x_i - x_k| equals |x_k - x_i|: the weights come from the
+    # N(N - 1)/2 unordered pairs, and psi(0) = 1 puts M_* on the diagonal.
+    alpha, m_star = params.alpha, params.m_star
+    i, j = np.triu_indices(table.n, 1)
 
     def accel(x, v):  # a_i = sum_k M_* psi_ik (v_k - v_i); the diagonal cancels
-        w = m_star * alignment_weight(metric(x, x), alpha)
+        w = squareform(m_star * alignment_weight(domain.distances(x, i, j), alpha), checks=False)
+        np.fill_diagonal(w, m_star)
         return w @ v - w.sum(axis=1, keepdims=True) * v
 
     def stages(x, v):
         kx1, kv1 = v * dt, accel(x, v) * dt
-        kx2, kv2 = (v + kv1 / 2) * dt, accel(x + kx1 / 2, v + kv1 / 2) * dt
-        kx3, kv3 = (v + kv2 / 2) * dt, accel(x + kx2 / 2, v + kv2 / 2) * dt
-        kx4, kv4 = (v + kv3) * dt, accel(x + kx3, v + kv3) * dt
+        u2 = v + kv1 / 2
+        kx2, kv2 = u2 * dt, accel(x + kx1 / 2, u2) * dt
+        u3 = v + kv2 / 2
+        kx3, kv3 = u3 * dt, accel(x + kx2 / 2, u3) * dt
+        u4 = v + kv3
+        kx4, kv4 = u4 * dt, accel(x + kx3, u4) * dt
         return np.vstack((x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6,
                           v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6))
 

@@ -1,17 +1,35 @@
-"""Dense brute-force neighbor rules, the N x N masks the package's search must
-reproduce table for table, the brute-force r-densely-packed test, one-set
-shorthands over that search and over the prefactor rule, a stepwise reference
-that runs the package's step engine under the brute-force table, and the
-paper's density ratio."""
+"""Dense min-image distances, brute-force neighbor rules, the N x N masks the
+package's search must reproduce table for table, the brute-force
+r-densely-packed test, one-set shorthands over that search and over the
+prefactor rule, a stepwise reference that runs the package's step engine under
+the brute-force table, and the paper's density ratio."""
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 from densiflock import ConfigError, EnsembleState, ModelParams, NeighborSearch, NeighborTable
 from densiflock.domains import Domain
 from densiflock.integrate import _advance, _step_map
+
+
+def dense_distances(domain, a, b):
+    """The (len(a), len(b)) distances to the nearest periodic image: cdist on
+    the plane; on the box axis by axis, each difference moved by L times its
+    quotient rounded half to even, squared and summed in axis order."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if not domain.is_periodic:
+        return cdist(a, b)
+    sq = np.zeros((len(a), len(b)))
+    for ak, bk in zip(a.T, b.T):
+        e = np.subtract.outer(ak, bk)
+        e -= np.rint(e / domain.L) * domain.L
+        sq += e * e
+    return np.sqrt(sq)
 
 
 def table_from_mask(mask):
@@ -45,7 +63,8 @@ class PackedReport:
     is_packed: bool
 
 
-def is_r_densely_packed(delayed_positions, cluster, r, m, dist=Domain().distances):
+def is_r_densely_packed(delayed_positions, cluster, r, m,
+                        dist=partial(dense_distances, Domain())):
     """Test whether a cluster is r-densely packed.
 
     Condition 1 -- the positions thickened by open balls of radius r/2 form a
@@ -78,7 +97,7 @@ def is_r_densely_packed(delayed_positions, cluster, r, m, dist=Domain().distance
 
 
 def dense_table(params, delayed, domain):
-    return table_from_mask(dense_membership(params, delayed, domain.distances))
+    return table_from_mask(dense_membership(params, delayed, partial(dense_distances, domain)))
 
 
 def prefactor_params(m_policy, N, kappa=1.0):

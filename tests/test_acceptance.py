@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from densiflock.experiments import (
     momentum_experiment,
     oracle_run,
 )
-from oracles import density_ratio, is_r_densely_packed
+from oracles import dense_distances, density_ratio, is_r_densely_packed
 
 DOCUMENTED_SEED = 0  # fixed seed for the qualitative cluster-formation checks
 
@@ -201,7 +202,7 @@ def test_criterion_08_cluster_formation():
             big += 1
             rep = is_r_densely_packed(
                 di_final.delayed_positions, members, r=2.0, m=3,
-                dist=Domain(25.0).distances,
+                dist=partial(dense_distances, Domain(25.0)),
             )
             packed_ok = packed_ok and rep.is_packed
     ok = di_final.n_clusters >= 2 and cs_final.n_clusters == 1 and big >= 1 and packed_ok

@@ -1,6 +1,7 @@
 """Configuration format, file outputs, sweeps, and the verify battery."""
 import re
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +34,7 @@ from densiflock.dynamics import NeighborTable
 from densiflock.graph import ClusterLabeling
 from densiflock.integrate import TrajectoryRecord, TrajectorySample
 from scipy.sparse import csr_matrix
-from oracles import is_r_densely_packed
+from oracles import dense_distances, is_r_densely_packed
 
 BASE_RUN = """\
 # reference run
@@ -289,7 +290,7 @@ def test_clusters_csv_packedness_matches_geometric_test(tmp_path):
         config = parse_config(text + f"output_dir = {out}\n")
         cmd_run(config)
         rows = [line.split(",") for line in read(out / "clusters.csv").splitlines()[1:]]
-        params, dist = config.spec.params, config.spec.domain.distances
+        params, dist = config.spec.params, partial(dense_distances, config.spec.domain)
         expected = []
         for s in run_simulation(config.spec).samples:
             for members in s.labels.clusters():

@@ -1,5 +1,6 @@
 """Interaction rules, normalization, and diagnostics."""
 import math
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,7 @@ from densiflock.dynamics import HULL_DIAMETER_MIN_N, MODELS, POLICY_KINDS, membe
 from densiflock.errors import ConfigError
 from densiflock.graph import build_digraph
 from oracles import (
+    dense_distances,
     dense_membership,
     density_ratio,
     neighbor_sets_di,
@@ -252,7 +254,7 @@ def test_member_weights_match_dense_oracle(case, data):
         model, n, kappa=data.draw(st.floats(0.1, 5.0)),
         m_policy=data.draw(st.sampled_from(POLICY_KINDS)), **knobs,
     )
-    mask = dense_membership(params, pos, _domain(L).distances)
+    mask = dense_membership(params, pos, partial(dense_distances, _domain(L)))
     table = table_from_mask(mask)
 
     weights, rho = member_weights(table, params)

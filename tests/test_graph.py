@@ -1,4 +1,6 @@
 """Digraph construction, clusters, packedness, spectra, certificate."""
+from functools import partial
+
 import numpy as np
 import pytest
 import sympy
@@ -16,7 +18,7 @@ from densiflock import (
     strongly_connected_components,
 )
 from densiflock.experiments import certificate_experiment, lattice_state
-from oracles import is_r_densely_packed, neighbor_sets_di, prefactor_params
+from oracles import dense_distances, is_r_densely_packed, neighbor_sets_di, prefactor_params
 
 
 def digraph_from_phi(phi):
@@ -260,7 +262,9 @@ def test_gate_reads_whole_ensemble_packedness():
         table = NeighborSearch(ModelParams("di", n, m=m, delta=delta), domain).table(x)
         labels = strongly_connected_components(build_digraph(table, prefactor_params("flat", n)))
         rule = labels.cluster_count == 1 and bool((table.sizes() > 0).all())
-        oracle = is_r_densely_packed(x, np.arange(n), delta, m, dist=domain.distances)
+        oracle = is_r_densely_packed(
+            x, np.arange(n), delta, m, dist=partial(dense_distances, domain)
+        )
         assert rule == oracle.is_packed
         outcomes.add(rule)
 

@@ -1,4 +1,5 @@
 """Stepping scheme, topology delay, domains, and the run loop."""
+import hashlib
 import importlib.util
 import math
 import tracemalloc
@@ -34,22 +35,26 @@ from densiflock.integrate import (
     csr_step_map,
     matrix_step_map,
 )
-from oracles import dense_table, neighbor_sets_di, rk4_step
+from oracles import dense_distances, dense_table, neighbor_sets_di, rk4_step
 
 
 # --- domains ------------------------------------------------------------------
 
 
+def _distance(domain, a, b):
+    return domain.distances(np.array([a, b]), [0], [1])[0]
+
+
 def test_min_image_wraparound():
     domain = Domain(25.0)
-    assert domain.distances([0.5, 0.0], [24.9, 0.0])[0, 0] == pytest.approx(0.6)
-    assert domain.distances([3.0, 4.0], [3.0, 4.0])[0, 0] == 0.0
-    assert domain.distances([0.0, 0.0], [12.5, 0.0])[0, 0] == pytest.approx(12.5)
+    assert _distance(domain, [0.5, 0.0], [24.9, 0.0]) == pytest.approx(0.6)
+    assert _distance(domain, [3.0, 4.0], [3.0, 4.0]) == 0.0
+    assert _distance(domain, [0.0, 0.0], [12.5, 0.0]) == pytest.approx(12.5)
 
 
 def test_unbounded_distance_is_euclidean():
     domain = Domain()
-    assert domain.distances([0.0, 0.0], [3.0, 4.0])[0, 0] == pytest.approx(5.0)
+    assert _distance(domain, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
 
 
 def test_wrap_maps_into_box():
@@ -108,9 +113,12 @@ def periodic_point_sets(draw):
 @example(case=(0.5, np.array([[1e3, -7e2]]), np.array([[0.25, 0.75], [-1e3, 3e2]])))
 @settings(max_examples=200, deadline=None)
 def test_min_image_bitwise_equals_difference_tensor(case):
+    # The dense oracle and the package's pair form, over every (a, b) pair.
     L, a, b = case
-    got = Domain(L).distances(a, b)
-    assert got.tobytes() == _min_image_oracle(a, b, L).tobytes()
+    want = _min_image_oracle(a, b, L).tobytes()
+    assert dense_distances(Domain(L), a, b).tobytes() == want
+    i, j = np.indices((len(a), len(b))).reshape(2, -1)
+    assert Domain(L).distances(np.vstack((a, b)), i, len(a) + j).tobytes() == want
 
 
 # --- single steps ----------------------------------------------------------------
@@ -377,13 +385,14 @@ def test_sample_times_are_exact_grid_multiples():
 
 
 def test_integration_fault_reports_step():
-    # An absurd coupling overflows within the first few steps.
+    # An absurd coupling puts h*rho = 8e199 far outside the RK4 stability
+    # disc, so the Gershgorin check refuses the first step before any value
+    # can overflow.
     state = _blob_state(vel_scale=1.0)
     params = _di_params(5, m=2, kappa=1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationFault) as info:
-            simulate(state, params, Domain(), 1.0, 10.0)
-    assert info.value.step >= 0
+    with pytest.raises(IntegrationFault, match="unstable step 0") as info:
+        simulate(state, params, Domain(), 1.0, 10.0)
+    assert info.value.step == 0
 
 
 @pytest.mark.parametrize(
@@ -518,6 +527,35 @@ def test_cs_step_equals_explicit_stages_of_the_dense_weights(m_policy):
     out = rk4_step(state, dt, params, state.positions, Domain())
     assert np.array_equal(out.positions, x + (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6)
     assert np.array_equal(out.velocities, v + (kv1 + 2 * kv2 + 2 * kv3 + kv4) / 6)
+
+
+# sha256 of every sample's positions and velocities in a short cs run (seeded
+# by N, kappa 2, alpha 0.75, dt 0.05 to t = 2): on the box positions wrap, and
+# N = 1 has no pair.  flat and per_neighbor both give M_* = kappa / N on cs's
+# size-N sets, so one digest serves both.
+CS_RUN_DIGESTS = {
+    ("plane", 1): "435aca78c92ac14d6180b9a8d03eeeacb76aa60d30be2d364cb947f2dd9938c2",
+    ("plane", 2): "803b110ca153bf4c6e4b8c510a650efeec361904214c1ef04dd64ace49ade0bf",
+    ("plane", 24): "0244fd82541d950ca3bf29a44f03d18625e87b72124642e76571b8ee5877ab53",
+    ("box", 1): "f5704ffa133c816ee72d2c7efe2bf0d198e900782c753807f89a7643a79841af",
+    ("box", 2): "df101d180265c08e9c098e923e70c52dfb4b1ead7b6feb267eb96d03d472324b",
+    ("box", 24): "c7911fa4f1293c1c90a942fa19177b65575e67d0463e5ef0608e9be6c0eb900a",
+}
+
+
+@pytest.mark.parametrize("m_policy", ["flat", "per_neighbor"])
+@pytest.mark.parametrize("n", [1, 2, 24])
+@pytest.mark.parametrize("domain", [Domain(), Domain(6.0)], ids=["plane", "box"])
+def test_cs_run_keeps_its_digest(domain, n, m_policy):
+    rng = np.random.default_rng(n)
+    state = EnsembleState(0.0, rng.uniform(0.0, 6.0, (n, 2)), 3 * rng.normal(size=(n, 2)))
+    params = ModelParams("cs", n, kappa=2.0, alpha=0.75, m_policy=m_policy)
+    record = simulate(state, params, domain, 0.05, 2.0, sample_every=10)
+    digest = hashlib.sha256()
+    for s in record.samples:
+        digest.update(s.state.positions.tobytes() + s.state.velocities.tobytes())
+    name = "box" if domain.is_periodic else "plane"
+    assert digest.hexdigest() == CS_RUN_DIGESTS[name, n]
 
 
 def test_momentum_conserved_on_symmetric_flat_topology():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from densiflock import Domain, ModelParams, NeighborSearch
 from densiflock.dynamics import MODELS, SHELL_SKIN
 from densiflock.experiments import oracle_run
-from oracles import dense_table
+from oracles import dense_distances, dense_table
 
 
 def same_table(a, b):
@@ -94,19 +94,19 @@ def point_sets(draw):
 def test_pair_distances_bitwise_equal_distances(case):
     x, domain = case
     i, j = np.nonzero(np.ones((len(x), len(x)), dtype=bool))
-    dense = domain.distances(x, x)[i, j]
-    assert domain.pair_distances(x, i, j).tobytes() == dense.tobytes()
+    dense = dense_distances(domain, x, x)[i, j]
+    assert domain.distances(x, i, j).tobytes() == dense.tobytes()
 
 
 def test_certificate_skips_the_filter_on_the_oracle_run(monkeypatch):
     calls = []
-    pair_distances = Domain.pair_distances
+    distances = Domain.distances
 
     def counting(self, *args):
         calls.append(1)
-        return pair_distances(self, *args)
+        return distances(self, *args)
 
-    monkeypatch.setattr(Domain, "pair_distances", counting)
+    monkeypatch.setattr(Domain, "distances", counting)
     record, _, _ = oracle_run(dt=1e-3)
     steps = record.samples[-1].step
     assert steps == 10_000
