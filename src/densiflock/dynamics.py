@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -126,6 +127,14 @@ class EnsembleState:
         if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
             raise ValueError("non-finite coordinates in state")
 
+    @classmethod
+    def _checked(cls, t: float, positions: np.ndarray, velocities: np.ndarray) -> EnsembleState:
+        """A state over arrays the caller has proved float, (N, d) alike and
+        finite, without the constructor's conversions and tests."""
+        state = cls.__new__(cls)
+        state.t, state.positions, state.velocities = t, positions, velocities
+        return state
+
     @property
     def n(self) -> int:
         return self.positions.shape[0]
@@ -191,7 +200,7 @@ class NeighborSearch:
                 return self.current
             self.drift += moved
         if self.ref is None or 2 * self.drift + self.slack >= self.skin:
-            tree = cKDTree(self.domain.wrap(delayed), boxsize=self.domain.L)
+            tree = self._tree(delayed)
             self.pairs = tree.query_pairs(p.delta + self.skin, output_type="ndarray").T
             self.flags, self.drift = None, 0.0
         i, j = self.pairs
@@ -206,6 +215,27 @@ class NeighborSearch:
         rows, cols = np.concatenate([i, j, np.arange(N)]), np.concatenate([j, i, np.arange(N)])
         key = np.sort((rows * N + cols)[gated[rows]])
         return self._keep(np.searchsorted(key, N * np.arange(N + 1)), key % N)
+
+    def _tree(self, delayed: np.ndarray) -> cKDTree:
+        """The kd-tree over the wrapped delayed positions.
+
+        Raises OverflowError where the tree would refuse them: cKDTree sums
+        the squared sides of its points' bounding box, each side at most half
+        the box on a torus, and rejects a set whose sum overflows.
+        """
+        y, L = self.domain.wrap(delayed), self.domain.L
+        sides = np.ptp(y, axis=0)
+        if L is not None:
+            sides = np.minimum(sides, 0.5 * L)
+        square = 0.0
+        for side in sides.tolist():  # cKDTree's order; Python floats overflow to inf
+            square += side * side
+        if square == math.inf:
+            raise OverflowError(
+                f"the delayed positions span {math.hypot(*sides):.6g}, beyond the "
+                "neighbor search's squared distances"
+            )
+        return cKDTree(y, boxsize=L)
 
     def _keep(self, indptr: np.ndarray, indices: np.ndarray) -> NeighborTable:
         """The current table when it holds these sets, else a new one."""
@@ -230,20 +260,41 @@ def member_weights(table: NeighborTable, params: ModelParams) -> tuple[csr_matri
     return weights, float((m * (sizes - (weights.diagonal() != 0))).max())
 
 
-# Fewest planar velocities for which the hull's pdist beats the full one
-# (timed on a 2-core x86_64 VM: 111 against 120 us at N = 256, 177 against
-# 155 us at N = 320, 6.8 against 0.54 ms at N = 2048).
+# The velocity diameter takes one of three paths.  The numpy pair kernel
+# skips pdist's array-API wrapper, most of pdist's time on a few dozen points,
+# and the hull cuts a large planar set to a few dozen points.  Median us per
+# call, planar velocities, 2-core x86_64 VM (kernel / pdist / hull, then the
+# kernel over the hull's points): 17 / 26 / 73 at N = 64, 38 / 37 / 66 at
+# N = 128, 83 / 66 / 100 at N = 160, 409 / 87 / 114 at N = 200 (past a cache
+# cliff of the kernel's gathers), 903 / 167 / 141 at N = 300 and - / 6518 /
+# 484 at N = 2048.  So the kernel runs on up to PAIR_DIAMETER_MAX_N points,
+# the hull from HULL_DIAMETER_MIN_N planar velocities on, and pdist in
+# between.  Velocities in 3-D cross earlier (kernel 41 against pdist 31 us at
+# N = 64); no scenario draws them.
+PAIR_DIAMETER_MAX_N = 128
 HULL_DIAMETER_MIN_N = 300
+
+
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n (n - 1) / 2 index pairs i < j, row by row, read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def velocity_diameter(state: EnsembleState) -> float:
     """Largest pairwise velocity difference norm; zero at consensus.
 
     The diameter of a point set is attained at two of its convex-hull
-    vertices, so above HULL_DIAMETER_MIN_N planar velocities pdist runs only
-    over the hull's vertices and the points Qhull found coplanar with its
-    facets (option Qc): the same pdist entry, bit for bit.  Qhull rejects
-    fewer than 3 points and collinear or equal ones; those take the full pdist.
+    vertices, so from HULL_DIAMETER_MIN_N planar velocities on only the
+    hull's vertices and the points Qhull found coplanar with its facets
+    (option Qc) are compared.  Qhull rejects collinear or equal points; those
+    keep the whole set.  Up to PAIR_DIAMETER_MAX_N points a numpy pair kernel
+    compares them, more take pdist.  Either way the result is pdist(v).max()
+    bit for bit: both sum each pair's squared differences left to right from
+    0, and the root, monotone and correctly rounded, of the largest sum is
+    the largest root.
     """
     if state.n < 2:
         return 0.0
@@ -255,7 +306,16 @@ def velocity_diameter(state: EnsembleState) -> float:
             pass
         else:
             v = v[np.concatenate([hull.vertices, hull.coplanar[:, 0]])]
-    return float(pdist(v).max())
+    if len(v) > PAIR_DIAMETER_MAX_N:
+        return float(pdist(v).max())
+    i, j = _pairs(len(v))
+    sq = v.take(i, axis=0)  # take: v[i] takes a slower path on 2-D arrays
+    sq -= v.take(j, axis=0)
+    sq *= sq
+    total = sq[:, 0]
+    for k in range(1, sq.shape[1]):
+        total = total + sq[:, k]
+    return math.sqrt(total.max())
 
 
 def total_momentum(state: EnsembleState) -> np.ndarray:

@@ -361,7 +361,8 @@ def simulate(
     randomness beyond the initial state.
 
     Each step asks the neighbor search for its table, and raises
-    IntegrationFault when its result is non-finite.  On the step-matrix path
+    IntegrationFault when its result is non-finite or when the search cannot
+    span its delayed positions.  On the step-matrix path
     (matrix_step_map) an epoch whose S has no negative entry is certified
     instead: velocities are weighted averages, so no speed exceeds the
     largest at the epoch's first step, and where the positions this allows
@@ -378,6 +379,9 @@ def simulate(
         raise ValueError(f"dt must be finite and > 0, got dt={dt!r}")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    # The public checks once more, on the arrays as they are now, since no
+    # sample repeats them.
+    initial = EnsembleState(initial.t, initial.positions, initial.velocities)
     x = domain.wrap(initial.positions.copy())
     v = initial.velocities.copy()
     n_steps = step_count(t_end, dt)
@@ -391,7 +395,10 @@ def simulate(
         # Steps up to quiet lie in a certified stretch: the search would
         # return the epoch's table, so it is not asked.
         if step > quiet:
-            table = search.table(ring[0])
+            try:
+                table = search.table(ring[0])
+            except OverflowError as exc:
+                raise IntegrationFault(step, f"step {step}: {exc}") from exc
         # A topology epoch is a run of steps under one table, which the search
         # returns as one object.  The step map and the sampled Phi and labels
         # are built from it at most once per epoch, when first needed.
@@ -401,7 +408,9 @@ def simulate(
             if phi is None:
                 phi = build_digraph(table, params)
                 labels = strongly_connected_components(phi)
-            state = EnsembleState(step * dt, x, v)
+            # x and v passed the initial state's checks, _advance's or the
+            # certificate's, so the sample skips the constructor's.
+            state = EnsembleState._checked(step * dt, x, v)
             record.samples.append(TrajectorySample(
                 step=step, t=state.t, state=state, delayed_positions=ring[0],
                 table=table, phi=phi, labels=labels,

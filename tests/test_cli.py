@@ -455,6 +455,30 @@ def test_unstable_run_exits_with_integration_fault(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config,step",
+    [
+        ("scenario = chain\nmodel = di\ndelta = 2.0\nspacing = 1e160\n", 0),
+        ("scenario = three_body\nmodel = di\nn = 10\nbeta = 1.5\ngamma = 2.0\n"
+         "delta = 2.0\nv_c = 1e200\n", 2),
+    ],
+    ids=["chain", "three_body"],
+)
+def test_positions_the_search_cannot_span_exit_with_integration_fault(
+    tmp_path, capsys, config, step
+):
+    # The kd-tree refused these delayed positions with a ValueError traceback
+    # (exit 1): the chain's lattice at the first step, the intruder once its
+    # 1e200 speed has carried it 1e198 away.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + f"t_end = 1.0\noutput_dir = {tmp_path / 'out'}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"integration fault: step {step}: the delayed positions span")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "old,new,key",
     [
         ("t_end = 1.0", "t_end = nan", "t_end"),

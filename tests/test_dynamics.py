@@ -17,7 +17,13 @@ from densiflock import (
     velocity_diameter,
 )
 from densiflock.domains import Domain
-from densiflock.dynamics import HULL_DIAMETER_MIN_N, MODELS, POLICY_KINDS, member_weights
+from densiflock.dynamics import (
+    HULL_DIAMETER_MIN_N,
+    MODELS,
+    PAIR_DIAMETER_MAX_N,
+    POLICY_KINDS,
+    member_weights,
+)
 from densiflock.errors import ConfigError
 from densiflock.graph import build_digraph
 from oracles import (
@@ -403,14 +409,21 @@ def test_velocity_diameter_matches_brute_force(ens):
 
 @st.composite
 def velocity_sets(draw):
-    """Velocity sets the hull path must get exactly right: above its
-    crossover (or below 3 points), in d = 1..3, random, drawn from a few
-    repeated points, all equal, collinear, or collinear up to a relative
-    noise of 1e-15..1e-6, at magnitudes 1e-3..1e3 around an offset."""
-    kind = draw(st.sampled_from(["random", "duplicates", "equal", "collinear", "near_collinear"]))
+    """Velocity sets each diameter path must get exactly right: below 3
+    points, up to the pair kernel's PAIR_DIAMETER_MAX_N, or above the hull's
+    crossover, in d = 1..3, random, drawn from a few repeated points, all
+    equal, collinear, collinear up to a relative noise of 1e-15..1e-6, or on
+    a circle (every point a hull vertex), at magnitudes 1e-3..1e3 around an
+    offset."""
+    kind = draw(st.sampled_from(
+        ["random", "duplicates", "equal", "collinear", "near_collinear", "circle"]
+    ))
     d = draw(st.sampled_from([2, 2, 2, 1, 3]))
-    small = draw(st.booleans()) and draw(st.booleans())
-    n = draw(st.integers(1, 2) if small else st.integers(HULL_DIAMETER_MIN_N, HULL_DIAMETER_MIN_N + 200))
+    n = draw(st.one_of(
+        st.integers(1, 2),
+        st.integers(3, PAIR_DIAMETER_MAX_N),
+        st.integers(HULL_DIAMETER_MIN_N, HULL_DIAMETER_MIN_N + 200),
+    ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
     offset = rng.normal(size=d) * 10.0 ** draw(st.integers(-3, 3))
@@ -421,6 +434,9 @@ def velocity_sets(draw):
         v = pool[rng.integers(0, len(pool), n)]
     elif kind == "equal":
         v = np.zeros((n, d))
+    elif kind == "circle":
+        angle = rng.uniform(0, 2 * np.pi, n)
+        v = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(n)])[:, :d]
     else:
         v = rng.normal(size=(n, 1)) * rng.normal(size=d)
         if kind == "near_collinear":
@@ -429,9 +445,9 @@ def velocity_sets(draw):
 
 
 @given(velocity_sets())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_velocity_diameter_is_the_full_pdist_maximum(v):
-    # The hull's pdist entry is the full pdist's, bit for bit.
+    # The pair kernel's and the hull's diameters are the full pdist's, bit for bit.
     state = EnsembleState(0.0, np.zeros_like(v), v)
     assert velocity_diameter(state) == (pdist(v).max() if len(v) > 1 else 0.0)
 

@@ -558,6 +558,50 @@ def test_cs_run_keeps_its_digest(domain, n, m_policy):
     assert digest.hexdigest() == CS_RUN_DIGESTS[name, n]
 
 
+# sha256 of every sample's positions, velocities, vmax and momentum in a short
+# di run sampled at every step (seeded by N, m 3, delta 2, dt 0.02 to t = 1):
+# N = 24 takes the step matrix, N = 40 and 64 the dense Horner path, and the
+# velocity diameter of each takes the pair kernel.
+DI_SAMPLE_DIGESTS = {
+    ("plane", 24): "af94f9323dc455a1e8850833ff9385783cc2d75f97678af9bec89ea27b34c919",
+    ("plane", 40): "9beb28f3859d7ca3976c4d7e5b27c84c8bef96a3ce1f55ac1935fa26101d323c",
+    ("plane", 64): "2f505c132f8d19eda9b8d4b7638205c0f4bf1567e34d4b739466fb2608bc227b",
+    ("box", 24): "ae92f74806ca7388df6672f2b679b43742ffb4f5c521f4630259bc5e396ec1b6",
+    ("box", 40): "0888b9c80c7af8d7435d487ff9423a8ff632c013f99cd65e39d3fdd9beaa4977",
+    ("box", 64): "5169d2a106177d00804c02a20e10e03389b8983e54bdd462977617ee5e48e65c",
+}
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+@pytest.mark.parametrize("domain", [Domain(), Domain(12.0)], ids=["plane", "box"])
+def test_di_samples_keep_their_digest(domain, n):
+    assert matrix_step_map(n) == (n == 24) and not csr_step_map(n, n)
+    rng = np.random.default_rng(n)
+    state = EnsembleState(0.0, rng.uniform(0.0, 12.0, (n, 2)), rng.normal(size=(n, 2)))
+    record = simulate(state, _di_params(n), domain, 0.02, 1.0, sample_every=1)
+    assert len(record.samples) == 51
+    digest = hashlib.sha256()
+    for s in record.samples:
+        x, v = s.state.positions, s.state.velocities
+        for a in (x, v):
+            assert a.dtype == np.float64 and a.shape == (n, 2) and np.isfinite(a).all()
+        digest.update(x.tobytes() + v.tobytes())
+        digest.update(np.float64(s.vmax).tobytes() + s.momentum.tobytes())
+    name = "box" if domain.is_periodic else "plane"
+    assert digest.hexdigest() == DI_SAMPLE_DIGESTS[name, n]
+
+
+def test_simulate_checks_an_initial_state_changed_after_construction():
+    # The samples skip the constructor's checks, so simulate repeats them once.
+    state = EnsembleState(0.0, [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
+    state.velocities[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate(state, _di_params(2), Domain(), 0.01, 0.1)
+    state.velocities = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="shape"):
+        simulate(state, _di_params(2), Domain(), 0.01, 0.1)
+
+
 def test_momentum_conserved_on_symmetric_flat_topology():
     state = _blob_state(n=6, scale=0.4, vel_scale=0.2, seed=12)
     params = _di_params(6, m=2, m_policy="flat")

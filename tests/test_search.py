@@ -3,7 +3,9 @@ import math
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from densiflock import Domain, ModelParams, NeighborSearch
 from densiflock.dynamics import MODELS, SHELL_SKIN
@@ -140,3 +142,30 @@ def test_stretches_skip_most_search_calls_on_the_oracle_run(monkeypatch):
     assert steps == 10_000
     assert 0 < len(calls) < 0.05 * steps
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("L", [None, 2e154], ids=["plane", "box"])
+def test_search_refuses_exactly_the_positions_the_kd_tree_refuses(L):
+    # Around the span whose squared sides overflow: the search raises
+    # OverflowError exactly where cKDTree would raise its ValueError, and
+    # builds its table everywhere else.
+    root = math.sqrt(np.finfo(float).max)
+    params, domain = ModelParams("di", 3, m=1, delta=2.0), Domain(L)
+    refused = 0
+    for k in range(-8, 9):
+        a = root * (1 + k * 2.0**-52)
+        for x in ([[0, 0], [a, 0], [1, 1]], [[0, 0], [a / math.sqrt(2), a / math.sqrt(2)], [1, 1]],
+                  [[-a / 2, 0], [a / 2, 1], [0, 0]], [[0, 0], [0.7 * a, 0.2 * a], [0.5 * a, 0]]):
+            y = domain.wrap(np.array(x, dtype=float))
+            try:
+                cKDTree(y, boxsize=L).query_pairs(2.0 * (1 + SHELL_SKIN))
+                tree_refuses = False
+            except ValueError:
+                tree_refuses = True
+            if tree_refuses:
+                with pytest.raises(OverflowError, match="span"):
+                    NeighborSearch(params, domain).table(y)
+                refused += 1
+            else:
+                assert NeighborSearch(params, domain).table(y).n == 3
+    assert 0 < refused < 68
