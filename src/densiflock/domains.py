@@ -7,15 +7,31 @@ interaction range stays below half the box size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
 
 
+@lru_cache(maxsize=8)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n (n - 1) / 2 index pairs i < j, row by row, read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 @dataclass(frozen=True)
 class Domain:
-    """The unbounded plane when L is None, else the periodic box of side L."""
+    """The unbounded plane when L is None, else the periodic box of side L.
+
+    Every pair length is computed by one kernel, squared_lengths: each
+    difference moved to its nearest image axis by axis (on the box), squared
+    in place, and the columns summed left to right.  distances and lengths
+    are its square roots; the velocity diameter and the step certificate read
+    the squared sums themselves.
+    """
 
     L: float | None = None
 
@@ -45,19 +61,31 @@ class Domain:
     def distances(self, x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """|x[i] - x[j]| for each index pair, to the nearest periodic image
         (plain Euclidean when unbounded)."""
-        return self.lengths(np.take(x, i, axis=0) - np.take(x, j, axis=0))
+        return np.sqrt(self.squared_distances(np.asarray(x, dtype=float), i, j))
+
+    def squared_distances(self, x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """|x[i] - x[j]|^2 for each index pair of the float array x, as
+        distances squares them."""
+        d = x.take(i, axis=0)  # take: x[i] takes a slower path on 2-D arrays
+        d -= x.take(j, axis=0)
+        return self.squared_lengths(d)
 
     def lengths(self, d: np.ndarray) -> np.ndarray:
         """Row lengths of the differences d (consumed), each moved to its
         nearest image axis by axis."""
-        d = self._squared(d)
-        return np.sqrt(sum(d.T[1:], d[:, 0]))
+        return np.sqrt(self.squared_lengths(d))
 
-    def _squared(self, d: np.ndarray) -> np.ndarray:
+    def squared_lengths(self, d: np.ndarray) -> np.ndarray:
+        """Squared row lengths of the float differences d (consumed), each
+        moved to its nearest image axis by axis, the columns summed left to
+        right."""
         if self.is_periodic:
             shift = d / self.L
             np.rint(shift, out=shift)
             shift *= self.L
             d -= shift
         d *= d
-        return d
+        total = d[:, 0]
+        for k in range(1, d.shape[1]):
+            total = total + d[:, k]
+        return total

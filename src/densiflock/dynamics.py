@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
-from .domains import Domain
+from .domains import Domain, pair_indices
 from .errors import ConfigError
 
 MODELS = ("di", "cs")
@@ -31,6 +30,9 @@ POLICY_KINDS = ("flat", "per_neighbor", "constant")
 # Prefactor conventions the models usually appear with: mean-field scaling
 # for cs, per-neighbor averaging for the gated rule.
 DEFAULT_POLICY = {"di": "per_neighbor", "cs": "flat"}
+
+# Velocities differ in the unbounded plane, whatever the positions' domain.
+_PLANE = Domain()
 
 
 def alignment_weight(s, alpha: float = 0.5):
@@ -260,46 +262,39 @@ def member_weights(table: NeighborTable, params: ModelParams) -> tuple[csr_matri
     return weights, float((m * (sizes - (weights.diagonal() != 0))).max())
 
 
-# The velocity diameter takes one of three paths.  The numpy pair kernel
+# The velocity diameter takes one of two kernels.  The domains pair kernel
 # skips pdist's array-API wrapper, most of pdist's time on a few dozen points,
-# and the hull cuts a large planar set to a few dozen points.  Median us per
-# call, planar velocities, 2-core x86_64 VM (kernel / pdist / hull, then the
-# kernel over the hull's points): 17 / 26 / 73 at N = 64, 38 / 37 / 66 at
-# N = 128, 83 / 66 / 100 at N = 160, 409 / 87 / 114 at N = 200 (past a cache
-# cliff of the kernel's gathers), 903 / 167 / 141 at N = 300 and - / 6518 /
-# 484 at N = 2048.  So the kernel runs on up to PAIR_DIAMETER_MAX_N points,
-# the hull from HULL_DIAMETER_MIN_N planar velocities on, and pdist in
-# between.  Velocities in 3-D cross earlier (kernel 41 against pdist 31 us at
-# N = 64); no scenario draws them.
+# and the hull cuts a larger planar set to a few dozen points.  Median us per
+# call, planar velocities, 2-core x86_64 VM: the pair kernel 17 at N = 64 (26
+# for pdist) and 38 at N = 128 (37), past which its gathers fall off a cache
+# cliff (409 at N = 200).  Over the hull's points it takes 63 / 68 / 67 / 79 /
+# 85 at N = 129 / 160 / 200 / 256 / 299, where pdist took 33 / 45 / 62 / 89 /
+# 115, and 484 at N = 2048, where pdist takes 6518.  So planar sets above
+# PAIR_DIAMETER_MAX_N are cut to their hull, up to 30 us slower than pdist
+# below about 220 points, a band no scenario default or benchmark run reaches.
+# Velocities in 3-D cross earlier (kernel 41 against pdist 31 us at N = 64);
+# no scenario draws them.
 PAIR_DIAMETER_MAX_N = 128
-HULL_DIAMETER_MIN_N = 300
-
-
-@lru_cache(maxsize=8)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n (n - 1) / 2 index pairs i < j, row by row, read-only."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
 
 
 def velocity_diameter(state: EnsembleState) -> float:
     """Largest pairwise velocity difference norm; zero at consensus.
 
     The diameter of a point set is attained at two of its convex-hull
-    vertices, so from HULL_DIAMETER_MIN_N planar velocities on only the
-    hull's vertices and the points Qhull found coplanar with its facets
-    (option Qc) are compared.  Qhull rejects collinear or equal points; those
-    keep the whole set.  Up to PAIR_DIAMETER_MAX_N points a numpy pair kernel
-    compares them, more take pdist.  Either way the result is pdist(v).max()
-    bit for bit: both sum each pair's squared differences left to right from
-    0, and the root, monotone and correctly rounded, of the largest sum is
-    the largest root.
+    vertices, so above PAIR_DIAMETER_MAX_N planar velocities only the hull's
+    vertices and the points Qhull found coplanar with its facets (option Qc)
+    are compared.  Up to PAIR_DIAMETER_MAX_N points Domain.squared_distances
+    compares them over domains.pair_indices.  pdist is the fallback where
+    that kernel cannot go: sets with d != 2 above the crossover, sets Qhull
+    rejects (collinear or equal points) and larger hulls.  Either way the
+    result is pdist(v).max() bit for bit: both sum each pair's squared
+    differences left to right from 0, and the root, monotone and correctly
+    rounded, of the largest sum is the largest root.
     """
     if state.n < 2:
         return 0.0
     v = state.velocities
-    if state.n >= HULL_DIAMETER_MIN_N and v.shape[1] == 2:
+    if state.n > PAIR_DIAMETER_MAX_N and v.shape[1] == 2:
         try:
             hull = ConvexHull(v, qhull_options="Qc")
         except QhullError:
@@ -308,14 +303,7 @@ def velocity_diameter(state: EnsembleState) -> float:
             v = v[np.concatenate([hull.vertices, hull.coplanar[:, 0]])]
     if len(v) > PAIR_DIAMETER_MAX_N:
         return float(pdist(v).max())
-    i, j = _pairs(len(v))
-    sq = v.take(i, axis=0)  # take: v[i] takes a slower path on 2-D arrays
-    sq -= v.take(j, axis=0)
-    sq *= sq
-    total = sq[:, 0]
-    for k in range(1, sq.shape[1]):
-        total = total + sq[:, k]
-    return math.sqrt(total.max())
+    return math.sqrt(_PLANE.squared_distances(v, *pair_indices(len(v))).max())
 
 
 def total_momentum(state: EnsembleState) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import squareform
 
-from .domains import Domain
+from .domains import Domain, pair_indices
 from .dynamics import (
     EnsembleState,
     ModelParams,
@@ -230,7 +230,7 @@ class _StepMatrix:
         if not (s.min() >= 0 and steps * _U <= 0.5):
             return False
         rows = s.sum(axis=1)
-        speed = math.sqrt((v * v).sum(axis=1).max())
+        speed = math.sqrt(Domain().squared_lengths(v.copy()).max())
         try:
             growth = max(rows[N:].max() * _r(2 * N + 3), 1.0) ** steps
         except OverflowError:
@@ -312,7 +312,7 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
     # computed |x_i - x_k| equals |x_k - x_i|: the weights come from the
     # N(N - 1)/2 unordered pairs, and psi(0) = 1 puts M_* on the diagonal.
     alpha, m_star = params.alpha, params.m_star
-    i, j = np.triu_indices(table.n, 1)
+    i, j = pair_indices(table.n)
 
     def accel(x, v):  # a_i = sum_k M_* psi_ik (v_k - v_i); the diagonal cancels
         w = squareform(m_star * alignment_weight(domain.distances(x, i, j), alpha), checks=False)
@@ -371,7 +371,9 @@ def simulate(
     starts a stretch of the coming steps whose delayed positions cannot have
     moved far enough to fail the search's skip test; those steps are not
     asked, since the search would return the same table.  Either way the
-    results are the same bit for bit.
+    results are the same bit for bit.  numpy's overflow warnings are not
+    printed: an overflowing step raises IntegrationFault, and a sample's
+    velocity diameter beyond the largest float is inf.
     """
     if initial.n != params.N:
         raise ValueError("initial state particle count differs from params.N")
@@ -391,40 +393,43 @@ def simulate(
     search = NeighborSearch(params, domain)
     record = TrajectoryRecord(spec)
     epoch, quiet = None, -1
-    for step in range(n_steps + 1):
-        # Steps up to quiet lie in a certified stretch: the search would
-        # return the epoch's table, so it is not asked.
-        if step > quiet:
-            try:
-                table = search.table(ring[0])
-            except OverflowError as exc:
-                raise IntegrationFault(step, f"step {step}: {exc}") from exc
-        # A topology epoch is a run of steps under one table, which the search
-        # returns as one object.  The step map and the sampled Phi and labels
-        # are built from it at most once per epoch, when first needed.
-        if table is not epoch:
-            epoch, first, step_map, phi = table, step, None, None
-        if step % sample_every == 0 or step == n_steps:
-            if phi is None:
-                phi = build_digraph(table, params)
-                labels = strongly_connected_components(phi)
-            # x and v passed the initial state's checks, _advance's or the
-            # certificate's, so the sample skips the constructor's.
-            state = EnsembleState._checked(step * dt, x, v)
-            record.samples.append(TrajectorySample(
-                step=step, t=state.t, state=state, delayed_positions=ring[0],
-                table=table, phi=phi, labels=labels,
-                vmax=velocity_diameter(state), momentum=total_momentum(state),
-            ))
-        if step == n_steps:
-            break
-        if step_map is None:
-            step_map = _step_map(table, dt, params, domain, step)
-            certified = isinstance(step_map, _StepMatrix) and step_map.certify(
-                x, v, domain, n_steps - step
-            )
-        if certified and step > quiet and step >= first + params.h_steps:
-            quiet = step + step_map.idle_steps(search, n_steps - step)
-        x, v = _advance(x, v, step_map, domain, step, checked=not certified)
-        ring.append(x)
+    # One errstate for the whole run, not one per call that can overflow.
+    with np.errstate(over="ignore"):
+        for step in range(n_steps + 1):
+            # Steps up to quiet lie in a certified stretch: the search would
+            # return the epoch's table, so it is not asked.
+            if step > quiet:
+                try:
+                    table = search.table(ring[0])
+                except OverflowError as exc:
+                    raise IntegrationFault(step, f"step {step}: {exc}") from exc
+            # A topology epoch is a run of steps under one table, which the
+            # search returns as one object.  The step map and the sampled Phi
+            # and labels are built from it at most once per epoch, when first
+            # needed.
+            if table is not epoch:
+                epoch, first, step_map, phi = table, step, None, None
+            if step % sample_every == 0 or step == n_steps:
+                if phi is None:
+                    phi = build_digraph(table, params)
+                    labels = strongly_connected_components(phi)
+                # x and v passed the initial state's checks, _advance's or the
+                # certificate's, so the sample skips the constructor's.
+                state = EnsembleState._checked(step * dt, x, v)
+                record.samples.append(TrajectorySample(
+                    step=step, t=state.t, state=state, delayed_positions=ring[0],
+                    table=table, phi=phi, labels=labels,
+                    vmax=velocity_diameter(state), momentum=total_momentum(state),
+                ))
+            if step == n_steps:
+                break
+            if step_map is None:
+                step_map = _step_map(table, dt, params, domain, step)
+                certified = isinstance(step_map, _StepMatrix) and step_map.certify(
+                    x, v, domain, n_steps - step
+                )
+            if certified and step > quiet and step >= first + params.h_steps:
+                quiet = step + step_map.idle_steps(search, n_steps - step)
+            x, v = _advance(x, v, step_map, domain, step, checked=not certified)
+            ring.append(x)
     return record

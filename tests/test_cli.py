@@ -478,6 +478,24 @@ def test_positions_the_search_cannot_span_exit_with_integration_fault(
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_run_prints_only_its_fault_line(tmp_path, capsys):
+    # The intruder's 1e200 speed overflows the squared speeds and pair lengths
+    # of the certificate, the search and the velocity diameter; the run
+    # reports the fault alone, with no numpy warning and no errstate here.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "scenario = three_body\nmodel = di\nn = 10\nbeta = 1.5\ngamma = 2.0\n"
+        f"delta = 2.0\nv_c = 1e200\nt_end = 1.0\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "integration fault: step 2: the delayed positions span 1e+198, beyond the "
+        "neighbor search's squared distances\n"
+    )
+
+
 @pytest.mark.parametrize(
     "old,new,key",
     [

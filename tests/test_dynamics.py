@@ -18,7 +18,6 @@ from densiflock import (
 )
 from densiflock.domains import Domain
 from densiflock.dynamics import (
-    HULL_DIAMETER_MIN_N,
     MODELS,
     PAIR_DIAMETER_MAX_N,
     POLICY_KINDS,
@@ -410,11 +409,11 @@ def test_velocity_diameter_matches_brute_force(ens):
 @st.composite
 def velocity_sets(draw):
     """Velocity sets each diameter path must get exactly right: below 3
-    points, up to the pair kernel's PAIR_DIAMETER_MAX_N, or above the hull's
-    crossover, in d = 1..3, random, drawn from a few repeated points, all
-    equal, collinear, collinear up to a relative noise of 1e-15..1e-6, or on
-    a circle (every point a hull vertex), at magnitudes 1e-3..1e3 around an
-    offset."""
+    points, up to the pair kernel's PAIR_DIAMETER_MAX_N, or above it up to
+    500 points (the hull's and pdist's), in d = 1..3, random, drawn from a
+    few repeated points, all equal, collinear, collinear up to a relative
+    noise of 1e-15..1e-6, or on a circle (every point a hull vertex), at
+    magnitudes 1e-3..1e3 around an offset."""
     kind = draw(st.sampled_from(
         ["random", "duplicates", "equal", "collinear", "near_collinear", "circle"]
     ))
@@ -422,7 +421,7 @@ def velocity_sets(draw):
     n = draw(st.one_of(
         st.integers(1, 2),
         st.integers(3, PAIR_DIAMETER_MAX_N),
-        st.integers(HULL_DIAMETER_MIN_N, HULL_DIAMETER_MIN_N + 200),
+        st.integers(PAIR_DIAMETER_MAX_N + 1, 500),
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))

@@ -121,6 +121,15 @@ def test_min_image_bitwise_equals_difference_tensor(case):
     assert Domain(L).distances(np.vstack((a, b)), i, len(a) + j).tobytes() == want
 
 
+@pytest.mark.parametrize("L", [None, 10.0], ids=["plane", "box"])
+def test_distances_take_a_nested_list(L):
+    domain = Domain(L)
+    x = [[0.5, 0.5], [9.5, 9.5], [3.0, 4.5]]
+    got = domain.distances(x, [0, 0, 1], [1, 2, 2])
+    assert got.tobytes() == domain.distances(np.array(x), [0, 0, 1], [1, 2, 2]).tobytes()
+    assert got[0] == (math.sqrt(2.0) if L else math.sqrt(162.0))
+
+
 # --- single steps ----------------------------------------------------------------
 
 

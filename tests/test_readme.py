@@ -1,10 +1,15 @@
-"""README's library examples run against the package as documented, and its
-Keys block lists the values the config parser accepts."""
+"""README's library examples run against the package as documented, its
+Keys block lists the values the config parser accepts, and the module
+constants it names exist with the values it gives."""
+import ast
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
+import densiflock
 from densiflock.config import _KEY_TYPES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +38,20 @@ def test_readme_keys_list_every_choice_exactly():
             assert line, f"README Keys block has no {key} line"
             listed = re.split(r"\s{2,}", line.group(1))[0].split(" | ")
             assert sorted(listed) == sorted(allowed), key
+
+
+CONSTANT = r"[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+"
+
+
+def test_readme_constants_exist_with_their_values():
+    # Every backticked ALL_CAPS name with an underscore is a module constant
+    # of the package, and "`NAME` = value" gives its value.
+    constants = {}
+    for info in pkgutil.iter_modules(densiflock.__path__):
+        module = importlib.import_module(f"densiflock.{info.name}")
+        constants.update((k, v) for k, v in vars(module).items() if re.fullmatch(CONSTANT, k))
+    text = README.read_text()
+    named = set(re.findall(rf"`({CONSTANT})`", text))
+    assert named and sorted(named - constants.keys()) == []
+    for name, value in re.findall(rf"`({CONSTANT})` = ([\w.+-]*\w)", text):
+        assert constants[name] == ast.literal_eval(value), name
