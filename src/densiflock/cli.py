@@ -58,6 +58,13 @@ def _write_rows(path: Path, header: list[str], rows, sep: str = ",") -> Path:
     return path
 
 
+def _columns(record: TrajectoryRecord, prefix: str) -> list[str]:
+    """prefix0..prefix{d-1} for the d coordinates of the record's samples
+    (planar when it has none)."""
+    d = record.samples[0].state.positions.shape[1] if record.samples else 2
+    return [f"{prefix}{k}" for k in range(d)]
+
+
 def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> Path:
     def rows():
         for s in record.samples:
@@ -65,12 +72,13 @@ def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> Path:
             for i, label in enumerate(s.labels.labels.tolist()):
                 yield s.t, i, *x[i], *v[i], label
 
-    return _write_rows(path, ["t", "id", "x0", "x1", "v0", "v1", "cluster"], rows())
+    header = ["t", "id", *_columns(record, "x"), *_columns(record, "v"), "cluster"]
+    return _write_rows(path, header, rows())
 
 
 def write_diagnostics_csv(record: TrajectoryRecord, path: Path) -> Path:
-    rows = ((s.t, s.vmax, *s.momentum[:2], s.n_clusters) for s in record.samples)
-    return _write_rows(path, ["t", "vmax", "mom0", "mom1", "n_clusters"], rows)
+    rows = ((s.t, s.vmax, *s.momentum, s.n_clusters) for s in record.samples)
+    return _write_rows(path, ["t", "vmax", *_columns(record, "mom"), "n_clusters"], rows)
 
 
 def write_clusters_csv(record: TrajectoryRecord, path: Path) -> Path:

@@ -103,41 +103,32 @@ class TrajectoryRecord:
 # stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (rounded down).
 RK4_DISC_RADIUS = 1.3926467
 
-# The di step map takes one of three paths.  A Horner step on the CSR hA costs
-# a fixed overhead plus a share per stored entry, one on the dense hA a share
-# per entry of the N x N array.  Timed on a 2-core x86_64 VM (Horner step and
-# operator build, N = 11..2048, fill 0.0003..0.2), CSR wins once N^2 exceeds
-# CSR_ENTRY_COST entries per stored entry plus CSR_CALL_COST; below that, and
-# for every N <= 150, dense wins.  For the smallest N a Horner step is mostly
-# numpy's per-call overhead (4 products and 9 elementwise calls, 8-17 us), and
-# one product with the epoch's step matrix S (2N x N) takes 2-3.5 us.  Building
-# S (three N x N products) adds to the epoch's step map the savings of 2.0-2.5
-# steps at N = 11, 1.5-3.4 at N = 24, 3.2-4.0 at N = 32, 3.9-4.7 at N = 40,
-# 6-7 at N = 64 and 21-36 at N = 128 (same VM, one BLAS thread, _step_map
-# timed with either path, three runs).  Up to STEP_MATRIX_MAX_N the matrix
-# pays back within about 4 steps, and a longer epoch gains 12-13 us a step.
-CSR_ENTRY_COST = 8
-CSR_CALL_COST = 150**2
-STEP_MATRIX_MAX_N = 32
-
-
-def csr_step_map(N: int, nnz: int) -> bool:
-    """True when the di step map of N particles with nnz stored weights runs
-    on CSR, false when it runs on the dense N x N hA."""
-    return N * N > CSR_ENTRY_COST * nnz + CSR_CALL_COST
+# The di step map takes one of two paths, split at STEP_MATRIX_MAX_N.  Up to it
+# an epoch turns its dense hA once into the step matrix S = [h Q3(hA); P4(hA)]
+# (2N x N: Horner on the identity, three N x N products), and each step is one
+# product with S.  Above it each step is Horner on the CSR hA: four sparse
+# products and nine elementwise calls, mostly per-call overhead at small N.
+# Timed on a 2-core x86_64 VM (one BLAS thread, _step_map with either path on
+# a random_clusters table at the paper's density, best of five): a Horner step
+# takes 21-24 us for N = 32..150, a product with S 2-4 us up to N = 96 and
+# 7-8 us at N = 128..150, and building S costs what 1.2 steps save at N = 32,
+# 3.1 at N = 64, 6.8 at N = 96 and 37-58 at N = 128..150.  No scenario default
+# or benchmark workload has 64 < N <= 150.
+STEP_MATRIX_MAX_N = 64
 
 
 def matrix_step_map(N: int) -> bool:
     """True when the di step map of N particles is one product with the
-    epoch's precomputed step matrix, whatever its table holds."""
+    epoch's precomputed step matrix, whatever its table holds; false when it
+    is Horner on the CSR hA."""
     return N <= STEP_MATRIX_MAX_N
 
 
 def _di_operator(weights: csr_matrix, dt: float):
-    """hA = dt (W - diag(W 1)), on CSR over W's own structure or dense, as
-    csr_step_map picks."""
+    """hA = dt (W - diag(W 1)): dense where matrix_step_map builds the step
+    matrix from it, else CSR over W's own structure."""
     N = weights.shape[0]
-    if not csr_step_map(N, weights.nnz):
+    if matrix_step_map(N):
         ha = weights.toarray()
         ha[np.diag_indices_from(ha)] -= ha.sum(axis=1)
         return np.multiply(ha, dt, out=ha)  # in place: one N x N array
@@ -269,9 +260,9 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
     one fresh (2N, d) array, so one finiteness test covers both halves.
 
     The di force A v, A = W - diag(W 1), ignores x, so its step is exactly
-    v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1),
-    evaluated by Horner on hA (see _di_operator), or for small N precomputed
-    as one step matrix (see matrix_step_map).
+    v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1):
+    up to STEP_MATRIX_MAX_N precomputed once per epoch as one step matrix,
+    above it evaluated by Horner on the CSR hA (see matrix_step_map).
 
     Raises IntegrationFault for the given step when dt * rho leaves the RK4
     stability disc, rho being the Gershgorin radius of the step's weights

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import densiflock.cli
 from densiflock import (
     ConfigError,
+    Domain,
     EnsembleState,
+    ModelParams,
     RunConfig,
     initial_state,
     parse_config,
@@ -388,6 +390,27 @@ def test_writers_pin_the_output_format(tmp_path):
     }
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_writers_name_a_column_per_coordinate_in_any_dimension(tmp_path, d):
+    # The columns follow the samples' d, and every row fills its header.
+    rng = np.random.default_rng(d)
+    state = EnsembleState(0.0, rng.uniform(0.0, 3.0, (6, d)), rng.normal(size=(6, d)))
+    record = simulate(state, ModelParams("di", 6, m=2, delta=2.0), Domain(), 0.01, 0.1)
+    coords = [f"{k}" for k in range(d)]
+    headers = {
+        write_trajectory_csv(record, tmp_path / "trajectory.csv"):
+            ["t", "id", *("x" + k for k in coords), *("v" + k for k in coords), "cluster"],
+        write_diagnostics_csv(record, tmp_path / "diagnostics.csv"):
+            ["t", "vmax", *("mom" + k for k in coords), "n_clusters"],
+    }
+    for path, header in headers.items():
+        lines = [line.split(",") for line in read(path).splitlines()]
+        assert lines[0] == header
+        assert {len(row) for row in lines[1:]} == {len(header)}
+    final = [float(c) for c in read(tmp_path / "diagnostics.csv").splitlines()[-1].split(",")]
+    assert final[2:-1] == record.samples[-1].momentum.tolist()
 
 
 def test_sweep_csv_pins_the_output_format(tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse import issparse
 from scipy.spatial.distance import cdist
 
 import densiflock.integrate
@@ -32,7 +33,9 @@ from densiflock.errors import ConfigError
 from densiflock.integrate import (
     RK4_DISC_RADIUS,
     STEP_MATRIX_MAX_N,
-    csr_step_map,
+    _StepMatrix,
+    _di_operator,
+    _step_map,
     matrix_step_map,
 )
 from oracles import dense_distances, dense_table, neighbor_sets_di, rk4_step
@@ -406,9 +409,9 @@ def test_integration_fault_reports_step():
 
 @pytest.mark.parametrize(
     "params, domain",
-    [(_di_params(4), Domain(6.0)), (_di_params(40), Domain(6.0)), (_di_params(40), Domain()),
-     (ModelParams("cs", 5), Domain(6.0))],
-    ids=["matrix-box", "dense-box", "dense-plane", "cs-box"],
+    [(_di_params(4), Domain(6.0)), (_di_params(STEP_MATRIX_MAX_N + 1), Domain(6.0)),
+     (_di_params(STEP_MATRIX_MAX_N + 1), Domain()), (ModelParams("cs", 5), Domain(6.0))],
+    ids=["matrix-box", "horner-box", "horner-plane", "cs-box"],
 )
 def test_sampled_state_is_one_buffer_with_no_dead_half(params, domain):
     # A step's x' and v' are the two halves of one fresh (2N, d) array, the
@@ -421,17 +424,18 @@ def test_sampled_state_is_one_buffer_with_no_dead_half(params, domain):
         assert x.base is v.base and x.base.nbytes == x.nbytes + v.nbytes
 
 
-@pytest.mark.parametrize("n", [2, 40])
+@pytest.mark.parametrize("n", [2, 40, STEP_MATRIX_MAX_N + 1])
 @pytest.mark.parametrize("speed, dt", [(1.5e308, 0.5), (1e150, 0.75e158)])
 def test_non_finite_step_raises_integration_fault_at_that_step(n, speed, dt):
     # Ungated particles drift by 0.75e308 a step: x is 0.75e308 after step 0
-    # and 1.5e308 after step 1, and step 2 overflows.  N = 2 takes the step
-    # matrix, N = 40 the dense Horner path.  At speed 1e150 the squared speeds
-    # are finite, so there only the bound on the positions can refuse to
-    # certify the epoch.
+    # and 1.5e308 after step 1, and step 2 overflows.  N = 2 and 40 take the
+    # step matrix, N = STEP_MATRIX_MAX_N + 1 Horner on the CSR hA, whose every
+    # step is tested for finiteness.  At speed 1e150 the squared speeds are
+    # finite, so there only the bound on the positions can refuse to certify
+    # the epoch.
     x = np.column_stack([np.zeros(n), 10.0 * np.arange(n)])
     v = np.column_stack([np.full(n, speed), np.zeros(n)])
-    assert matrix_step_map(n) == (n == 2) and not csr_step_map(n, n)
+    assert matrix_step_map(n) == (n <= 40)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationFault) as info:
             simulate(EnsembleState(0.0, x, v), _di_params(n), Domain(), dt, 10 * dt)
@@ -569,22 +573,24 @@ def test_cs_run_keeps_its_digest(domain, n, m_policy):
 
 # sha256 of every sample's positions, velocities, vmax and momentum in a short
 # di run sampled at every step (seeded by N, m 3, delta 2, dt 0.02 to t = 1):
-# N = 24 takes the step matrix, N = 40 and 64 the dense Horner path, and the
+# N = 24, 40 and 64 take the step matrix, N = 96 Horner on the CSR hA, and the
 # velocity diameter of each takes the pair kernel.
 DI_SAMPLE_DIGESTS = {
     ("plane", 24): "af94f9323dc455a1e8850833ff9385783cc2d75f97678af9bec89ea27b34c919",
-    ("plane", 40): "9beb28f3859d7ca3976c4d7e5b27c84c8bef96a3ce1f55ac1935fa26101d323c",
-    ("plane", 64): "2f505c132f8d19eda9b8d4b7638205c0f4bf1567e34d4b739466fb2608bc227b",
+    ("plane", 40): "5ff1f0ccd3547ee82ce6f08cf11fa394dc4ebe62f32604eacf91c2ee704a263a",
+    ("plane", 64): "977c44c436b7a80f57a12430820742b79e79f4af4414b32c8426697c3f2a64ac",
+    ("plane", 96): "a70faefe27c1865bb4ad2ef22249f08795d9efd12902f4744a372e6d5dbfec51",
     ("box", 24): "ae92f74806ca7388df6672f2b679b43742ffb4f5c521f4630259bc5e396ec1b6",
-    ("box", 40): "0888b9c80c7af8d7435d487ff9423a8ff632c013f99cd65e39d3fdd9beaa4977",
-    ("box", 64): "5169d2a106177d00804c02a20e10e03389b8983e54bdd462977617ee5e48e65c",
+    ("box", 40): "a7e086440ee5a01bc021506b0d7eea38809bae704ccef040e72508ac1493c36e",
+    ("box", 64): "ba9ebe65f2b47effdd9ad91b5014b0e26eee2648763b08da59d5717bab298639",
+    ("box", 96): "010ba6ff07a5dd94b8e7fa01f4847a06d4fcdd76ac62cefeac8eacf7325aa9d9",
 }
 
 
-@pytest.mark.parametrize("n", [24, 40, 64])
+@pytest.mark.parametrize("n", [24, 40, 64, 96])
 @pytest.mark.parametrize("domain", [Domain(), Domain(12.0)], ids=["plane", "box"])
 def test_di_samples_keep_their_digest(domain, n):
-    assert matrix_step_map(n) == (n == 24) and not csr_step_map(n, n)
+    assert matrix_step_map(n) == (n <= 64)
     rng = np.random.default_rng(n)
     state = EnsembleState(0.0, rng.uniform(0.0, 12.0, (n, 2)), rng.normal(size=(n, 2)))
     record = simulate(state, _di_params(n), domain, 0.02, 1.0, sample_every=1)
@@ -638,7 +644,7 @@ def test_csr_step_matches_explicit_stages():
     state.velocities *= 100.0  # order 1, so the tolerance exceeds an ulp of the positions
     table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
     assert np.array_equal(table.sizes(), np.full(params.N, 9))
-    assert csr_step_map(params.N, table.indptr[-1])
+    assert not matrix_step_map(params.N)
     weights = member_weights(table, params)[0].toarray()
     out = rk4_step(state, 0.05, params, state.positions, domain)
     x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
@@ -662,7 +668,7 @@ def test_csr_run_is_byte_identical_on_rerun():
     assert not _same_table(a.samples[0].table, a.samples[-1].table)
 
 
-def test_step_map_is_dense_at_the_small_workloads_and_csr_at_n2048():
+def test_step_map_is_the_matrix_at_the_small_workloads_and_csr_at_n2048():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "specs.py"
     loader = importlib.util.spec_from_file_location("perfbench_specs", path)
     specs = importlib.util.module_from_spec(loader)
@@ -673,36 +679,18 @@ def test_step_map_is_dense_at_the_small_workloads_and_csr_at_n2048():
             if config["model"] != "di":
                 continue
             spec = parse_config(specs.config_text(config, seed=3)).spec
-            x = initial_state(spec).positions
-            table = NeighborSearch(spec.params, spec.domain).table(x)
-            n = spec.params.N
-            picked[name, n] = csr_step_map(n, table.indptr[-1])
-            # Dense below the crossover whatever the table holds.
-            assert n > 150 or not csr_step_map(n, 0)
+            params, domain = spec.params, spec.domain
+            table = NeighborSearch(params, domain).table(initial_state(spec).positions)
+            if isinstance(_step_map(table, spec.dt, params, domain, 0), _StepMatrix):
+                picked[name, params.N] = "matrix"
+            else:
+                ha = _di_operator(member_weights(table, params)[0], spec.dt)
+                picked[name, params.N] = "csr" if issparse(ha) else "dense"
     assert picked == {
-        ("oracle_n11", 11): False,
-        ("observe_n64", 64): False,
-        ("formation_run_n64", 64): False,
-        ("di_scale_n2048", 2048): True,
-    }
-
-
-def test_step_map_is_a_matrix_product_at_oracle_n11_only():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "specs.py"
-    loader = importlib.util.spec_from_file_location("perfbench_specs", path)
-    specs = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(specs)
-    picked = {}
-    for name, configs in specs.WORKLOADS.items():
-        for config in configs:
-            if config["model"] == "di":
-                n = parse_config(specs.config_text(config, seed=3)).spec.params.N
-                picked[name, n] = matrix_step_map(n)
-    assert picked == {
-        ("oracle_n11", 11): True,
-        ("observe_n64", 64): False,
-        ("formation_run_n64", 64): False,
-        ("di_scale_n2048", 2048): False,
+        ("oracle_n11", 11): "matrix",
+        ("observe_n64", 64): "matrix",
+        ("formation_run_n64", 64): "matrix",
+        ("di_scale_n2048", 2048): "csr",
     }
 
 
@@ -714,7 +702,7 @@ def test_step_matches_explicit_stages_on_both_sides_of_the_matrix_crossover(n, m
     state, params, domain = _blob_state(n, scale=2.0, vel_scale=1.0), _di_params(n), Domain(10.0)
     table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
     assert (table.sizes() > 0).all()
-    assert matrix_step_map(n) == matrix and not csr_step_map(n, table.indptr[-1])
+    assert matrix_step_map(n) == matrix
     weights = member_weights(table, params)[0].toarray()
     out = rk4_step(state, 0.05, params, state.positions, domain)
     x, v = _explicit_di_rk4(state.positions, state.velocities, 0.05, weights)
@@ -869,7 +857,7 @@ def test_step_matrix_with_a_negative_entry_asks_the_search_every_step(
     params, domain = _di_params(4, m=1, m_policy="per_neighbor"), Domain()
     table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
     dt = dt_rho / member_weights(table, params)[1]
-    step_map = densiflock.integrate._step_map(table, dt, params, domain, 0)
+    step_map = _step_map(table, dt, params, domain, 0)
     assert (step_map.s.min() < 0) == negative
     calls = _count_search_calls(monkeypatch)
     record = simulate(state, params, domain, dt, 20 * dt, sample_every=1)
