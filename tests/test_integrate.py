@@ -668,29 +668,46 @@ def test_csr_run_is_byte_identical_on_rerun():
     assert not _same_table(a.samples[0].table, a.samples[-1].table)
 
 
-def test_step_map_is_the_matrix_at_the_small_workloads_and_csr_at_n2048():
+def _di_workload_tables():
+    """(name, spec, table) for each di perfbench workload at seed 3."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "specs.py"
     loader = importlib.util.spec_from_file_location("perfbench_specs", path)
     specs = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(specs)
-    picked = {}
     for name, configs in specs.WORKLOADS.items():
         for config in configs:
-            if config["model"] != "di":
-                continue
-            spec = parse_config(specs.config_text(config, seed=3)).spec
-            params, domain = spec.params, spec.domain
-            table = NeighborSearch(params, domain).table(initial_state(spec).positions)
-            if isinstance(_step_map(table, spec.dt, params, domain, 0), _StepMatrix):
-                picked[name, params.N] = "matrix"
-            else:
-                ha = _di_operator(member_weights(table, params)[0], spec.dt)
-                picked[name, params.N] = "csr" if issparse(ha) else "dense"
+            if config["model"] == "di":
+                spec = parse_config(specs.config_text(config, seed=3)).spec
+                table = NeighborSearch(spec.params, spec.domain).table(initial_state(spec).positions)
+                yield name, spec, table
+
+
+def test_step_map_is_dense_at_the_small_workloads_and_csr_at_n2048():
+    picked = {}
+    for name, spec, table in _di_workload_tables():
+        params = spec.params
+        ha = _di_operator(member_weights(table, params)[0], spec.dt)
+        picked[name, params.N] = "csr" if issparse(ha) else "dense"
     assert picked == {
-        ("oracle_n11", 11): "matrix",
-        ("observe_n64", 64): "matrix",
-        ("formation_run_n64", 64): "matrix",
+        ("oracle_n11", 11): "dense",
+        ("observe_n64", 64): "dense",
+        ("formation_run_n64", 64): "dense",
         ("di_scale_n2048", 2048): "csr",
+    }
+
+
+def test_step_map_is_a_matrix_product_at_the_n11_and_n64_workloads():
+    picked = {}
+    for name, spec, table in _di_workload_tables():
+        params, domain = spec.params, spec.domain
+        step_map = _step_map(table, spec.dt, params, domain, 0)
+        assert matrix_step_map(params.N) == isinstance(step_map, _StepMatrix)
+        picked[name, params.N] = matrix_step_map(params.N)
+    assert picked == {
+        ("oracle_n11", 11): True,
+        ("observe_n64", 64): True,
+        ("formation_run_n64", 64): True,
+        ("di_scale_n2048", 2048): False,
     }
 
 
