@@ -28,9 +28,9 @@ class Domain:
 
     Every pair length is computed by one kernel, squared_lengths: each
     difference moved to its nearest image axis by axis (on the box), squared
-    in place, and the columns summed left to right.  distances and lengths
-    are its square roots; the velocity diameter and the step certificate read
-    the squared sums themselves.
+    in place, and the columns summed left to right.  distances takes its
+    square roots; the velocity diameter, the search's displacement and the
+    step certificate take the root of the largest squared sum.
     """
 
     L: float | None = None
@@ -69,11 +69,6 @@ class Domain:
         d = x.take(i, axis=0)  # take: x[i] takes a slower path on 2-D arrays
         d -= x.take(j, axis=0)
         return self.squared_lengths(d)
-
-    def lengths(self, d: np.ndarray) -> np.ndarray:
-        """Row lengths of the differences d (consumed), each moved to its
-        nearest image axis by axis."""
-        return np.sqrt(self.squared_lengths(d))
 
     def squared_lengths(self, d: np.ndarray) -> np.ndarray:
         """Squared row lengths of the float differences d (consumed), each

@@ -175,13 +175,14 @@ class NeighborSearch:
     the same object for as long as the sets hold.
 
     di takes the open delta-balls of the delayed positions, kept only where the
-    ball holds more than m particles (self counted); cs everyone.  di filters
-    a Verlet shell, the kd-tree's pairs within delta + s, rebuilt once twice
-    the bound D on each particle's displacement since the build reaches s.  A
-    step that moved no particle by half the margin (the least |d - delta| over
-    the shell and s - 2 D, both at the last filter) can flip no flag, so it
-    skips the filter.  moved is the largest displacement of the last call's
-    delayed positions from those of the last filter (0 right after one).
+    ball holds more than m particles (self counted); cs everyone.  Every di
+    call filters a Verlet shell, the kd-tree's pairs within delta + s, rebuilt
+    once twice the bound D on each particle's displacement since the build
+    reaches s.  margin is the least |d - delta| over the shell and s - 2 D,
+    both at the last call, whose delayed positions are ref.  Positions that
+    moved each particle from ref by at most l, where 2 l + slack < margin,
+    flip no flag and rebuild no shell, so the next call returns the same
+    table: simulate's certified stretches skip those calls.
     """
 
     def __init__(self, params: ModelParams, domain: Domain):
@@ -197,17 +198,14 @@ class NeighborSearch:
         if p.model == "cs":
             return self.current or self._keep(N * np.arange(N + 1), np.tile(np.arange(N), N))
         if self.ref is not None:
-            self.moved = moved = self.domain.lengths(delayed - self.ref).max()
-            if 2 * moved + self.slack < self.margin:
-                return self.current
-            self.drift += moved
+            self.drift += math.sqrt(self.domain.squared_lengths(delayed - self.ref).max())
         if self.ref is None or 2 * self.drift + self.slack >= self.skin:
             tree = self._tree(delayed)
             self.pairs = tree.query_pairs(p.delta + self.skin, output_type="ndarray").T
             self.flags, self.drift = None, 0.0
         i, j = self.pairs
         d = self.domain.distances(delayed, i, j)
-        self.ref, self.moved = delayed.copy(), 0.0
+        self.ref = delayed.copy()
         self.margin = min(np.abs(d - p.delta).min(initial=np.inf), self.skin - 2 * self.drift)
         flags = d < p.delta
         if np.array_equal(flags, self.flags):

@@ -103,17 +103,18 @@ class TrajectoryRecord:
 # stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (rounded down).
 RK4_DISC_RADIUS = 1.3926467
 
-# The di step map takes one of two paths, split at STEP_MATRIX_MAX_N.  Up to it
-# an epoch turns its dense hA once into the step matrix S = [h Q3(hA); P4(hA)]
-# (2N x N: Horner on the identity, three N x N products), and each step is one
-# product with S.  Above it each step is Horner on the CSR hA: four sparse
-# products and nine elementwise calls, mostly per-call overhead at small N.
+# The di step map takes one of two paths, split at STEP_MATRIX_MAX_N.  Each
+# step above it is Horner on the CSR hA: four sparse products and nine
+# elementwise calls, mostly per-call overhead at small N.  Up to it an epoch
+# applies that step once to [0; I], which gives the step matrix
+# S = [h Q3(hA); P4(hA)] (2N x N), and each step is one product with S.
 # Timed on a 2-core x86_64 VM (one BLAS thread, _step_map with either path on
 # a random_clusters table at the paper's density, best of five): a Horner step
-# takes 21-24 us for N = 32..150, a product with S 2-4 us up to N = 96 and
-# 7-8 us at N = 128..150, and building S costs what 1.2 steps save at N = 32,
-# 3.1 at N = 64, 6.8 at N = 96 and 37-58 at N = 128..150.  No scenario default
-# or benchmark workload has 64 < N <= 150.
+# takes 20-24 us for N = 11..150, a product with S 2-3 us up to N = 64, 5 at
+# N = 96 and 7-8 at N = 128..150, building S 68-77 us up to N = 40 and 96 at
+# N = 64, and that build costs what 2.2 steps save at N = 32, 3.2 at N = 64,
+# 4.6 at N = 96 and 8-12 at N = 128..150.  No scenario default or benchmark
+# workload has 64 < N < 2048.
 STEP_MATRIX_MAX_N = 64
 
 
@@ -124,23 +125,18 @@ def matrix_step_map(N: int) -> bool:
     return N <= STEP_MATRIX_MAX_N
 
 
-def _di_operator(weights: csr_matrix, dt: float):
-    """hA = dt (W - diag(W 1)): dense where matrix_step_map builds the step
-    matrix from it, else CSR over W's own structure."""
-    N = weights.shape[0]
-    if matrix_step_map(N):
-        ha = weights.toarray()
-        ha[np.diag_indices_from(ha)] -= ha.sum(axis=1)
-        return np.multiply(ha, dt, out=ha)  # in place: one N x N array
+def _di_operator(weights: csr_matrix, dt: float) -> csr_matrix:
+    """hA = dt (W - diag(W 1)), W's own CSR matrix with its data scaled in
+    place, so it keeps the table's indptr and indices."""
     # Row i stores M_i at each member of its set.  A nonempty di set holds its
     # own particle (self is counted), so the diagonal entry M_i - M_i #N_i
     # is already stored, once per nonempty row, and the structure never changes.
-    sizes = np.diff(weights.indptr)
-    diag = weights.indices == np.repeat(np.arange(N, dtype=weights.indices.dtype), sizes)
-    m = weights.data[diag]
-    data = dt * weights.data
+    sizes, data = np.diff(weights.indptr), weights.data
+    diag = weights.indices == np.repeat(np.arange(len(sizes), dtype=weights.indices.dtype), sizes)
+    m = data[diag]
+    data *= dt
     data[diag] = dt * (m - m * sizes[sizes > 0])
-    return csr_matrix((data, weights.indices, weights.indptr), shape=weights.shape)
+    return weights
 
 
 # Certified stretches.  Rows of A = W - diag(W 1) sum to zero, so P4(hA) and
@@ -148,10 +144,10 @@ def _di_operator(weights: csr_matrix, dt: float):
 # negative entry, every new velocity is thus a weighted average of the old
 # ones, and every position step dt times one: by convexity of the norm no
 # speed exceeds V, the largest at the epoch's first step, and no step moves a
-# particle by more than about dt V.  After a search call that returned the
-# epoch's table, its skip test 2 moved + slack < margin then holds for the k
-# coming calls for which 2 (moved + k dt V) + slack < margin, so those k
-# steps need no call: the search would return the same table.  The bound needs
+# particle by more than about dt V.  A search call that returned the epoch's
+# table leaves ref at its delayed positions, so the k coming calls for which
+# 2 k dt V + slack < margin meet NeighborSearch's no-flip rule: those k steps
+# need no call, since the search would return the same table.  The bound needs
 # the delayed positions to have moved under this S alone, so a stretch starts
 # h_steps steps into its epoch at the earliest.
 #
@@ -174,19 +170,20 @@ def _di_operator(weights: csr_matrix, dt: float):
 #   |x| < sqrt(d) L, and on the plane, where |x| <= sqrt(d) X + n P with X the
 #   largest coordinate at the epoch's first step, by
 #   P = (r(1) O + u sqrt(d) X) / (1 - n u);
-# * Domain.lengths, the search's displacement: on the plane the difference
-#   rounds by u per coordinate, and the squares, their sum and the root by
-#   r(d + 1), so the computed length lies within c = r(d + 2) of the true one.
-#   On the box the difference of two coordinates in [0, L) rounds by u L, the
-#   image shift k L (|k| <= 1) is exact, the subtraction rounds by u L, and a
-#   shift picked on the other side of a half box (the rounded e / L within
-#   3u of 1/2) adds 6 u L: each coordinate's magnitude is within 8 u L, a
-#   length within a = 8 u L sqrt(d) before the factor c.  So
-#   lambda <= c (l + a) and l <= c lambda + a for a true length l and its
-#   computed lambda (a = 0 on the plane), and k steps later l <= l_0 + k P by
-#   the triangle inequality;
-# * the search's test rounds 2 lambda + slack up by at most r(1).
-# Hence R (2 c (c moved + 2 a + k P) + slack) < margin proves k calls idle.
+# * the search's displacement lambda from ref, the root of
+#   Domain.squared_lengths: on the plane the difference rounds by u per
+#   coordinate, and the squares, their sum and the root by r(d + 1), so the
+#   computed length lies within c = r(d + 2) of the true one.  On the box the
+#   difference of two coordinates in [0, L) rounds by u L, the image shift
+#   k L (|k| <= 1) is exact, the subtraction rounds by u L, and a shift
+#   picked on the other side of a half box (the rounded e / L within 3u of
+#   1/2) adds 6 u L: each coordinate's magnitude is within 8 u L, a length
+#   within a = 8 u L sqrt(d) before the factor c.  So lambda <= c (l + a)
+#   and l <= c lambda + a for a true length l and its computed lambda (a = 0
+#   on the plane).  At the call lambda is 0, so l <= a, and k steps later
+#   l <= a + k P by the triangle inequality;
+# * the rule's test rounds 2 lambda + slack up by at most r(1).
+# Hence R (2 c (2 a + k P) + slack) < margin proves k calls idle.
 # Each float formula here adds, multiplies, divides or raises non-negative
 # numbers with at most 9 roundings, so a factor r(10) makes its value an
 # upper bound; R = r(11) exceeds (1 + u) (1 - u)^-9 and so covers both that
@@ -245,12 +242,12 @@ class _StepMatrix:
         """How many of the next steps (at most steps) need no search call,
         the search's last call having returned this certified epoch's table."""
         R, c, a, reach = _r(11), self.c, self.a, self.reach
-        moved, margin, slack = search.moved, search.margin, search.slack
-        room = (margin / R - slack) / (2 * c) - c * moved - 2 * a
+        margin, slack = search.margin, search.slack
+        room = (margin / R - slack) / (2 * c) - 2 * a
         if not room > 0:
             return 0
         k = steps if room >= steps * reach else int(room / reach)
-        while k and R * (2 * c * (c * moved + 2 * a + k * reach) + slack) >= margin:
+        while k and R * (2 * c * (2 * a + k * reach) + slack) >= margin:
             k -= 1
         return k
 
@@ -260,9 +257,10 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
     one fresh (2N, d) array, so one finiteness test covers both halves.
 
     The di force A v, A = W - diag(W 1), ignores x, so its step is exactly
-    v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1):
-    up to STEP_MATRIX_MAX_N precomputed once per epoch as one step matrix,
-    above it evaluated by Horner on the CSR hA (see matrix_step_map).
+    v' = P4(hA) v, x' = x + h Q3(hA) v (Taylor polynomials of exp and phi1),
+    evaluated by Horner on the CSR hA; up to STEP_MATRIX_MAX_N that step
+    applied once to [0; I] gives the epoch's step matrix (see
+    matrix_step_map).
 
     Raises IntegrationFault for the given step when dt * rho leaves the RK4
     stability disc, rho being the Gershgorin radius of the step's weights
@@ -276,16 +274,7 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
             f"stability limit {RK4_DISC_RADIUS}",
         )
     if params.model == "di":
-        ha = _di_operator(weights, dt)
-        N = table.n
-        if matrix_step_map(N):
-            # The same polynomials by Horner on the identity, once per epoch:
-            # S = [h Q3(hA); P4(hA)] makes each step one product.
-            eye = np.eye(N)
-            u = eye + ha / 4
-            u = eye + ha @ u / 3
-            u = eye + ha @ u / 2
-            return _StepMatrix(np.vstack((dt * u, eye + ha @ u)))
+        ha, N = _di_operator(weights, dt), table.n
 
         def propagate(x, v):
             u = v + ha @ v / 4
@@ -296,6 +285,8 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
             np.add(v, ha @ u, out=out[N:])
             return out
 
+        if matrix_step_map(N):  # the step applied to [0; I], once per epoch
+            return _StepMatrix(propagate(np.zeros((N, N)), np.eye(N)))
         return propagate
 
     # cs's all-to-all sets share one size, N, so every W_ik is M_*.  IEEE
@@ -360,11 +351,13 @@ def simulate(
     stay finite a non-finite step is impossible by the bound and is not
     tested for.  From h_steps steps into such an epoch, each search call
     starts a stretch of the coming steps whose delayed positions cannot have
-    moved far enough to fail the search's skip test; those steps are not
-    asked, since the search would return the same table.  Either way the
-    results are the same bit for bit.  numpy's overflow warnings are not
-    printed: an overflowing step raises IntegrationFault, and a sample's
-    velocity diameter beyond the largest float is inf.
+    moved far enough from the call's to flip a flag (NeighborSearch's
+    no-flip rule); those steps are not asked, since the search would return
+    the same table.  These stretches are the only rule that skips the
+    search.  Either way the results are the same bit for bit.  numpy's
+    overflow warnings are not printed: an overflowing step raises
+    IntegrationFault, and a sample's velocity diameter beyond the largest
+    float is inf.
     """
     if initial.n != params.N:
         raise ValueError("initial state particle count differs from params.N")

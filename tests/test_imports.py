@@ -124,37 +124,53 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _write_opens(tree):
-    """Name of the innermost function around each open(...) or x.open(...)
-    call whose mode writes; "<module>" at the top level."""
+
+def _call_scopes(tree, wanted):
+    """Name of the innermost function around each call for which
+    wanted(call) holds; "<module>" at the top level."""
     owner = {}
     for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
             owner[child] = node
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name != "open":
-            continue
-        # open(path, mode) takes the mode second; Path.open(mode) first.
-        position = 1 if isinstance(node.func, ast.Name) else 0
-        modes = node.args[position:position + 1] + [k.value for k in node.keywords if k.arg == "mode"]
-        if not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes):
-            continue
-        scope = owner.get(node)
-        while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = owner.get(scope)
-        yield scope.name if scope is not None else "<module>"
+        if isinstance(node, ast.Call) and wanted(node):
+            scope = owner.get(node)
+            while scope is not None and not isinstance(scope, FUNCTIONS):
+                scope = owner.get(scope)
+            yield scope.name if scope is not None else "<module>"
+
+
+def _opens_to_write(call):
+    """True for an open(...) or x.open(...) call whose mode writes."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name != "open":
+        return False
+    # open(path, mode) takes the mode second; Path.open(mode) first.
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    modes = call.args[position:position + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+
+def _scopes_in_package(wanted):
+    return [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _call_scopes(ast.parse(path.read_text()), wanted)
+    ]
 
 
 def test_every_output_file_is_written_by_one_row_writer():
     # One format rule (header line, `_fmt` cells, "\n" line ends) lives in
     # cli._write_rows; a new output file goes through it, not a copy of it.
-    opens = [
-        f"{path.stem}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in _write_opens(ast.parse(path.read_text()))
-    ]
-    assert opens == ["cli._write_rows"]
+    assert _scopes_in_package(_opens_to_write) == ["cli._write_rows"]
+
+
+def test_only_the_fiedler_value_densifies_a_sparse_matrix():
+    # One topology representation, CSR: the spectral gap needs its cluster's
+    # dense block, and no other code turns a sparse matrix dense.
+    def densifies(call):
+        return getattr(call.func, "attr", None) in {"toarray", "todense"}
+
+    assert _scopes_in_package(densifies) == ["graph.fiedler_value"]

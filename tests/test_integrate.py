@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.sparse import issparse
+from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
 import densiflock.integrate
@@ -577,12 +577,12 @@ def test_cs_run_keeps_its_digest(domain, n, m_policy):
 # velocity diameter of each takes the pair kernel.
 DI_SAMPLE_DIGESTS = {
     ("plane", 24): "af94f9323dc455a1e8850833ff9385783cc2d75f97678af9bec89ea27b34c919",
-    ("plane", 40): "5ff1f0ccd3547ee82ce6f08cf11fa394dc4ebe62f32604eacf91c2ee704a263a",
-    ("plane", 64): "977c44c436b7a80f57a12430820742b79e79f4af4414b32c8426697c3f2a64ac",
+    ("plane", 40): "a9608dda3660b2c9cb2dc532ea070607b65299645e43d8ffedbbc5364af78f3f",
+    ("plane", 64): "0bae734207a1a254671d6f3b7c6feddb9aa6cc608ee39a43b8f97893c2060dff",
     ("plane", 96): "a70faefe27c1865bb4ad2ef22249f08795d9efd12902f4744a372e6d5dbfec51",
     ("box", 24): "ae92f74806ca7388df6672f2b679b43742ffb4f5c521f4630259bc5e396ec1b6",
-    ("box", 40): "a7e086440ee5a01bc021506b0d7eea38809bae704ccef040e72508ac1493c36e",
-    ("box", 64): "ba9ebe65f2b47effdd9ad91b5014b0e26eee2648763b08da59d5717bab298639",
+    ("box", 40): "6aacfe6a866d50dda1152990968011fc92038eef3f7dfb7304e7d72f1b4cbce9",
+    ("box", 64): "11a15bb5f92667cc9ccd17a1151c16fcc4b7d76bc06462deac9af8b1ec836c21",
     ("box", 96): "010ba6ff07a5dd94b8e7fa01f4847a06d4fcdd76ac62cefeac8eacf7325aa9d9",
 }
 
@@ -682,18 +682,18 @@ def _di_workload_tables():
                 yield name, spec, table
 
 
-def test_step_map_is_dense_at_the_small_workloads_and_csr_at_n2048():
-    picked = {}
+def test_step_operator_is_csr_over_the_table_at_every_workload():
+    # One hA at every N: W's own CSR matrix, scaled in place, on the table's
+    # arrays, so no workload densifies its topology.
+    seen = []
     for name, spec, table in _di_workload_tables():
-        params = spec.params
-        ha = _di_operator(member_weights(table, params)[0], spec.dt)
-        picked[name, params.N] = "csr" if issparse(ha) else "dense"
-    assert picked == {
-        ("oracle_n11", 11): "dense",
-        ("observe_n64", 64): "dense",
-        ("formation_run_n64", 64): "dense",
-        ("di_scale_n2048", 2048): "csr",
-    }
+        ha = _di_operator(member_weights(table, spec.params)[0], spec.dt)
+        assert isinstance(ha, csr_matrix), name
+        assert np.shares_memory(ha.indptr, table.indptr), name
+        assert np.shares_memory(ha.indices, table.indices), name
+        seen.append((name, spec.params.N))
+    assert seen == [("oracle_n11", 11), ("observe_n64", 64), ("formation_run_n64", 64),
+                    ("di_scale_n2048", 2048)]
 
 
 def test_step_map_is_a_matrix_product_at_the_n11_and_n64_workloads():
@@ -825,8 +825,9 @@ def test_stretch_ends_before_a_head_on_flip(monkeypatch, domain, h_steps, damped
     # the first starts at 39.5 and wraps to 0 at step 50, inside a stretch.  A
     # gated pair far off, flying apart at 1.5 and damped to rest within a few
     # steps, sets the epoch's bound V = 1.5 above the racing speed 1:
-    # stretches then end with the search's displacement short of its margin,
-    # and the next one must start from that displacement.
+    # stretches then end with the pair short of its margin, and the call after
+    # each filters again, so the next stretch starts from that call's
+    # positions and margin.
     x, v = [[-0.5, 0.0], [2.505, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]
     if damped_pair:
         x, v = x + [[0.0, 10.0], [0.5, 10.0]], v + [[0.0, 1.5], [0.0, -1.5]]
