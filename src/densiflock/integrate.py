@@ -7,7 +7,9 @@ staged positions.  A topology epoch, a run of steps under one relation, shares
 one step map, digraph and cluster labeling.  In a small di epoch whose step
 matrix has no negative entry no speed can grow, so one bound proves every
 step finite, and after a search call how many coming calls would return the
-same table: those steps, a certified stretch, skip the search.
+same table: those steps, a certified stretch, skip the search.  simulate's
+loop visits only the steps where something happens (a search call, a sample,
+the last step) and advances a stretch's steps between them in one call.
 """
 from __future__ import annotations
 
@@ -210,6 +212,19 @@ class _StepMatrix:
         out[: self.n] += x  # the IEEE sums of x + out[:n], in out's own buffer
         return out
 
+    def advance(self, x: np.ndarray, v: np.ndarray, k: int, ring: deque, domain: Domain):
+        """k certified steps from (x, v), each taken as _advance takes it
+        unchecked (a fresh [x'; v'] buffer, positions wrapped in place) and
+        its positions appended to ring; returns the last step's (x, v)."""
+        s, n, periodic = self.s, self.n, domain.is_periodic
+        for _ in range(k):
+            out = s @ v
+            y, v = out[:n], out[n:]
+            y += x  # as __call__, without its slice assignment back
+            x = domain.wrap(y, in_place=True) if periodic else y
+            ring.append(x)
+        return x, v
+
     def certify(self, x: np.ndarray, v: np.ndarray, domain: Domain, steps: int) -> bool:
         """True when S has no negative entry and no step of the steps left
         from (x, v), the epoch's first state, can overflow or move a particle
@@ -342,9 +357,9 @@ def simulate(
     steps are always included.  Deterministic: the stepper holds no
     randomness beyond the initial state.
 
-    Each step asks the neighbor search for its table, and raises
-    IntegrationFault when its result is non-finite or when the search cannot
-    span its delayed positions.  On the step-matrix path
+    A step's table is the neighbor search's for its delayed positions; it
+    raises IntegrationFault when its result is non-finite or when the search
+    cannot span its delayed positions.  On the step-matrix path
     (matrix_step_map) an epoch whose S has no negative entry is certified
     instead: velocities are weighted averages, so no speed exceeds the
     largest at the epoch's first step, and where the positions this allows
@@ -354,7 +369,10 @@ def simulate(
     moved far enough from the call's to flip a flag (NeighborSearch's
     no-flip rule); those steps are not asked, since the search would return
     the same table.  These stretches are the only rule that skips the
-    search.  Either way the results are the same bit for bit.  numpy's
+    search.  The loop visits only steps where something happens (a search
+    call, a sample, the last step); the stretch steps from one to the next
+    advance in one call, _StepMatrix.advance, each with _advance's
+    arithmetic.  Either way the results are the same bit for bit.  numpy's
     overflow warnings are not printed: an overflowing step raises
     IntegrationFault, and a sample's velocity diameter beyond the largest
     float is inf.
@@ -376,10 +394,10 @@ def simulate(
 
     search = NeighborSearch(params, domain)
     record = TrajectoryRecord(spec)
-    epoch, quiet = None, -1
+    epoch, quiet, step = None, -1, 0
     # One errstate for the whole run, not one per call that can overflow.
     with np.errstate(over="ignore"):
-        for step in range(n_steps + 1):
+        while True:
             # Steps up to quiet lie in a certified stretch: the search would
             # return the epoch's table, so it is not asked.
             if step > quiet:
@@ -414,6 +432,15 @@ def simulate(
                 )
             if certified and step > quiet and step >= first + params.h_steps:
                 quiet = step + step_map.idle_steps(search, n_steps - step)
-            x, v = _advance(x, v, step_map, domain, step, checked=not certified)
-            ring.append(x)
+            # The next step where something happens: a search call (past
+            # quiet), a sample or the last.  A stretch's steps up to it
+            # advance in one call; outside a stretch it is the next step.
+            next_sample = (step // sample_every + 1) * sample_every
+            k = min(max(quiet, step) + 1, next_sample, n_steps) - step
+            if k == 1:
+                x, v = _advance(x, v, step_map, domain, step, checked=not certified)
+                ring.append(x)
+            else:
+                x, v = step_map.advance(x, v, k, ring, domain)
+            step += k
     return record

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from densiflock import (
 )
 from densiflock.dynamics import POLICY_KINDS, alignment_weight, member_weights
 from densiflock.errors import ConfigError
+from densiflock.experiments import oracle_run
 from densiflock.integrate import (
     RK4_DISC_RADIUS,
     STEP_MATRIX_MAX_N,
@@ -881,3 +883,74 @@ def test_step_matrix_with_a_negative_entry_asks_the_search_every_step(
     record = simulate(state, params, domain, dt, 20 * dt, sample_every=1)
     assert len(record.samples) == 21 and record.samples[-1].table.indptr[-1] > 0
     assert len(calls) == 21 if negative else len(calls) < 5
+
+
+def _count_steps_by_path(monkeypatch):
+    """Steps taken by the single-step _advance and by _StepMatrix.advance."""
+    steps = {"single": 0, "batched": 0}
+    single, batched = densiflock.integrate._advance, _StepMatrix.advance
+
+    def counting_single(*args, **kwargs):
+        steps["single"] += 1
+        return single(*args, **kwargs)
+
+    def counting_batched(self, x, v, k, ring, domain):
+        steps["batched"] += k
+        return batched(self, x, v, k, ring, domain)
+
+    monkeypatch.setattr(densiflock.integrate, "_advance", counting_single)
+    monkeypatch.setattr(_StepMatrix, "advance", counting_batched)
+    return steps
+
+
+def _assert_sampling_keeps_the_trajectory(sparse, dense, every):
+    """Each sample of the run sampled every `every` steps equals, bit for
+    bit, the sample_every = 1 run's sample at the same step."""
+    shared = dense.samples[::every]
+    if dense.samples[-1].step % every:
+        shared.append(dense.samples[-1])
+    assert [s.step for s in sparse.samples] == [s.step for s in shared]
+    for a, b in zip(sparse.samples, shared, strict=True):
+        for name in ("positions", "velocities"):
+            assert getattr(a.state, name).tobytes() == getattr(b.state, name).tobytes()
+        assert a.delayed_positions.tobytes() == b.delayed_positions.tobytes()
+        assert _same_table(a.table, b.table)
+        assert a.labels.labels.tolist() == b.labels.labels.tolist()
+        assert a.vmax == b.vmax and a.momentum.tobytes() == b.momentum.tobytes()
+
+
+def test_sampling_does_not_change_the_oracle_trajectory(monkeypatch):
+    # The oracle's one epoch is certified, so nearly every step lies in a
+    # stretch, advanced by _StepMatrix.advance up to the next sample or call.
+    steps = _count_steps_by_path(monkeypatch)
+    sparse, _, _ = oracle_run(dt=1e-3)
+    n_steps = sparse.samples[-1].step
+    assert sparse.spec.sample_every == 100 and n_steps == 10_000
+    assert steps["single"] + steps["batched"] == n_steps
+    assert steps["single"] < 0.05 * n_steps
+    dense = run_simulation(replace(sparse.spec, sample_every=1))
+    _assert_sampling_keeps_the_trajectory(sparse, dense, 100)
+
+
+@pytest.mark.parametrize("h_steps", [1, 3])
+def test_sampling_does_not_change_a_periodic_trajectory(monkeypatch, h_steps):
+    # Stretches here are short and many, so batches start and end at search
+    # calls as well as samples, with the ring h_steps deep across each end;
+    # particles cross the box, so batched steps wrap.
+    spec = ScenarioSpec(
+        scenario="random_clusters",
+        params=_di_params(24, h_steps=h_steps),
+        domain=Domain(25.0),
+        dt=0.01,
+        t_end=20.0,
+        sample_every=100,
+        seed=3,
+        margin=2.0,
+    )
+    steps = _count_steps_by_path(monkeypatch)
+    sparse = run_simulation(spec)
+    assert steps["batched"] > 0.5 * steps["single"] > 0
+    dense = run_simulation(replace(spec, sample_every=1))
+    _assert_sampling_keeps_the_trajectory(sparse, dense, 100)
+    x = np.array([s.state.positions for s in dense.samples])
+    assert (np.abs(np.diff(x, axis=0)) > spec.domain.L / 2).any()
