@@ -169,6 +169,14 @@ class NeighborTable:
 # Verlet skin s of the candidate shell, as a fraction of delta.
 SHELL_SKIN = 0.4
 
+# Rounding allowances, with u = 2^-53 and r(n) = 1 + 2 n u, which exceeds
+# (1 + u)^n and (1 - u)^-n while n u <= 1/2.
+_U = 2.0**-53
+
+
+def _r(n: int) -> float:
+    return 1 + 2 * n * _U
+
 
 class NeighborSearch:
     """One run's neighbor rule: table(delayed) is the step's NeighborTable,
@@ -179,10 +187,9 @@ class NeighborSearch:
     call filters a Verlet shell, the kd-tree's pairs within delta + s, rebuilt
     once twice the bound D on each particle's displacement since the build
     reaches s.  margin is the least |d - delta| over the shell and s - 2 D,
-    both at the last call, whose delayed positions are ref.  Positions that
-    moved each particle from ref by at most l, where 2 l + slack < margin,
-    flip no flag and rebuild no shell, so the next call returns the same
-    table: simulate's certified stretches skip those calls.
+    both at the last call, whose delayed positions are ref: idle_calls reads
+    off them how many coming calls must return the same table, the calls
+    that simulate's certified stretches skip.
     """
 
     def __init__(self, params: ModelParams, domain: Domain):
@@ -215,6 +222,37 @@ class NeighborSearch:
         rows, cols = np.concatenate([i, j, np.arange(N)]), np.concatenate([j, i, np.arange(N)])
         key = np.sort((rows * N + cols)[gated[rows]])
         return self._keep(np.searchsorted(key, N * np.arange(N + 1)), key % N)
+
+    def idle_calls(self, reach: float, limit: int) -> int:
+        """How many of the next di calls, at most limit, would return the
+        last call's table, given that no particle moves more than reach per
+        call from that call's delayed positions, ref.  Positions that moved
+        each particle from ref by at most l, where 2 l + slack < margin, flip
+        no flag and rebuild no shell (the no-flip rule)."""
+        # The no-flip rule's rounding.  The displacement lambda from ref, the
+        # root of Domain.squared_lengths, lies within c = r(d + 2) of the true
+        # length on the plane: the difference rounds by u per coordinate, the
+        # squares, their sum and the root by r(d + 1).  On the box the
+        # difference of two coordinates in [0, L) rounds by u L, the image
+        # shift k L (|k| <= 1) is exact, the subtraction rounds by u L, and a
+        # shift picked on the other side of a half box (the rounded e / L
+        # within 3u of 1/2) adds 6 u L: each coordinate's magnitude is within
+        # 8 u L, a length within a = 8 u L sqrt(d) before the factor c.  So
+        # lambda <= c (l + a) and l <= c lambda + a for a true length l (a = 0
+        # on the plane).  At the call lambda is 0, so l <= a, and k calls
+        # later l <= a + k reach.  The test rounds 2 lambda + slack up by at
+        # most r(1), and the float value of R (2 c (2 a + k reach) + slack)
+        # takes at most 9 roundings; R = r(11) exceeds (1 + u) (1 - u)^-9, so
+        # that value < margin proves k calls idle.
+        d, L = self.ref.shape[1], self.domain.L
+        R, c, a = _r(11), _r(d + 2), 0.0 if L is None else 8 * _U * math.sqrt(d) * L
+        room = (self.margin / R - self.slack) / (2 * c) - 2 * a
+        if not room > 0:
+            return 0
+        k = limit if room >= limit * reach else int(room / reach)
+        while k and R * (2 * c * (2 * a + k * reach) + self.slack) >= self.margin:
+            k -= 1
+        return k
 
     def _tree(self, delayed: np.ndarray) -> cKDTree:
         """The kd-tree over the wrapped delayed positions.

@@ -6,10 +6,11 @@ its exact RK4 propagator, cs by four stages with distance weights at the
 staged positions.  A topology epoch, a run of steps under one relation, shares
 one step map, digraph and cluster labeling.  In a small di epoch whose step
 matrix has no negative entry no speed can grow, so one bound proves every
-step finite, and after a search call how many coming calls would return the
-same table: those steps, a certified stretch, skip the search.  simulate's
-loop visits only the steps where something happens (a search call, a sample,
-the last step) and advances a stretch's steps between them in one call.
+step finite and bounds each step's move; from it the search says how many
+calls after one would return the same table: those steps, a certified
+stretch, skip the search.  simulate's loop visits only the steps where
+something happens (a search call, a sample, the last step) and advances a
+stretch's steps between them in one call.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from .dynamics import (
     ModelParams,
     NeighborSearch,
     NeighborTable,
+    _r,
+    _U,
     alignment_weight,
     member_weights,
     total_momentum,
@@ -146,16 +149,15 @@ def _di_operator(weights: csr_matrix, dt: float) -> csr_matrix:
 # negative entry, every new velocity is thus a weighted average of the old
 # ones, and every position step dt times one: by convexity of the norm no
 # speed exceeds V, the largest at the epoch's first step, and no step moves a
-# particle by more than about dt V.  A search call that returned the epoch's
-# table leaves ref at its delayed positions, so the k coming calls for which
-# 2 k dt V + slack < margin meet NeighborSearch's no-flip rule: those k steps
-# need no call, since the search would return the same table.  The bound needs
-# the delayed positions to have moved under this S alone, so a stretch starts
-# h_steps steps into its epoch at the earliest.
+# particle by more than P, about dt V.  A search call that returned the
+# epoch's table leaves ref at its delayed positions, and
+# NeighborSearch.idle_calls(P, ...) counts the coming calls that would return
+# that table too: those steps need no call.  The bound needs the delayed
+# positions to have moved under this S alone, so a stretch starts h_steps
+# steps into its epoch at the earliest.
 #
-# The float arithmetic widens each term by these allowances, with u = 2^-53
-# and r(n) = 1 + 2 n u, which exceeds (1 + u)^n and (1 - u)^-n while
-# n u <= 1/2:
+# The float arithmetic widens each term by these allowances (u and r(n) as in
+# dynamics):
 # * a row of S: the exact sum of its N entries is at most r(N) times the
 #   computed one (sigma_T, sigma_B the largest of the top and bottom halves);
 # * the product S @ v: each entry lies within r(N) - 1 times
@@ -167,36 +169,18 @@ def _di_operator(weights: csr_matrix, dt: float) -> csr_matrix:
 #   by n);
 # * x + out rounds each coordinate by u |x + out|, and Domain.wrap moves it by
 #   at most u L (np.mod's fmod is exact; only the + L of a negative
-#   coordinate rounds, and mapping L to 0 keeps the torus point).  A step so
-#   moves a particle by at most P = r(1) O + 2 u sqrt(d) L on the box, where
-#   |x| < sqrt(d) L, and on the plane, where |x| <= sqrt(d) X + n P with X the
-#   largest coordinate at the epoch's first step, by
-#   P = (r(1) O + u sqrt(d) X) / (1 - n u);
-# * the search's displacement lambda from ref, the root of
-#   Domain.squared_lengths: on the plane the difference rounds by u per
-#   coordinate, and the squares, their sum and the root by r(d + 1), so the
-#   computed length lies within c = r(d + 2) of the true one.  On the box the
-#   difference of two coordinates in [0, L) rounds by u L, the image shift
-#   k L (|k| <= 1) is exact, the subtraction rounds by u L, and a shift
-#   picked on the other side of a half box (the rounded e / L within 3u of
-#   1/2) adds 6 u L: each coordinate's magnitude is within 8 u L, a length
-#   within a = 8 u L sqrt(d) before the factor c.  So lambda <= c (l + a)
-#   and l <= c lambda + a for a true length l and its computed lambda (a = 0
-#   on the plane).  At the call lambda is 0, so l <= a, and k steps later
-#   l <= a + k P by the triangle inequality;
-# * the rule's test rounds 2 lambda + slack up by at most r(1).
-# Hence R (2 c (2 a + k P) + slack) < margin proves k calls idle.
+#   coordinate rounds, and mapping L to 0 keeps the torus point).  Let
+#   X = sqrt(d) L on the box and sqrt(d) max |x| over the epoch's first
+#   positions on the plane.  On the box |x| < X, so x + out and the wrap
+#   round by at most u (X + O) + u X, and a step moves a particle by at most
+#   r(1) O + 2 u X.  On the plane |x| <= X + n P after n steps and nothing
+#   wraps, so (r(1) O + u X) / (1 - n u) bounds a step.  Hence
+#   P = (r(1) O + 2 u X) / (1 - n u) bounds both, and X + (n + 1) P every
+#   |x + out|.
 # Each float formula here adds, multiplies, divides or raises non-negative
 # numbers with at most 9 roundings, so a factor r(10) makes its value an
-# upper bound; R = r(11) exceeds (1 + u) (1 - u)^-9 and so covers both that
-# and the test's rounding.  Where the bounds on |x + out| and on the speeds
-# are finite, no step of the epoch can overflow, so its finiteness test is
-# idle too.
-_U = 2.0**-53
-
-
-def _r(n: int) -> float:
-    return 1 + 2 * n * _U
+# upper bound.  Where the bounds on |x + out| and on the speeds are finite,
+# no step of the epoch can overflow, so its finiteness test is idle too.
 
 
 class _StepMatrix:
@@ -209,7 +193,8 @@ class _StepMatrix:
 
     def __call__(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = self.s @ v
-        out[: self.n] += x  # the IEEE sums of x + out[:n], in out's own buffer
+        y = out[: self.n]
+        y += x  # the IEEE sums of x + out[:n], in out's own buffer
         return out
 
     def advance(self, x: np.ndarray, v: np.ndarray, k: int, ring: deque, domain: Domain):
@@ -220,51 +205,30 @@ class _StepMatrix:
         for _ in range(k):
             out = s @ v
             y, v = out[:n], out[n:]
-            y += x  # as __call__, without its slice assignment back
+            y += x
             x = domain.wrap(y, in_place=True) if periodic else y
             ring.append(x)
         return x, v
 
-    def certify(self, x: np.ndarray, v: np.ndarray, domain: Domain, steps: int) -> bool:
-        """True when S has no negative entry and no step of the steps left
-        from (x, v), the epoch's first state, can overflow or move a particle
-        by more than self.reach."""
+    def certify(self, x: np.ndarray, v: np.ndarray, domain: Domain, steps: int) -> float | None:
+        """P, a bound on how far a particle moves in any step of the steps
+        left from (x, v), the epoch's first state, when S has no negative
+        entry and no such step can overflow; else None."""
         s, N, d = self.s, self.n, x.shape[1]
         if not (s.min() >= 0 and steps * _U <= 0.5):
-            return False
+            return None
         rows = s.sum(axis=1)
         speed = math.sqrt(Domain().squared_lengths(v.copy()).max())
         try:
             growth = max(rows[N:].max() * _r(2 * N + 3), 1.0) ** steps
         except OverflowError:
-            return False
+            return None
         vmax = _r(10) * _r(d + 1) * speed * growth
         out = _r(2 * N + 2) * rows[:N].max() * vmax
-        root_d = math.sqrt(d)
-        if domain.is_periodic:
-            self.a = 8 * _U * root_d * domain.L
-            self.reach = _r(10) * (_r(1) * out + 2 * _U * root_d * domain.L)
-            top = _r(10) * (root_d * domain.L + self.reach)
-        else:
-            X = root_d * float(np.abs(x).max())
-            self.a = 0.0
-            self.reach = _r(10) * (_r(1) * out + _U * X) / (1 - steps * _U)
-            top = _r(10) * (X + (steps + 1) * self.reach)
-        self.c = _r(d + 2)
-        return math.isfinite(vmax) and math.isfinite(top)
-
-    def idle_steps(self, search: NeighborSearch, steps: int) -> int:
-        """How many of the next steps (at most steps) need no search call,
-        the search's last call having returned this certified epoch's table."""
-        R, c, a, reach = _r(11), self.c, self.a, self.reach
-        margin, slack = search.margin, search.slack
-        room = (margin / R - slack) / (2 * c) - 2 * a
-        if not room > 0:
-            return 0
-        k = steps if room >= steps * reach else int(room / reach)
-        while k and R * (2 * c * (2 * a + k * reach) + slack) >= margin:
-            k -= 1
-        return k
+        X = math.sqrt(d) * (domain.L if domain.is_periodic else float(np.abs(x).max()))
+        reach = _r(10) * (_r(1) * out + 2 * _U * X) / (1 - steps * _U)
+        top = _r(10) * (X + (steps + 1) * reach)
+        return reach if math.isfinite(vmax) and math.isfinite(top) else None
 
 
 def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Domain, step: int):
@@ -364,18 +328,17 @@ def simulate(
     instead: velocities are weighted averages, so no speed exceeds the
     largest at the epoch's first step, and where the positions this allows
     stay finite a non-finite step is impossible by the bound and is not
-    tested for.  From h_steps steps into such an epoch, each search call
-    starts a stretch of the coming steps whose delayed positions cannot have
-    moved far enough from the call's to flip a flag (NeighborSearch's
-    no-flip rule); those steps are not asked, since the search would return
-    the same table.  These stretches are the only rule that skips the
-    search.  The loop visits only steps where something happens (a search
-    call, a sample, the last step); the stretch steps from one to the next
-    advance in one call, _StepMatrix.advance, each with _advance's
-    arithmetic.  Either way the results are the same bit for bit.  numpy's
-    overflow warnings are not printed: an overflowing step raises
-    IntegrationFault, and a sample's velocity diameter beyond the largest
-    float is inf.
+    tested for.  The same bound caps each step's move (_StepMatrix.certify),
+    and from h_steps steps into such an epoch, each search call starts a
+    stretch: the coming steps that NeighborSearch.idle_calls, given that
+    cap, finds would return the same table.  Those steps are not asked.
+    These stretches are the only rule that skips the search.  The loop
+    visits only steps where something happens (a search call, a sample, the
+    last step); the stretch steps from one to the next advance in one call,
+    _StepMatrix.advance, each with _advance's arithmetic.  Either way the
+    results are the same bit for bit.  numpy's overflow warnings are not
+    printed: an overflowing step raises IntegrationFault, and a sample's
+    velocity diameter beyond the largest float is inf.
     """
     if initial.n != params.N:
         raise ValueError("initial state particle count differs from params.N")
@@ -427,18 +390,17 @@ def simulate(
                 break
             if step_map is None:
                 step_map = _step_map(table, dt, params, domain, step)
-                certified = isinstance(step_map, _StepMatrix) and step_map.certify(
-                    x, v, domain, n_steps - step
-                )
-            if certified and step > quiet and step >= first + params.h_steps:
-                quiet = step + step_map.idle_steps(search, n_steps - step)
+                matrix = isinstance(step_map, _StepMatrix)
+                reach = step_map.certify(x, v, domain, n_steps - step) if matrix else None
+            if reach is not None and step > quiet and step >= first + params.h_steps:
+                quiet = step + search.idle_calls(reach, n_steps - step)
             # The next step where something happens: a search call (past
             # quiet), a sample or the last.  A stretch's steps up to it
             # advance in one call; outside a stretch it is the next step.
             next_sample = (step // sample_every + 1) * sample_every
             k = min(max(quiet, step) + 1, next_sample, n_steps) - step
             if k == 1:
-                x, v = _advance(x, v, step_map, domain, step, checked=not certified)
+                x, v = _advance(x, v, step_map, domain, step, checked=reach is None)
                 ring.append(x)
             else:
                 x, v = step_map.advance(x, v, k, ring, domain)

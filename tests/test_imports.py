@@ -174,3 +174,14 @@ def test_only_the_fiedler_value_densifies_a_sparse_matrix():
         return getattr(call.func, "attr", None) in {"toarray", "todense"}
 
     assert _scopes_in_package(densifies) == ["graph.fiedler_value"]
+
+
+def test_integrate_asks_the_search_only_for_tables_and_idle_calls():
+    # The search owns its half of the stretch rule (margin, slack, ref and
+    # the rounding of its own displacement); integrate reads none of it.
+    tree = ast.parse((PACKAGE / "integrate.py").read_text())
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "search"
+    }
+    assert read == {"table", "idle_calls"}

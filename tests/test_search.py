@@ -1,10 +1,10 @@
-"""The incremental neighbor search: Verlet shell, a filter at every call, epoch identity."""
+"""The incremental neighbor search: Verlet shell, a filter at every call, epoch identity, idle calls."""
 import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from densiflock import Domain, ModelParams, NeighborSearch
@@ -125,6 +125,57 @@ def test_certificate_covers_both_ends_of_a_pair():
     assert search.table(x).indptr.tolist() == [0, 0, 0]
     y = x + [[0.6 * eps, 0.0], [-0.6 * eps, 0.0]]
     assert search.table(y).indptr.tolist() == [0, 2, 4]
+
+
+@st.composite
+def quiet_configurations(draw):
+    """(x, pairs, delta, K) on the plane or the box [0, 7)^2: random points
+    plus a pair just outside delta and one just inside or outside it that
+    straddles the edge x = 0, each gap at most a thousandth of delta."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    delta = draw(st.floats(0.5, 2.0))
+    gaps = [delta * 10.0 ** draw(st.floats(-5.5, -3)) for _ in range(2)]
+    x = rng.uniform(0, 7, size=(draw(st.integers(4, 16)), 2))
+    theta = rng.uniform(0, 2 * np.pi)
+    half = (delta + gaps[0]) / 2 * np.array([math.cos(theta), math.sin(theta)])
+    x[0], x[1] = x[0] - half, x[0] + half
+    e = rng.uniform(0, delta / 2)
+    x[2], x[3] = [-e, x[2, 1]], [delta + draw(st.sampled_from([-1, 1])) * gaps[1] - e, x[2, 1]]
+    return x, [(0, 1), (2, 3)], delta, draw(st.integers(1, 60))
+
+
+@pytest.mark.parametrize("domain", [Domain(), Domain(7.0)], ids=["plane", "box"])
+@given(case=quiet_configurations())
+@settings(max_examples=150, deadline=None)
+def test_idle_calls_bound_keeps_the_table(domain, case):
+    # Moving every particle by at most k r, k = idle_calls(r, 50), returns
+    # the same table.  The pairs move toward the ball's edge by exactly k r
+    # each (the first head-on, the second across the box's edge), so a rule
+    # that let one end use the whole margin fails.  With r = 0.9 margin / 2K
+    # a sound rule finds at least min(K, 50) calls, so one that returns 0
+    # fails too.
+    x, pairs, delta, K = case
+    x = domain.wrap(x)
+    search = NeighborSearch(ModelParams("di", len(x), m=1, delta=delta), domain)
+    t = search.table(x)
+    d = dense_distances(domain, x, x)[np.triu_indices(len(x), 1)]
+    margin = min(np.abs(d - delta).min(), SHELL_SKIN * delta)
+    assume(margin > 1e-6 * delta)
+    r = 0.9 * margin / (2 * K)
+    k = search.idle_calls(r, 50)
+    assert min(K, 50) <= k <= 50
+    rng = np.random.default_rng(K)
+    move = rng.normal(size=x.shape)
+    move /= np.sqrt((move * move).sum(axis=1, keepdims=True))
+    move *= k * r * np.minimum(rng.uniform(0, 1.5, (len(x), 1)), 1.0)  # a third by k r
+    for i, j in pairs:
+        e = x[j] - x[i]
+        if domain.is_periodic:
+            e -= np.rint(e / domain.L) * domain.L
+        gap = math.hypot(*e) - delta
+        move[i] = math.copysign(k * r, gap) * e / math.hypot(*e)
+        move[j] = -move[i]
+    assert search.table(domain.wrap(x + move)) is t
 
 
 def test_stretches_skip_most_search_calls_on_the_oracle_run(monkeypatch):
