@@ -22,7 +22,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
 from .domains import Domain, pair_indices
-from .errors import ConfigError
+from .errors import ConfigError, whole
 
 MODELS = ("di", "cs")
 POLICY_KINDS = ("flat", "per_neighbor", "constant")
@@ -56,6 +56,9 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
+        self.N, self.h_steps = whole("n", self.N), whole("h_steps", self.h_steps)
+        if self.m is not None:
+            self.m = whole("m", self.m)
         if self.N < 1:
             raise ConfigError("n must be >= 1")
         # NeighborSearch.table keys each pair as row * N + col in int64.

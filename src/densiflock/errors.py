@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check for counts."""
+import operator
 
 
 class ConfigError(ValueError):
@@ -11,3 +12,12 @@ class IntegrationFault(RuntimeError):
     def __init__(self, step: int, message: str = ""):
         self.step = step
         super().__init__(message or f"non-finite state produced at step {step}")
+
+
+def whole(key: str, value) -> int:
+    """value as operator.index reads it; ConfigError naming key for a value
+    it does not take, such as a float, even 2.0."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{key} must be a whole number, got {key}={value!r}") from None

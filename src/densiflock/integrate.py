@@ -4,13 +4,12 @@ One incremental search reads the neighbor relation once per step (di from the
 delayed positions; cs couples everyone); it is held fixed for the step: di by
 its exact RK4 propagator, cs by four stages with distance weights at the
 staged positions.  A topology epoch, a run of steps under one relation, shares
-one step map, digraph and cluster labeling.  In a small di epoch whose step
-matrix has no negative entry no speed can grow, so one bound proves every
-step finite and bounds each step's move; from it the search says how many
-calls after one would return the same table: those steps, a certified
-stretch, skip the search.  simulate's loop visits only the steps where
-something happens (a search call, a sample, the last step) and advances a
-stretch's steps between them in one call.
+one step map, digraph and cluster labeling, and decides how its steps are
+taken.  A certified epoch, a small di one whose step matrix has no negative
+entry, is proved finite by one bound that also caps each step's move: its
+steps go through _StepMatrix.advance, a stretch of them that the search need
+not be asked for in one call.  Every other step goes through _advance, which
+tests it for finiteness.  step_count is the one rule for a run's schedule.
 """
 from __future__ import annotations
 
@@ -36,24 +35,29 @@ from .dynamics import (
     total_momentum,
     velocity_diameter,
 )
-from .errors import ConfigError, IntegrationFault
+from .errors import ConfigError, IntegrationFault, whole
 from .graph import ClusterLabeling, build_digraph, strongly_connected_components
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import ScenarioSpec
 
 
-def step_count(t_end: float, dt: float) -> int:
-    """Number of dt steps that end exactly at t_end.
+def step_count(t_end: float, dt: float, sample_every: int) -> int:
+    """Number of dt steps that end exactly at t_end: the run's schedule.
 
-    A horizon between grid points would silently be rounded to one of them,
-    so it is rejected.
+    Raises ConfigError unless dt is finite and > 0, t_end is a whole number
+    of dt steps (a horizon between grid points would silently be rounded to
+    one of them) and sample_every is a whole number >= 1.
     """
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"dt must be finite and > 0, got dt={dt!r}")
     steps = t_end / dt
     if not (math.isfinite(steps) and steps >= 0 and math.isclose(steps, round(steps))):
         raise ConfigError(
             f"t_end must be a finite whole number of dt steps, got t_end={t_end!r}, dt={dt!r}"
         )
+    if whole("sample_every", sample_every) < 1:
+        raise ConfigError("sample_every must be >= 1")
     return round(steps)
 
 
@@ -198,9 +202,10 @@ class _StepMatrix:
         return out
 
     def advance(self, x: np.ndarray, v: np.ndarray, k: int, ring: deque, domain: Domain):
-        """k certified steps from (x, v), each taken as _advance takes it
-        unchecked (a fresh [x'; v'] buffer, positions wrapped in place) and
-        its positions appended to ring; returns the last step's (x, v)."""
+        """k steps of a certified epoch from (x, v), each with __call__'s
+        arithmetic into a fresh [x'; v'] buffer, its positions wrapped in
+        place and appended to ring; returns the last step's (x, v).  No step
+        is tested: certify proved them all finite."""
         s, n, periodic = self.s, self.n, domain.is_periodic
         for _ in range(k):
             out = s @ v
@@ -294,13 +299,11 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
     return stages
 
 
-def _advance(x: np.ndarray, v: np.ndarray, step_map, domain: Domain, step: int,
-             checked: bool = True):
+def _advance(x: np.ndarray, v: np.ndarray, step_map, domain: Domain, step: int):
     """The step map's output, positions wrapped; raises IntegrationFault for
-    the given step when it is non-finite, tested unless a bound proved it
-    finite (checked false)."""
+    the given step when it is non-finite."""
     out, n = step_map(x, v), len(x)
-    if checked and not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         raise IntegrationFault(step)
     # Wrapped in place: a sample's x' and v' are the two halves of one buffer.
     return domain.wrap(out[:n], in_place=True), out[n:]
@@ -319,39 +322,25 @@ def simulate(
 
     Samples are recorded every sample_every steps; the initial and final
     steps are always included.  Deterministic: the stepper holds no
-    randomness beyond the initial state.
+    randomness beyond the initial state.  step_count checks the schedule.
 
-    A step's table is the neighbor search's for its delayed positions; it
-    raises IntegrationFault when its result is non-finite or when the search
-    cannot span its delayed positions.  On the step-matrix path
-    (matrix_step_map) an epoch whose S has no negative entry is certified
-    instead: velocities are weighted averages, so no speed exceeds the
-    largest at the epoch's first step, and where the positions this allows
-    stay finite a non-finite step is impossible by the bound and is not
-    tested for.  The same bound caps each step's move (_StepMatrix.certify),
-    and from h_steps steps into such an epoch, each search call starts a
-    stretch: the coming steps that NeighborSearch.idle_calls, given that
-    cap, finds would return the same table.  Those steps are not asked.
-    These stretches are the only rule that skips the search.  The loop
-    visits only steps where something happens (a search call, a sample, the
-    last step); the stretch steps from one to the next advance in one call,
-    _StepMatrix.advance, each with _advance's arithmetic.  Either way the
-    results are the same bit for bit.  numpy's overflow warnings are not
-    printed: an overflowing step raises IntegrationFault, and a sample's
-    velocity diameter beyond the largest float is inf.
+    A step's table is the neighbor search's for its delayed positions.  A
+    certified epoch (_StepMatrix.certify) takes every step through
+    _StepMatrix.advance, unchecked, and each stretch of steps that
+    NeighborSearch.idle_calls finds need no search call in one call to it;
+    every other step goes through _advance, checked.  Raises
+    IntegrationFault when a checked step is non-finite or the search cannot
+    span its delayed positions.  numpy's overflow warnings are not printed;
+    a sample's velocity diameter beyond the largest float is inf.
     """
     if initial.n != params.N:
         raise ValueError("initial state particle count differs from params.N")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got dt={dt!r}")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    n_steps = step_count(t_end, dt, sample_every)
     # The public checks once more, on the arrays as they are now, since no
     # sample repeats them.
     initial = EnsembleState(initial.t, initial.positions, initial.velocities)
-    x = domain.wrap(initial.positions.copy())
+    x = domain.wrap(initial.positions.copy(), in_place=True)
     v = initial.velocities.copy()
-    n_steps = step_count(t_end, dt)
     # The delay ring: ring[0] holds the positions of step max(step - h_steps, 0).
     ring = deque([x], maxlen=params.h_steps + 1)
 
@@ -390,17 +379,17 @@ def simulate(
                 break
             if step_map is None:
                 step_map = _step_map(table, dt, params, domain, step)
-                matrix = isinstance(step_map, _StepMatrix)
-                reach = step_map.certify(x, v, domain, n_steps - step) if matrix else None
+                reach = (step_map.certify(x, v, domain, n_steps - step)
+                         if isinstance(step_map, _StepMatrix) else None)
             if reach is not None and step > quiet and step >= first + params.h_steps:
                 quiet = step + search.idle_calls(reach, n_steps - step)
             # The next step where something happens: a search call (past
-            # quiet), a sample or the last.  A stretch's steps up to it
-            # advance in one call; outside a stretch it is the next step.
+            # quiet), a sample or the last.  Outside a stretch, and so in
+            # every epoch that is not certified, it is the next step.
             next_sample = (step // sample_every + 1) * sample_every
             k = min(max(quiet, step) + 1, next_sample, n_steps) - step
-            if k == 1:
-                x, v = _advance(x, v, step_map, domain, step, checked=reach is None)
+            if reach is None:
+                x, v = _advance(x, v, step_map, domain, step)
                 ring.append(x)
             else:
                 x, v = step_map.advance(x, v, k, ring, domain)

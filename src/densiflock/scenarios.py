@@ -24,7 +24,7 @@ import numpy as np
 from . import integrate
 from .domains import Domain
 from .dynamics import EnsembleState, ModelParams
-from .errors import ConfigError
+from .errors import ConfigError, whole
 from .integrate import TrajectoryRecord, step_count
 
 # The generator fields each scenario reads; ScenarioSpec rejects the others.
@@ -81,14 +81,10 @@ class ScenarioSpec:
         for name in (f.name for f in fields(self) if f.name in GENERATOR_FIELDS):
             if getattr(self, name) is not None and name not in SCENARIO_FIELDS[self.scenario]:
                 raise ConfigError(f"scenario {self.scenario} takes no {name}")
-        if not 0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be finite and > 0, got dt={self.dt!r}")
         if self.t_end is None:
             self.t_end = DEFAULT_T_END.get(self.scenario, 3.0 * self.params.N)
-        step_count(self.t_end, self.dt)
-        if self.sample_every < 1:
-            raise ConfigError("sample_every must be >= 1")
-        if self.seed < 0:
+        step_count(self.t_end, self.dt, self.sample_every)
+        if whole("seed", self.seed) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.domain.is_periodic and self.params.delta is not None:
             if not self.domain.L > 2 * self.params.delta:

@@ -513,6 +513,21 @@ def test_model_params_validation():
     ModelParams(model="cs", N=8, alpha=1.0)
 
 
+@pytest.mark.parametrize("key, value", [("n", 5.0), ("m", 2.5), ("m", 2.0), ("h_steps", 1.5)])
+def test_model_params_rejects_counts_that_are_not_whole_numbers(key, value):
+    # N = 5.0 and m = 2.0 failed inside numpy, h_steps = 1.5 in the delay
+    # deque, and m = 2.5 ran as m = 2, since count > 2.5 is count > 2.
+    fields = {"model": "di", "N": 5, "m": 2, "delta": 1.5, **{key.replace("n", "N"): value}}
+    with pytest.raises(ConfigError, match=f"{key} must be a whole number"):
+        ModelParams(**fields)
+
+
+def test_model_params_takes_every_count_operator_index_takes():
+    params = ModelParams("di", np.int64(5), m=np.int32(2), delta=1.5, h_steps=np.uint8(3))
+    assert (params.N, params.m, params.h_steps) == (5, 2, 3)
+    assert all(type(c) is int for c in (params.N, params.m, params.h_steps))
+
+
 def test_model_params_rejects_infinite_kappa_and_delta():
     # kappa = inf built Phi as inf / inf and faulted at step 0; delta = inf
     # made every pair a neighbor.

@@ -176,6 +176,25 @@ def test_only_the_fiedler_value_densifies_a_sparse_matrix():
     assert _scopes_in_package(densifies) == ["graph.fiedler_value"]
 
 
+def _raises_a_schedule_message(call):
+    """True for a ConfigError(...) or ValueError(...) whose message, a plain
+    or an f-string, starts with "dt must" or "sample_every must"."""
+    if getattr(call.func, "id", None) not in {"ConfigError", "ValueError"} or not call.args:
+        return False
+    message = call.args[0]
+    if isinstance(message, ast.JoinedStr) and message.values:
+        message = message.values[0]
+    return isinstance(message, ast.Constant) and str(message.value).startswith(
+        ("dt must", "sample_every must")
+    )
+
+
+def test_only_step_count_checks_the_run_schedule():
+    # One rule for a run's schedule: simulate and ScenarioSpec call
+    # integrate.step_count, not copies of its dt and sample_every checks.
+    assert set(_scopes_in_package(_raises_a_schedule_message)) == {"integrate.step_count"}
+
+
 def test_integrate_asks_the_search_only_for_tables_and_idle_calls():
     # The search owns its half of the stretch rule (margin, slack, ref and
     # the rounding of its own displacement); integrate reads none of it.

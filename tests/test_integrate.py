@@ -391,6 +391,12 @@ def test_simulate_rejects_a_step_that_is_not_finite_and_positive(dt):
         simulate(_blob_state(), _di_params(5, m=2), Domain(), dt, 150.0)
 
 
+@pytest.mark.parametrize("sample_every", [2.5, 1.0, "1"])
+def test_simulate_rejects_a_sample_period_that_is_not_a_whole_number(sample_every):
+    with pytest.raises(ConfigError, match="sample_every must be a whole number"):
+        simulate(_blob_state(), _di_params(5, m=2), Domain(), 0.01, 0.1, sample_every)
+
+
 def test_sample_times_are_exact_grid_multiples():
     state = _blob_state()
     record = simulate(state, _di_params(5, m=2), Domain(), 0.01, 0.5, sample_every=7)
@@ -885,8 +891,42 @@ def test_step_matrix_with_a_negative_entry_asks_the_search_every_step(
     assert len(calls) == 21 if negative else len(calls) < 5
 
 
+def _count_checked_steps(monkeypatch):
+    """The step index of every _advance call: the steps tested for finiteness."""
+    steps, advance = [], densiflock.integrate._advance
+
+    def counting(x, v, step_map, domain, step):
+        steps.append(step)
+        return advance(x, v, step_map, domain, step)
+
+    monkeypatch.setattr(densiflock.integrate, "_advance", counting)
+    return steps
+
+
+def test_a_certified_epoch_takes_no_step_through_advance(monkeypatch):
+    # The oracle's one epoch is certified, so even its lone steps between a
+    # search call and a sample go through _StepMatrix.advance.
+    checked = _count_checked_steps(monkeypatch)
+    oracle_run(dt=1e-3)
+    assert checked == []
+
+
+def test_an_epoch_with_a_negative_step_matrix_entry_checks_every_step(monkeypatch):
+    # The h rho = 1.2 input of the negative-entry search test: no epoch is
+    # certified, so each of the 20 steps is tested.
+    x = np.column_stack([1.5 * np.arange(4), np.zeros(4)])
+    state = EnsembleState(0.0, x, np.zeros((4, 2)))
+    params, domain = _di_params(4, m=1, m_policy="per_neighbor"), Domain()
+    table = neighbor_sets_di(state.positions, params.delta, params.m, domain)
+    dt = 1.2 / member_weights(table, params)[1]
+    checked = _count_checked_steps(monkeypatch)
+    simulate(state, params, domain, dt, 20 * dt, sample_every=1)
+    assert checked == list(range(20))
+
+
 def _count_steps_by_path(monkeypatch):
-    """Steps taken by the single-step _advance and by _StepMatrix.advance."""
+    """Steps taken one per call ("single": every _advance call and each
+    _StepMatrix.advance call with k = 1) and in batches of k > 1 steps."""
     steps = {"single": 0, "batched": 0}
     single, batched = densiflock.integrate._advance, _StepMatrix.advance
 
@@ -895,7 +935,7 @@ def _count_steps_by_path(monkeypatch):
         return single(*args, **kwargs)
 
     def counting_batched(self, x, v, k, ring, domain):
-        steps["batched"] += k
+        steps["single" if k == 1 else "batched"] += k
         return batched(self, x, v, k, ring, domain)
 
     monkeypatch.setattr(densiflock.integrate, "_advance", counting_single)

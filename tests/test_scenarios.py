@@ -429,6 +429,14 @@ def test_spec_rejects_non_finite_values(scenario, field, value):
         ScenarioSpec(scenario, **{**SPEC_BASES[scenario], field: value})
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("sample_every", 2.5), ("sample_every", 2.0)])
+def test_spec_rejects_counts_that_are_not_whole_numbers(field, value):
+    # A float seed failed in SeedSequence, a float sample_every inside numpy.
+    with pytest.raises(ConfigError, match=f"{field} must be a whole number"):
+        ScenarioSpec("random_clusters", **{**SPEC_BASES["random_clusters"], field: value})
+    ScenarioSpec("random_clusters", **{**SPEC_BASES["random_clusters"], field: np.int64(2)})
+
+
 @pytest.mark.parametrize("scenario", list(SPEC_BASES))
 def test_library_and_config_default_to_one_horizon(scenario):
     spec = ScenarioSpec(scenario, **SPEC_BASES[scenario])
