@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real
 
 
 @lru_cache(maxsize=8)
@@ -20,6 +20,16 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(n, 1)
     i.flags.writeable = j.flags.writeable = False
     return i, j
+
+
+def pair_gather(n: int) -> np.ndarray:
+    """The flat gather index of an n x n symmetric matrix from its
+    pair_indices(n) entries: i n + k holds the slot of pair {i, k}, and each
+    diagonal entry n (n - 1) / 2, the slot after the last."""
+    i, j = pair_indices(n)
+    gather = np.full((n, n), len(i))
+    gather[i, j] = gather[j, i] = np.arange(len(i))
+    return gather.ravel()
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,10 @@ class Domain:
     L: float | None = None
 
     def __post_init__(self):
-        if self.L is not None and not 0 < self.L < np.inf:
+        if self.L is None:
+            return
+        object.__setattr__(self, "L", real("L", self.L))  # frozen: set once, here
+        if not 0 < self.L < np.inf:
             raise ConfigError("periodic domain requires a finite side length L > 0")
 
     @property

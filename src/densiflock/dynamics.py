@@ -18,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import ConvexHull, QhullError, cKDTree
-from scipy.spatial.distance import pdist
 
 from .domains import Domain, pair_indices
-from .errors import ConfigError, whole
+from .errors import ConfigError, real, whole
 
 MODELS = ("di", "cs")
 POLICY_KINDS = ("flat", "per_neighbor", "constant")
@@ -59,6 +57,9 @@ class ModelParams:
         self.N, self.h_steps = whole("n", self.N), whole("h_steps", self.h_steps)
         if self.m is not None:
             self.m = whole("m", self.m)
+        self.kappa, self.alpha = real("kappa", self.kappa), real("alpha", self.alpha)
+        if self.delta is not None:
+            self.delta = real("delta", self.delta)
         if self.N < 1:
             raise ConfigError("n must be >= 1")
         # NeighborSearch.table keys each pair as row * N + col in int64.
@@ -169,6 +170,32 @@ class NeighborTable:
         return bool(j < len(s) and s[j] == k)
 
 
+# All pairs or a spatial structure: up to PAIR_DIAMETER_MAX_N points the
+# velocity diameter and the di search's shell compare every pair through
+# domains.pair_indices and Domain.squared_distances; above it they cut the set
+# first, with scipy.spatial's hull and kd-tree, which only such sets load.
+# That import costs about 0.1 s.  A shell build over wrapped uniform points on
+# the torus at the paper's density (L = 25 sqrt(N / 64), delta + s = 2.8),
+# best of seven on a 2-core x86_64 VM, took 12 / 30 / 76 us over all pairs at
+# N = 11 / 64 / 128 against 28 / 40 / 62 us through cKDTree.query_pairs, with
+# the same pairs, and 570 against 133 us at N = 256.  The 14 us lost at
+# N = 128 would take some 7000 builds to cost what the import does.
+#
+# The velocity diameter takes one of two kernels.  The domains pair kernel
+# skips pdist's array-API wrapper, most of pdist's time on a few dozen points,
+# and the hull cuts a larger planar set to a few dozen points.  Median us per
+# call, planar velocities, 2-core x86_64 VM: the pair kernel 17 at N = 64 (26
+# for pdist) and 38 at N = 128 (37), past which its gathers fall off a cache
+# cliff (409 at N = 200).  Over the hull's points it takes 63 / 68 / 67 / 79 /
+# 85 at N = 129 / 160 / 200 / 256 / 299, where pdist took 33 / 45 / 62 / 89 /
+# 115, and 484 at N = 2048, where pdist takes 6518.  So planar sets above
+# PAIR_DIAMETER_MAX_N are cut to their hull, up to 30 us slower than pdist
+# below about 220 points, a band no scenario default or benchmark run reaches.
+# Velocities in 3-D cross earlier (kernel 41 against pdist 31 us at N = 64);
+# no scenario draws them.
+PAIR_DIAMETER_MAX_N = 128
+
+
 # Verlet skin s of the candidate shell, as a fraction of delta.
 SHELL_SKIN = 0.4
 
@@ -187,12 +214,14 @@ class NeighborSearch:
 
     di takes the open delta-balls of the delayed positions, kept only where the
     ball holds more than m particles (self counted); cs everyone.  Every di
-    call filters a Verlet shell, the kd-tree's pairs within delta + s, rebuilt
-    once twice the bound D on each particle's displacement since the build
-    reaches s.  margin is the least |d - delta| over the shell and s - 2 D,
-    both at the last call, whose delayed positions are ref: idle_calls reads
-    off them how many coming calls must return the same table, the calls
-    that simulate's certified stretches skip.
+    call filters a Verlet shell, the pairs within delta + s, found among all
+    pairs up to PAIR_DIAMETER_MAX_N particles and by scipy.spatial's kd-tree
+    above it (_shell), and rebuilt once twice the bound D on each particle's
+    displacement since the build reaches s.  margin is the least |d - delta|
+    over the shell and s - 2 D, both at the last call, whose delayed
+    positions are ref: idle_calls reads off them how many coming calls must
+    return the same table, the calls that simulate's certified stretches
+    skip.
     """
 
     def __init__(self, params: ModelParams, domain: Domain):
@@ -210,8 +239,7 @@ class NeighborSearch:
         if self.ref is not None:
             self.drift += math.sqrt(self.domain.squared_lengths(delayed - self.ref).max())
         if self.ref is None or 2 * self.drift + self.slack >= self.skin:
-            tree = self._tree(delayed)
-            self.pairs = tree.query_pairs(p.delta + self.skin, output_type="ndarray").T
+            self.pairs = self._shell(delayed)
             self.flags, self.drift = None, 0.0
         i, j = self.pairs
         d = self.domain.distances(delayed, i, j)
@@ -257,12 +285,16 @@ class NeighborSearch:
             k -= 1
         return k
 
-    def _tree(self, delayed: np.ndarray) -> cKDTree:
-        """The kd-tree over the wrapped delayed positions.
+    def _shell(self, delayed: np.ndarray) -> np.ndarray:
+        """The pairs i < j of the wrapped delayed positions within delta + s,
+        as a (2, n) array: every pair's Domain.squared_distances against
+        (delta + s)^2 up to PAIR_DIAMETER_MAX_N particles, cKDTree.query_pairs
+        above it.
 
-        Raises OverflowError where the tree would refuse them: cKDTree sums
-        the squared sides of its points' bounding box, each side at most half
-        the box on a torus, and rejects a set whose sum overflows.
+        Raises OverflowError where the kd-tree would refuse the positions, at
+        every N: cKDTree sums the squared sides of its points' bounding box,
+        each side at most half the box on a torus, and rejects a set whose sum
+        overflows.
         """
         y, L = self.domain.wrap(delayed), self.domain.L
         sides = np.ptp(y, axis=0)
@@ -276,7 +308,14 @@ class NeighborSearch:
                 f"the delayed positions span {math.hypot(*sides):.6g}, beyond the "
                 "neighbor search's squared distances"
             )
-        return cKDTree(y, boxsize=L)
+        reach = self.params.delta + self.skin
+        if len(y) <= PAIR_DIAMETER_MAX_N:
+            i, j = pair_indices(len(y))
+            near = self.domain.squared_distances(y, i, j) <= reach * reach
+            return np.stack((i[near], j[near]))
+        from scipy.spatial import cKDTree
+
+        return cKDTree(y, boxsize=L).query_pairs(reach, output_type="ndarray").T
 
     def _keep(self, indptr: np.ndarray, indices: np.ndarray) -> NeighborTable:
         """The current table when it holds these sets, else a new one."""
@@ -301,21 +340,6 @@ def member_weights(table: NeighborTable, params: ModelParams) -> tuple[csr_matri
     return weights, float((m * (sizes - (weights.diagonal() != 0))).max())
 
 
-# The velocity diameter takes one of two kernels.  The domains pair kernel
-# skips pdist's array-API wrapper, most of pdist's time on a few dozen points,
-# and the hull cuts a larger planar set to a few dozen points.  Median us per
-# call, planar velocities, 2-core x86_64 VM: the pair kernel 17 at N = 64 (26
-# for pdist) and 38 at N = 128 (37), past which its gathers fall off a cache
-# cliff (409 at N = 200).  Over the hull's points it takes 63 / 68 / 67 / 79 /
-# 85 at N = 129 / 160 / 200 / 256 / 299, where pdist took 33 / 45 / 62 / 89 /
-# 115, and 484 at N = 2048, where pdist takes 6518.  So planar sets above
-# PAIR_DIAMETER_MAX_N are cut to their hull, up to 30 us slower than pdist
-# below about 220 points, a band no scenario default or benchmark run reaches.
-# Velocities in 3-D cross earlier (kernel 41 against pdist 31 us at N = 64);
-# no scenario draws them.
-PAIR_DIAMETER_MAX_N = 128
-
-
 def velocity_diameter(state: EnsembleState) -> float:
     """Largest pairwise velocity difference norm; zero at consensus.
 
@@ -333,15 +357,19 @@ def velocity_diameter(state: EnsembleState) -> float:
     if state.n < 2:
         return 0.0
     v = state.velocities
-    if state.n > PAIR_DIAMETER_MAX_N and v.shape[1] == 2:
-        try:
-            hull = ConvexHull(v, qhull_options="Qc")
-        except QhullError:
-            pass
-        else:
-            v = v[np.concatenate([hull.vertices, hull.coplanar[:, 0]])]
-    if len(v) > PAIR_DIAMETER_MAX_N:
-        return float(pdist(v).max())
+    if state.n > PAIR_DIAMETER_MAX_N:
+        from scipy.spatial import ConvexHull, QhullError
+        from scipy.spatial.distance import pdist
+
+        if v.shape[1] == 2:
+            try:
+                hull = ConvexHull(v, qhull_options="Qc")
+            except QhullError:
+                pass
+            else:
+                v = v[np.concatenate([hull.vertices, hull.coplanar[:, 0]])]
+        if len(v) > PAIR_DIAMETER_MAX_N:
+            return float(pdist(v).max())
     return math.sqrt(_PLANE.squared_distances(v, *pair_indices(len(v))).max())
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the check for counts."""
+"""Exception types shared across the package, and the checks for counts and reals."""
+import numbers
 import operator
 
 
@@ -21,3 +22,15 @@ def whole(key: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{key} must be a whole number, got {key}={value!r}") from None
+
+
+def real(key: str, value) -> float:
+    """value as a float when it is a real number, such as an int, a float or a
+    numpy scalar; ConfigError naming key for any other value, such as a
+    string, and for an int beyond the float range."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a real number, got {key}={value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must lie within the float range, got {key}={value!r}") from None

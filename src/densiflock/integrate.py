@@ -20,9 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial.distance import squareform
 
-from .domains import Domain, pair_indices
+from .domains import Domain, pair_gather, pair_indices
 from .dynamics import (
     EnsembleState,
     ModelParams,
@@ -35,7 +34,7 @@ from .dynamics import (
     total_momentum,
     velocity_diameter,
 )
-from .errors import ConfigError, IntegrationFault, whole
+from .errors import ConfigError, IntegrationFault, real, whole
 from .graph import ClusterLabeling, build_digraph, strongly_connected_components
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,10 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover
 def step_count(t_end: float, dt: float, sample_every: int) -> int:
     """Number of dt steps that end exactly at t_end: the run's schedule.
 
-    Raises ConfigError unless dt is finite and > 0, t_end is a whole number
-    of dt steps (a horizon between grid points would silently be rounded to
-    one of them) and sample_every is a whole number >= 1.
+    Raises ConfigError unless dt and t_end are real numbers (errors.real), dt
+    is finite and > 0, t_end is a whole number of dt steps (a horizon between
+    grid points would silently be rounded to one of them) and sample_every is
+    a whole number >= 1.
     """
+    dt, t_end = real("dt", dt), real("t_end", t_end)
     if not 0 < dt < math.inf:
         raise ConfigError(f"dt must be finite and > 0, got dt={dt!r}")
     steps = t_end / dt
@@ -277,12 +278,13 @@ def _step_map(table: NeighborTable, dt: float, params: ModelParams, domain: Doma
     # subtraction and the half-even image shift are antisymmetric, so the
     # computed |x_i - x_k| equals |x_k - x_i|: the weights come from the
     # N(N - 1)/2 unordered pairs, and psi(0) = 1 puts M_* on the diagonal.
-    alpha, m_star = params.alpha, params.m_star
-    i, j = pair_indices(table.n)
+    # Each stage appends M_* to the pair weights and gathers the matrix.
+    alpha, m_star, N = params.alpha, params.m_star, table.n
+    (i, j), gather = pair_indices(N), pair_gather(N)
 
     def accel(x, v):  # a_i = sum_k M_* psi_ik (v_k - v_i); the diagonal cancels
-        w = squareform(m_star * alignment_weight(domain.distances(x, i, j), alpha), checks=False)
-        np.fill_diagonal(w, m_star)
+        w = m_star * alignment_weight(domain.distances(x, i, j), alpha)
+        w = np.append(w, m_star).take(gather).reshape(N, N)
         return w @ v - w.sum(axis=1, keepdims=True) * v
 
     def stages(x, v):
@@ -334,7 +336,9 @@ def simulate(
     a sample's velocity diameter beyond the largest float is inf.
     """
     if initial.n != params.N:
-        raise ValueError("initial state particle count differs from params.N")
+        raise ConfigError(
+            f"n must equal the initial state's particle count {initial.n}, got n={params.N}"
+        )
     n_steps = step_count(t_end, dt, sample_every)
     # The public checks once more, on the arrays as they are now, since no
     # sample repeats them.

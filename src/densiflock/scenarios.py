@@ -24,7 +24,7 @@ import numpy as np
 from . import integrate
 from .domains import Domain
 from .dynamics import EnsembleState, ModelParams
-from .errors import ConfigError, whole
+from .errors import ConfigError, real, whole
 from .integrate import TrajectoryRecord, step_count
 
 # The generator fields each scenario reads; ScenarioSpec rejects the others.
@@ -79,8 +79,13 @@ class ScenarioSpec:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         for name in (f.name for f in fields(self) if f.name in GENERATOR_FIELDS):
-            if getattr(self, name) is not None and name not in SCENARIO_FIELDS[self.scenario]:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name not in SCENARIO_FIELDS[self.scenario]:
                 raise ConfigError(f"scenario {self.scenario} takes no {name}")
+            if name != "shape":
+                setattr(self, name, real(name, value))
         if self.t_end is None:
             self.t_end = DEFAULT_T_END.get(self.scenario, 3.0 * self.params.N)
         step_count(self.t_end, self.dt, self.sample_every)

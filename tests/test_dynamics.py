@@ -544,3 +544,24 @@ def test_state_validation():
         EnsembleState(0.0, [[0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         EnsembleState(0.0, [[np.inf, 0.0]], [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("delta", "1.5"), ("kappa", "1"), ("alpha", "0.5"), ("delta", 10**400)],
+    ids=["delta-str", "kappa-str", "alpha-str", "delta-huge-int"],
+)
+def test_model_params_rejects_reals_that_are_not_real_numbers(key, value):
+    # A string failed with TypeError: '<' not supported between 'int' and
+    # 'str'; an int beyond the float range passed and overflowed later.
+    with pytest.raises(ConfigError, match=f"{key} must"):
+        ModelParams("di", 5, m=2, **{"delta": 1.5, key: value})
+
+
+def test_model_params_stores_its_reals_as_floats():
+    params = ModelParams("di", 5, m=2, delta=np.float32(1.5), kappa=2, alpha=np.float64(0.5))
+    assert (params.delta, params.kappa, params.alpha) == (1.5, 2.0, 0.5)
+    assert all(type(c) is float for c in (params.delta, params.kappa, params.alpha))
+    with pytest.raises(ConfigError, match="L must be a real number"):
+        Domain("25")
+    assert type(Domain(25).L) is float

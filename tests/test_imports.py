@@ -124,6 +124,41 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+# The oracle_n11 and observe_n64 benchmark configs, a cs run at N = 64 and a
+# di run at N = 200, each as config text.
+SPATIAL_RUNS = (
+    "scenario = three_body\nmodel = di\nn = 10\nm = 3\ndelta = 8.7\nm_policy = constant\n"
+    "beta = 7.5\ngamma = 8.75\nv_c = 1.0\ndt = 0.001\nt_end = 10.0\nsample_every = 100\n",
+    "scenario = random_clusters\nmodel = di\nn = 64\nm = 3\ndelta = 2.0\nL = 25.0\n"
+    "dt = 0.01\nt_end = 5.0\nsample_every = 1\nseed = 3\n",
+    "scenario = random_clusters\nmodel = cs\nn = 64\nL = 25.0\n"
+    "dt = 0.01\nt_end = 0.5\nsample_every = 10\nseed = 3\n",
+    "scenario = random_clusters\nmodel = di\nn = 200\nm = 3\ndelta = 2.0\nL = 35.0\n"
+    "dt = 0.01\nt_end = 0.02\nsample_every = 1\nseed = 3\n",
+)
+
+
+def test_runs_up_to_128_particles_leave_scipy_spatial_unloaded():
+    # Only the di shell's kd-tree and the velocity diameter's hull and pdist
+    # above PAIR_DIAMETER_MAX_N points need scipy.spatial; the import, the
+    # small runs and the cs stages load none of it.  The N = 200 run loads
+    # it, and its diameter must still be pdist's.
+    code = f"""
+import sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+import densiflock, densiflock.cli
+loaded = ["scipy.spatial" in sys.modules]
+for text in {SPATIAL_RUNS!r}:
+    record = densiflock.run_simulation(densiflock.parse_config(text).spec)
+    loaded.append("scipy.spatial" in sys.modules)
+from scipy.spatial.distance import pdist
+last = record.samples[-1]
+print(loaded, last.state.n, last.vmax == pdist(last.state.velocities).max())
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[False,", "False,", "False,", "False,", "True]", "200", "True"]
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

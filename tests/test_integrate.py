@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 import densiflock.integrate
 from densiflock import (
@@ -29,6 +29,7 @@ from densiflock import (
     simulate,
     strongly_connected_components,
 )
+from densiflock.domains import pair_gather
 from densiflock.dynamics import POLICY_KINDS, alignment_weight, member_weights
 from densiflock.errors import ConfigError
 from densiflock.experiments import oracle_run
@@ -397,6 +398,18 @@ def test_simulate_rejects_a_sample_period_that_is_not_a_whole_number(sample_ever
         simulate(_blob_state(), _di_params(5, m=2), Domain(), 0.01, 0.1, sample_every)
 
 
+def test_simulate_rejects_a_state_whose_particle_count_is_not_n():
+    with pytest.raises(ConfigError, match="n must equal the initial state's particle count 5"):
+        simulate(_blob_state(), _di_params(6, m=2), Domain(), 0.01, 0.1)
+
+
+@pytest.mark.parametrize("key", ["dt", "t_end"])
+def test_simulate_rejects_a_schedule_that_is_not_real(key):
+    schedule = {"dt": 0.01, "t_end": 0.1, key: "0.1"}
+    with pytest.raises(ConfigError, match=f"{key} must be a real number"):
+        simulate(_blob_state(), _di_params(5, m=2), Domain(), **schedule)
+
+
 def test_sample_times_are_exact_grid_multiples():
     state = _blob_state()
     record = simulate(state, _di_params(5, m=2), Domain(), 0.01, 0.5, sample_every=7)
@@ -645,6 +658,18 @@ def _lattice_blob(side=20, seed=6):
     positions = grid + 0.5 + rng.uniform(-0.01, 0.01, grid.shape)
     state = EnsembleState(0.0, positions, rng.uniform(-0.01, 0.01, grid.shape))
     return state, _di_params(side * side, delta=1.5), Domain(float(side))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 64])
+def test_gathered_cs_weights_equal_squareform_bit_for_bit(n):
+    # The cs stages gather their weight matrix from the pair weights and M_*;
+    # it must be squareform's mirror with M_* filled in on the diagonal.
+    pairs = np.random.default_rng(n).uniform(0.0, 1.0, n * (n - 1) // 2)
+    expected = squareform(pairs, checks=False)
+    np.fill_diagonal(expected, 1.0 / n)
+    w = np.append(pairs, 1.0 / n).take(pair_gather(n)).reshape(n, n)
+    assert w.dtype == expected.dtype and w.shape == expected.shape and w.flags.c_contiguous
+    assert w.tobytes() == expected.tobytes()
 
 
 def test_csr_step_matches_explicit_stages():

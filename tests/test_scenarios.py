@@ -471,3 +471,15 @@ def test_group_cs_conserves_momentum_in_both_shapes():
         record = run_simulation(group_spec(shape, model="cs"))
         mom = record.momentum_series()
         assert np.abs(mom - mom[0]).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [("random_clusters", "dt"), ("random_clusters", "t_end"), ("random_clusters", "margin"),
+     ("chain", "spacing"), ("three_body", "beta"), ("three_body", "gamma"),
+     ("three_body", "v_c")],
+)
+def test_spec_rejects_reals_that_are_not_real_numbers(scenario, field):
+    # A string failed with a TypeError from a comparison or an arithmetic.
+    with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+        ScenarioSpec(scenario, **{**SPEC_BASES[scenario], field: "1"})

@@ -221,3 +221,31 @@ def test_search_refuses_exactly_the_positions_the_kd_tree_refuses(L):
             else:
                 assert NeighborSearch(params, domain).table(y).n == 3
     assert 0 < refused < 68
+
+
+@st.composite
+def shells(draw):
+    """(params, positions) for one di shell build: 2..128 uniform points over
+    a span of 3 to 30, and delta from 0.3 to 3, so the shell holds from a few
+    pairs to nearly all."""
+    n = draw(st.integers(2, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    span = draw(st.floats(3.0, 30.0))
+    params = ModelParams("di", n, m=3, delta=draw(st.floats(0.3, 3.0)))
+    return params, span, rng.uniform(-span, 2 * span, size=(n, 2))
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["plane", "box"])
+@given(case=shells())
+@settings(max_examples=100, deadline=None)
+def test_all_pairs_shell_is_the_kd_tree_shell(periodic, case):
+    # Up to PAIR_DIAMETER_MAX_N particles the shell compares every pair; its
+    # pairs are the ones cKDTree.query_pairs finds within delta + s.
+    params, span, x = case
+    domain = Domain(span) if periodic else Domain()
+    search = NeighborSearch(params, domain)
+    i, j = search._shell(x)
+    assert (i < j).all()
+    reach = params.delta + SHELL_SKIN * params.delta
+    expected = cKDTree(domain.wrap(x), boxsize=domain.L).query_pairs(reach)
+    assert set(zip(i.tolist(), j.tolist())) == expected
