@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -198,10 +199,12 @@ def sweep_runs(
         (i, base_text, dict(zip(keys, combo)), splitmix64(master_seed, i))
         for i, combo in enumerate(combos)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        # The pool starts all its workers at once, so never more than runs;
-        # map returns the rows in task order.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    # The pool starts all its workers at once, so never more than runs or
+    # than the CPUs this process may use; map returns the rows in task order.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]
 

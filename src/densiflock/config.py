@@ -27,7 +27,6 @@ _KEY_TYPES = {
     "dt": ("float", None),
     "t_end": ("float", None),
     "sample_every": ("int", None),
-    "domain": ("choice", ("unbounded", "periodic")),
     "L": ("float", None),
     "seed": ("int", None),
     "scenario": ("choice", SCENARIOS),
@@ -143,16 +142,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         values.setdefault("m", 3)  # conventional gate; override with key 'm'
     params = ModelParams(N=n_particles, **_fields(ModelParams, values))
 
-    # The key names a kind; ScenarioSpec's field of that name holds the Domain.
-    domain_kind = values.pop("domain", None)
-    if domain_kind is None:
-        domain_kind = "periodic" if scenario == "random_clusters" else "unbounded"
-    if domain_kind == "periodic":
-        domain = Domain(values.get("L", 25.0))
-    else:
-        if "L" in values:
-            raise ConfigError("key 'L' only applies to periodic domains")
-        domain = Domain()
+    # A run is periodic exactly when it sets L; random_clusters always is.
+    periodic = "L" in values or scenario == "random_clusters"
+    domain = Domain(values.get("L", 25.0)) if periodic else Domain()
 
     spec = ScenarioSpec(params=params, domain=domain, **_fields(ScenarioSpec, values))
     return RunConfig(spec=spec, **_fields(RunConfig, values))

@@ -96,7 +96,7 @@ class ScenarioSpec:
                 raise ConfigError("periodic runs require L > 2*delta")
         if self.scenario == "random_clusters":
             if not self.domain.is_periodic:
-                raise ConfigError("scenario random_clusters requires domain = periodic")
+                raise ConfigError("scenario random_clusters requires a periodic Domain(L)")
             if self.margin is None:
                 self.margin = DEFAULT_MARGIN
             if not (0 <= self.margin and 2 * self.margin < self.domain.L):

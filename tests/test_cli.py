@@ -1,4 +1,5 @@
 """Configuration format, file outputs, sweeps, and the verify battery."""
+import os
 import re
 import sys
 from functools import partial
@@ -47,7 +48,6 @@ m = 3
 delta = 2.0
 m_policy = per_neighbor
 kappa = 1.0
-domain = periodic
 L = 25.0
 dt = 0.01
 t_end = 1.0
@@ -190,6 +190,29 @@ def test_three_body_defaults():
     assert not config.spec.domain.is_periodic
 
 
+def test_a_run_is_periodic_exactly_when_it_sets_L():
+    assert parse_config(THREE_BODY + "L = 30.0\n").spec.domain == Domain(30.0)
+    assert parse_config(THREE_BODY).spec.domain == Domain()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_domain_is_not_a_config_key(tmp_path, capsys, command):
+    # L alone says whether a run is periodic, so a domain line or --set key
+    # is an unknown key, named, exit 1.
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    if command == "run":
+        cfg.write_text(BASE_RUN + f"domain = periodic\noutput_dir = {out}\n")
+        argv = ["run", str(cfg)]
+    else:
+        cfg.write_text(BASE_RUN)
+        argv = ["sweep", str(cfg), "--set", "domain=periodic", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'domain'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- run outputs ------------------------------------------------------------------
 
 
@@ -264,7 +287,6 @@ n = 9
 m = 3
 delta = 2.0
 m_policy = flat
-domain = periodic
 L = 25.0
 dt = 0.01
 t_end = 0.0
@@ -525,7 +547,6 @@ def test_overflowing_run_prints_only_its_fault_line(tmp_path, capsys):
         ("t_end = 1.0", "t_end = nan", "t_end"),
         ("t_end = 1.0", "t_end = inf", "t_end"),
         ("L = 25.0", "L = inf", "L"),
-        ("domain = periodic\nL = 25.0", "domain = unbounded", "domain"),
         ("t_end = 1.0", "t_end = 0.015", "t_end"),  # would overrun to 0.02
         ("t_end = 1.0", "t_end = 0.025", "t_end"),  # would stop short at 0.02
         # Replacing all of BASE_RUN runs another scenario.  "config error"
@@ -536,8 +557,8 @@ def test_overflowing_run_prints_only_its_fault_line(tmp_path, capsys):
         (BASE_RUN, CHAIN_RUN + "n = 1\n", "n=1"),
         (BASE_RUN, THREE_BODY.replace("beta = 1.0", "beta = 0.001"), "beta"),
     ],
-    ids=["t_end-nan", "t_end-inf", "L-inf", "unbounded-random-clusters", "t_end-overrun",
-         "t_end-short", "group-n-zero", "group-spacing-negative", "group-spacing-zero",
+    ids=["t_end-nan", "t_end-inf", "L-inf", "t_end-overrun", "t_end-short",
+         "group-n-zero", "group-spacing-negative", "group-spacing-zero",
          "chain-n-one", "three-body-beta-inside-jitter"],
 )
 def test_run_rejects_bad_values_naming_the_key(tmp_path, capsys, old, new, key):
@@ -697,6 +718,43 @@ def test_sweep_pool_never_exceeds_the_run_count(monkeypatch):
     rows = sweep_runs(THREE_BODY, {"beta": ["1.0", "1.95"]}, master_seed=5, jobs=100_000)
     assert requested == [2]
     assert [r.regime for r in rows] == ["stability", "breaking"]
+
+
+@pytest.mark.parametrize(
+    "affinity,cpu_count,expected",
+    [({0, 1, 2}, 5, [3]), (None, 5, [5]), (None, None, [])],
+    ids=["affinity", "cpu-count", "unknown-serial"],
+)
+def test_sweep_pool_never_exceeds_the_usable_cpus(monkeypatch, affinity, cpu_count, expected):
+    # 8 runs at --jobs 100000 ask for one worker per usable CPU: the affinity
+    # mask's size, else os.cpu_count(), else none (serial).  The fake pool
+    # runs in this process, so no worker process ever starts.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    grid = {"beta": ["1.0", "1.95"], "v_c": ["0.5", "1.0", "1.5", "2.0"]}
+    serial = sweep_runs(THREE_BODY, grid, master_seed=5, jobs=1)
+    monkeypatch.setattr(densiflock.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    rows = sweep_runs(THREE_BODY, grid, master_seed=5, jobs=100_000)
+    assert requested == expected
+    assert rows == serial
 
 
 @pytest.mark.parametrize(

@@ -29,9 +29,13 @@ def test_readme_python_blocks_print_their_output_comments():
 
 
 def test_readme_keys_list_every_choice_exactly():
-    # The Keys block's line `key  a | b | ...` of each choice key names the
-    # values the parser accepts, no more and no fewer.
+    # Each unindented line of the Keys block opens with the keys it covers,
+    # one space apart, then two or more spaces: together they are the keys
+    # the parser accepts.  The line `key  a | b | ...` of each choice key
+    # names the values the parser accepts, no more and no fewer.
     block = re.search(r"^Keys:\n\n```\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
+    named = " ".join(re.findall(r"^(\w+(?: \w+)*) {2,}", block, re.M)).split()
+    assert sorted(named) == sorted(_KEY_TYPES)
     for key, (kind, allowed) in _KEY_TYPES.items():
         if kind == "choice":
             line = re.search(rf"^{key}\s+(.*)$", block, re.M)

@@ -111,6 +111,14 @@ def test_random_clusters_margin_validation():
         random_clusters_spec(8, 10.0, seed=0, margin=5.0)
 
 
+def test_random_clusters_spec_requires_a_periodic_domain():
+    # The config path always gives random_clusters a box; a library spec on
+    # the plane is a ConfigError.
+    params = ModelParams(model="di", N=8, m=3, delta=2.0)
+    with pytest.raises(ConfigError, match="periodic"):
+        ScenarioSpec("random_clusters", params, Domain())
+
+
 def test_three_body_layout_and_initial_tables():
     n, beta, gamma, delta = 30, 1.0, 2.0, 2.0
     state = initial_state(three_body_spec(beta, gamma, v_c=1.0, n=n, delta=delta, seed=0))
