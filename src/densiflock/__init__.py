@@ -5,7 +5,6 @@ from .analytic import (
     ReducedSolution,
     detach_times,
     eval_v_b,
-    eval_v_b_minus_v_a,
     reduced_solution,
 )
 from .config import RunConfig, parse_config
@@ -43,8 +42,6 @@ from .scenarios import (
     classify_group,
     classify_three_body,
     initial_state,
-    momentum_estimate,
-    predict_three_body,
     run_simulation,
 )
 

@@ -55,18 +55,6 @@ def eval_v_b(sol: ReducedSolution, t):
     return float(out) if out.ndim == 0 else out
 
 
-def eval_v_b_minus_v_a(sol: ReducedSolution, t):
-    """Velocity gap between the edge member and the resting core."""
-    t = np.asarray(t, dtype=float)
-    n = float(sol.N)
-    decay = np.exp(-n * t)
-    out = -(
-        sol.A * (np.exp(sol.r1 * t) - decay) / (n + sol.r1)
-        + sol.B * (np.exp(sol.r2 * t) - decay) / (n + sol.r2)
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def _int_v_b_minus_v_c(sol: ReducedSolution, t: float) -> float:
     """Integral of (v_b - v_c) from 0 to t, evaluated in closed form."""
     return sol.A * (math.exp(sol.r1 * t) - 1.0) / sol.r1 + sol.B * (

@@ -224,18 +224,15 @@ def write_sweep_csv(rows: list[SweepRow], keys: list[str], path: Path) -> Path:
 # Verify
 
 
-def cmd_verify(tol_scale: float = 1.0, stream=None) -> int:
+def cmd_verify(tol_scale: float = 1.0) -> int:
     # inf would pass every check and nan fail every one without measuring.
     if not (math.isfinite(tol_scale) and tol_scale >= 0):
         raise ConfigError(f"--tol-scale must be finite and >= 0, got {tol_scale!r}")
-    stream = stream or sys.stdout
     checks = verify_suite(tol_scale)
     for check in checks:
-        print(check.line(), file=stream)
+        print(check.line())
     failed = [c for c in checks if not c.passed]
-    print(
-        f"{len(checks) - len(failed)}/{len(checks)} checks passed", file=stream
-    )
+    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return EXIT_OK if not failed else EXIT_VERIFY
 
 

@@ -36,7 +36,6 @@ SCENARIO_FIELDS = {
 }
 SCENARIOS = tuple(SCENARIO_FIELDS)
 GENERATOR_FIELDS = frozenset().union(*SCENARIO_FIELDS.values())
-REGIMES = ("stability", "breaking", "sticking", "undetermined")
 
 # Lattice layouts for the group-versus-individual runs: shape "a" is
 # elongated along the approach axis, shape "b" is a deep block.
@@ -141,7 +140,8 @@ class ScenarioSpec:
 
 
 def _check_three_body_geometry(beta: float, gamma: float, delta: float) -> None:
-    """The three-body rule that ScenarioSpec and predict_three_body share."""
+    """The three-body geometry rule; ScenarioSpec checks it, and so does the
+    leading-order predictor in tests/oracles.py."""
     if not (0 < beta < delta <= gamma and gamma - beta < delta):
         raise ConfigError(
             "three_body requires 0 < beta < delta <= gamma and gamma - beta < delta, "
@@ -293,48 +293,6 @@ def classify_three_body(record: TrajectoryRecord) -> RegimeResult:
     else:
         regime = "undetermined"
     return RegimeResult(regime, t_c, t_b, cluster_momentum)
-
-
-def predict_three_body(
-    beta: float, gamma: float, delta: float, N: int, v_c: float
-) -> RegimeResult:
-    """Regime predicted by the leading-order contact-loss analysis.
-
-    Sticking when |gamma-beta| + N|v_c| <= delta and |beta| + |v_c| <= delta;
-    otherwise compare T_c = (delta - (gamma-beta)) / |v_c| against
-    T_b = N (delta - beta) / |v_c| and call breaking when the edge member
-    leaves first and the required speed bound T_b |v_c| (1/N + 1) < delta
-    holds; stability otherwise.
-    """
-    _check_three_body_geometry(beta, gamma, delta)
-    speed = abs(v_c)
-    if speed == 0:
-        return RegimeResult("sticking", None, None, 0.0)
-    if abs(gamma - beta) + N * speed <= delta and abs(beta) + speed <= delta:
-        return RegimeResult("sticking", None, None, momentum_estimate("sticking", delta, N, v_c))
-    t_c = (delta - (gamma - beta)) / speed
-    t_b = N * (delta - beta) / speed
-    if t_b < t_c and t_b * speed * (1.0 / N + 1.0) < delta:
-        return RegimeResult(
-            "breaking", t_c, t_b, momentum_estimate("breaking", delta, N, v_c)
-        )
-    return RegimeResult("stability", t_c, None, momentum_estimate("stability", delta, N, v_c))
-
-
-def momentum_estimate(regime: str, delta: float, N: int, v_c: float) -> float:
-    """Large-N estimate of the cluster momentum gained from the intruder.
-
-    Asymptotic only, not an oracle: the escape regimes gain roughly
-    delta + |v_c| e^(-delta / (N |v_c|)); sticking transfers N |v_c|.
-    """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    speed = abs(v_c)
-    if regime == "sticking":
-        return N * speed
-    if speed == 0:
-        return delta
-    return delta + speed * math.exp(-delta / (N * speed))
 
 
 def classify_chain(record: TrajectoryRecord) -> ChainResult:

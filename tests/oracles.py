@@ -2,7 +2,14 @@
 package's search must reproduce table for table, the brute-force
 r-densely-packed test, one-set shorthands over that search and over the
 prefactor rule, a stepwise reference that runs the package's step engine under
-the brute-force table, and the paper's density ratio."""
+the brute-force table, and the paper's density ratio.
+
+The three-body analysis the package reproduces by simulation also lives here:
+predict_three_body, the leading-order regime prediction from the contact-loss
+times, with momentum_estimate over REGIMES, its large-N cluster momentum; and
+eval_v_b_minus_v_a, the closed-form velocity gap between the edge member and
+the resting core."""
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -11,9 +18,20 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from densiflock import ConfigError, EnsembleState, ModelParams, NeighborSearch, NeighborTable
+from densiflock import (
+    ConfigError,
+    EnsembleState,
+    ModelParams,
+    NeighborSearch,
+    NeighborTable,
+    ReducedSolution,
+    RegimeResult,
+)
 from densiflock.domains import Domain
 from densiflock.integrate import _advance, _step_map
+from densiflock.scenarios import _check_three_body_geometry
+
+REGIMES = ("stability", "breaking", "sticking", "undetermined")
 
 
 def dense_distances(domain, a, b):
@@ -140,3 +158,57 @@ def density_ratio(N: int, m: int, delta: float, L: float) -> tuple[float, float]
     rho_a = N / L**2
     rho_m = m / (np.pi * delta**2)
     return rho_a, rho_m
+
+
+def predict_three_body(
+    beta: float, gamma: float, delta: float, N: int, v_c: float
+) -> RegimeResult:
+    """Regime predicted by the leading-order contact-loss analysis.
+
+    Sticking when |gamma-beta| + N|v_c| <= delta and |beta| + |v_c| <= delta;
+    otherwise compare T_c = (delta - (gamma-beta)) / |v_c| against
+    T_b = N (delta - beta) / |v_c| and call breaking when the edge member
+    leaves first and the required speed bound T_b |v_c| (1/N + 1) < delta
+    holds; stability otherwise.
+    """
+    _check_three_body_geometry(beta, gamma, delta)
+    speed = abs(v_c)
+    if speed == 0:
+        return RegimeResult("sticking", None, None, 0.0)
+    if abs(gamma - beta) + N * speed <= delta and abs(beta) + speed <= delta:
+        return RegimeResult("sticking", None, None, momentum_estimate("sticking", delta, N, v_c))
+    t_c = (delta - (gamma - beta)) / speed
+    t_b = N * (delta - beta) / speed
+    if t_b < t_c and t_b * speed * (1.0 / N + 1.0) < delta:
+        return RegimeResult(
+            "breaking", t_c, t_b, momentum_estimate("breaking", delta, N, v_c)
+        )
+    return RegimeResult("stability", t_c, None, momentum_estimate("stability", delta, N, v_c))
+
+
+def momentum_estimate(regime: str, delta: float, N: int, v_c: float) -> float:
+    """Large-N estimate of the cluster momentum gained from the intruder.
+
+    Asymptotic only, not an oracle: the escape regimes gain roughly
+    delta + |v_c| e^(-delta / (N |v_c|)); sticking transfers N |v_c|.
+    """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    speed = abs(v_c)
+    if regime == "sticking":
+        return N * speed
+    if speed == 0:
+        return delta
+    return delta + speed * math.exp(-delta / (N * speed))
+
+
+def eval_v_b_minus_v_a(sol: ReducedSolution, t):
+    """Velocity gap between the edge member and the resting core."""
+    t = np.asarray(t, dtype=float)
+    n = float(sol.N)
+    decay = np.exp(-n * t)
+    out = -(
+        sol.A * (np.exp(sol.r1 * t) - decay) / (n + sol.r1)
+        + sol.B * (np.exp(sol.r2 * t) - decay) / (n + sol.r2)
+    )
+    return float(out) if out.ndim == 0 else out

@@ -14,7 +14,6 @@ from densiflock import (
     ScenarioSpec,
     classify_chain,
     classify_three_body,
-    predict_three_body,
     run_simulation,
 )
 from densiflock.cli import sweep_runs
@@ -24,7 +23,7 @@ from densiflock.experiments import (
     momentum_experiment,
     oracle_run,
 )
-from oracles import dense_distances, density_ratio, is_r_densely_packed
+from oracles import dense_distances, density_ratio, is_r_densely_packed, predict_three_body
 
 DOCUMENTED_SEED = 0  # fixed seed for the qualitative cluster-formation checks
 

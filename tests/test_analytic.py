@@ -8,9 +8,9 @@ from scipy.integrate import solve_ivp
 from densiflock import (
     detach_times,
     eval_v_b,
-    eval_v_b_minus_v_a,
     reduced_solution,
 )
+from oracles import eval_v_b_minus_v_a
 
 
 def integrate_reduced_system(N, v_c, t_eval):

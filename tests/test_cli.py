@@ -847,6 +847,17 @@ def test_verify_suite_passes_and_breaks_on_zero_tolerance():
     assert any(not c.passed for c in broken)
 
 
+def test_verify_exits_3_and_reports_a_failed_check(monkeypatch, capsys):
+    from densiflock.experiments import CheckResult
+
+    checks = [CheckResult("passes", True, 0.5, 1.0), CheckResult("fails", False, 2.0, 1.0)]
+    monkeypatch.setattr(densiflock.cli, "verify_suite", lambda _tol_scale: checks)
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] fails: measured=2 threshold=1" in out.splitlines()
+    assert "1/2 checks passed" in out.splitlines()
+
+
 @pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
 def test_verify_rejects_tol_scale_that_disables_checks(monkeypatch, capsys, scale):
     def must_not_run(*_args):

@@ -411,11 +411,11 @@ def velocity_sets(draw):
     """Velocity sets each diameter path must get exactly right: below 3
     points, up to the pair kernel's PAIR_DIAMETER_MAX_N, or above it up to
     500 points (the hull's and pdist's), in d = 1..3, random, drawn from a
-    few repeated points, all equal, collinear, collinear up to a relative
-    noise of 1e-15..1e-6, or on a circle (every point a hull vertex), at
-    magnitudes 1e-3..1e3 around an offset."""
+    few repeated points, all equal, on a line parallel to one axis,
+    collinear, collinear up to a relative noise of 1e-15..1e-6, or on a circle
+    (every point a hull vertex), at magnitudes 1e-3..1e3 around an offset."""
     kind = draw(st.sampled_from(
-        ["random", "duplicates", "equal", "collinear", "near_collinear", "circle"]
+        ["random", "duplicates", "equal", "axis", "collinear", "near_collinear", "circle"]
     ))
     d = draw(st.sampled_from([2, 2, 2, 1, 3]))
     n = draw(st.one_of(
@@ -433,6 +433,9 @@ def velocity_sets(draw):
         v = pool[rng.integers(0, len(pool), n)]
     elif kind == "equal":
         v = np.zeros((n, d))
+    elif kind == "axis":
+        v = np.zeros((n, d))
+        v[:, draw(st.integers(0, d - 1))] = rng.normal(size=n)
     elif kind == "circle":
         angle = rng.uniform(0, 2 * np.pi, n)
         v = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(n)])[:, :d]

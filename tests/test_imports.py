@@ -49,13 +49,10 @@ def test_imports_point_to_lower_layers():
     assert upward == []
 
 
-# analytic is the closed-form oracle that experiments reads and that the
-# three-body event checks will extend; its helpers are exempt as a whole.
-EXEMPT_MODULES = {"analytic"}
 UNREFERENCED_ALLOWED = {
-    # The leading-order three-body prediction; tests compare the runs with it
-    # until an exact regime map gives the analytic layer a production caller.
-    "predict_three_body",
+    # The exact contact-loss times; the three-body event checks and the exact
+    # regime map will be its production callers.
+    "detach_times",
 }
 
 
@@ -85,8 +82,7 @@ def test_every_src_definition_has_a_src_reference():
                 references.add(node.id)
             elif isinstance(node, ast.Attribute):
                 references.add(node.attr)
-        if path.stem not in EXEMPT_MODULES:
-            defined.extend(_definitions(tree))
+        defined.extend(_definitions(tree))
     unreferenced = [
         name for name in defined
         if name.rsplit(".", 1)[-1] not in references and name not in UNREFERENCED_ALLOWED

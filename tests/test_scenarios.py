@@ -12,15 +12,13 @@ from densiflock import (
     classify_group,
     classify_three_body,
     initial_state,
-    momentum_estimate,
     parse_config,
-    predict_three_body,
     run_simulation,
     simulate,
     total_momentum,
 )
 from densiflock.errors import ConfigError
-from oracles import neighbor_sets_di
+from oracles import momentum_estimate, neighbor_sets_di, predict_three_body
 
 
 def three_body_spec(beta, gamma, v_c, n=30, delta=2.0, dt=0.01, t_end=None, seed=2):
