@@ -12,6 +12,7 @@ Two velocity-alignment rules share one state representation:
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -170,29 +171,29 @@ class NeighborTable:
         return bool(j < len(s) and s[j] == k)
 
 
-# All pairs or a spatial structure: up to PAIR_DIAMETER_MAX_N points the
-# velocity diameter and the di search's shell compare every pair through
-# domains.pair_indices and Domain.squared_distances; above it they cut the set
-# first, with scipy.spatial's hull and kd-tree, which only such sets load.
-# That import costs about 0.1 s.  A shell build over wrapped uniform points on
-# the torus at the paper's density (L = 25 sqrt(N / 64), delta + s = 2.8),
-# best of seven on a 2-core x86_64 VM, took 12 / 30 / 76 us over all pairs at
-# N = 11 / 64 / 128 against 28 / 40 / 62 us through cKDTree.query_pairs, with
-# the same pairs, and 570 against 133 us at N = 256.  The 14 us lost at
-# N = 128 would take some 7000 builds to cost what the import does.
+# All pairs or a cut: up to PAIR_DIAMETER_MAX_N points the velocity diameter
+# and the di search's shell compare every pair through domains.pair_indices
+# and Domain.squared_distances; above it they cut the set first, in numpy, the
+# shell by a cell list (NeighborSearch._cell_pairs) and the diameter by a
+# two-point bound (_diameter_candidates).  A shell build over wrapped uniform
+# points on the torus at the paper's density (L = 25 sqrt(N / 64), delta + s =
+# 2.8), best of seven on a 2-core x86_64 VM, took 12 / 30 / 76 us over all
+# pairs at N = 11 / 64 / 128 and 570 us at N = 256.  The cell list, median of
+# 15 interleaved rounds on the same VM, took 92 / 109 / 470 / 11711 us at
+# N = 129 / 256 / 2048 / 32768 on the torus, where scipy's cKDTree.query_pairs
+# took 74 / 154 / 1410 / 24005, and 81 / 91 / 352 / 11090 on the plane, where
+# it took 47 / 82 / 825 / 16377: slower below a few hundred points, a band no
+# scenario default or benchmark workload reaches, and it spares every run the
+# 0.1 s import of scipy.spatial.
 #
-# The velocity diameter takes one of two kernels.  The domains pair kernel
-# skips pdist's array-API wrapper, most of pdist's time on a few dozen points,
-# and the hull cuts a larger planar set to a few dozen points.  Median us per
-# call, planar velocities, 2-core x86_64 VM: the pair kernel 17 at N = 64 (26
-# for pdist) and 38 at N = 128 (37), past which its gathers fall off a cache
-# cliff (409 at N = 200).  Over the hull's points it takes 63 / 68 / 67 / 79 /
-# 85 at N = 129 / 160 / 200 / 256 / 299, where pdist took 33 / 45 / 62 / 89 /
-# 115, and 484 at N = 2048, where pdist takes 6518.  So planar sets above
-# PAIR_DIAMETER_MAX_N are cut to their hull, up to 30 us slower than pdist
-# below about 220 points, a band no scenario default or benchmark run reaches.
-# Velocities in 3-D cross earlier (kernel 41 against pdist 31 us at N = 64);
-# no scenario draws them.
+# The velocity diameter's pair kernel skips pdist's array-API wrapper, most of
+# pdist's time on a few dozen points.  Median us per call, planar velocities,
+# 2-core x86_64 VM: the pair kernel 17 at N = 64 (26 for pdist) and 38 at
+# N = 128 (37), past which its gathers fall off a cache cliff (409 at N = 200).
+# On random_clusters velocities the cut leaves 2 to 12 points and, with the
+# kernel over them, takes 29 / 34 / 129 / 1036 us at N = 129 / 256 / 2048 /
+# 32768, where Qhull's hull and the kernel over its points took 65 / 79 / 464 /
+# 3859.  Velocities do not depend on the domain.
 PAIR_DIAMETER_MAX_N = 128
 
 
@@ -215,13 +216,13 @@ class NeighborSearch:
     di takes the open delta-balls of the delayed positions, kept only where the
     ball holds more than m particles (self counted); cs everyone.  Every di
     call filters a Verlet shell, the pairs within delta + s, found among all
-    pairs up to PAIR_DIAMETER_MAX_N particles and by scipy.spatial's kd-tree
-    above it (_shell), and rebuilt once twice the bound D on each particle's
-    displacement since the build reaches s.  margin is the least |d - delta|
-    over the shell and s - 2 D, both at the last call, whose delayed
-    positions are ref: idle_calls reads off them how many coming calls must
-    return the same table, the calls that simulate's certified stretches
-    skip.
+    pairs up to PAIR_DIAMETER_MAX_N particles and among a cell list's
+    candidates above it (_shell), and rebuilt once twice the bound D on each
+    particle's displacement since the build reaches s.  margin is the least
+    |d - delta| over the shell and s - 2 D, both at the last call, whose
+    delayed positions are ref: idle_calls reads off them how many coming
+    calls must return the same table, the calls that simulate's certified
+    stretches skip.
     """
 
     def __init__(self, params: ModelParams, domain: Domain):
@@ -287,21 +288,24 @@ class NeighborSearch:
 
     def _shell(self, delayed: np.ndarray) -> np.ndarray:
         """The pairs i < j of the wrapped delayed positions within delta + s,
-        as a (2, n) array: every pair's Domain.squared_distances against
-        (delta + s)^2 up to PAIR_DIAMETER_MAX_N particles, cKDTree.query_pairs
-        above it.
+        as a (2, n) array: each candidate's Domain.squared_distances against
+        (delta + s)^2, the candidates being every pair up to
+        PAIR_DIAMETER_MAX_N particles and the cell list's above it
+        (_cell_pairs).
 
-        Raises OverflowError where the kd-tree would refuse the positions, at
-        every N: cKDTree sums the squared sides of its points' bounding box,
-        each side at most half the box on a torus, and rejects a set whose sum
-        overflows.
+        Raises OverflowError, at every N, where the sum of the squared sides
+        of the points' bounding box overflows, each side at most half the box
+        on a torus (the rule scipy's cKDTree refuses positions by).
         """
         y, L = self.domain.wrap(delayed), self.domain.L
-        sides = np.ptp(y, axis=0)
-        if L is not None:
-            sides = np.minimum(sides, 0.5 * L)
+        # Reductions along the rows of one contiguous copy: over the (N, d)
+        # array's axis 0 they take some fifteen times as long.
+        yt = y.T.copy()
+        lo = yt.min(axis=1)
+        span = yt.max(axis=1) - lo  # np.ptp's bits
+        sides = span if L is None else np.minimum(span, 0.5 * L)
         square = 0.0
-        for side in sides.tolist():  # cKDTree's order; Python floats overflow to inf
+        for side in sides.tolist():  # Python floats overflow to inf
             square += side * side
         if square == math.inf:
             raise OverflowError(
@@ -311,11 +315,89 @@ class NeighborSearch:
         reach = self.params.delta + self.skin
         if len(y) <= PAIR_DIAMETER_MAX_N:
             i, j = pair_indices(len(y))
-            near = self.domain.squared_distances(y, i, j) <= reach * reach
-            return np.stack((i[near], j[near]))
-        from scipy.spatial import cKDTree
+        else:
+            i, j = self._cell_pairs(yt, lo, span, reach)
+        near = self.domain.squared_distances(y, i, j) <= reach * reach
+        i, j = i[near], j[near]
+        if len(y) > PAIR_DIAMETER_MAX_N:  # the cell list orders no pair
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        return np.stack((i, j))
 
-        return cKDTree(y, boxsize=L).query_pairs(reach, output_type="ndarray").T
+    def _cell_pairs(self, yt: np.ndarray, lo: np.ndarray, span: np.ndarray, reach: float):
+        """Candidate pairs (i, j), i != j, each pair once, among them every
+        pair whose Domain.squared_distances is at most reach^2.
+
+        The points yt (one row per axis) fall into cells of side at least w,
+        in order of cell, and a cell's points pair with the later ones in
+        it and with those of its (3^d - 1) / 2 forward neighbours, across the
+        box's edges on the torus.  The cells a side are capped in float, so
+        a sprawling set or a huge box widens the cells and a grid holds
+        fewer than 2^d 2N cells; a torus with fewer than 3 cells a side is
+        one cell, every pair.
+
+        Rounding, with G <= 2N + 1 cells a side.  A pair that passes the test
+        differs along an axis by at most reach r(d + 3) on the plane (its
+        difference, the squares, their sum and reach^2 round) and by
+        reach r(d + 1) + 8 u L on the torus (the min-image bound in
+        idle_calls), where 8 u L = 8 u G H for the exact cell side H = L / G.
+        A cell coordinate, fl(fl(y - lo) / h) or fl(y / fl(L / G)), is within
+        3 u G of its true value, so points whose cells are not neighbours lie
+        more than (1 - 6 u G) cell sides apart along some axis.  Both bounds
+        fall below that for a side of reach r(d + 3) / (1 - 14 u G) <=
+        reach r(14 G + d + 4), which w = reach r(28 N + d + 21) keeps after
+        its own rounding and L / G's shortfall from w on the torus, at most a
+        factor 1 + u each.
+        """
+        d, n = yt.shape
+        L = self.domain.L
+        w = reach * _r(28 * n + d + 21)
+        if L is None:
+            # h >= (e_1 ... e_k / 2N)^(1/k) over the k widest sides e keeps the
+            # grid below 2^d 2N cells; each root is taken first, so no product
+            # overflows.
+            e, h = sorted(span.tolist(), reverse=True), w
+            for k in range(1, d + 1):
+                h = max(h, math.prod(x ** (1 / k) for x in e[:k]) / (2 * n) ** (1 / k))
+            g = np.minimum(span / h, 2 * n).astype(np.intp) + 1
+            t = yt - lo[:, None]
+            t /= h
+        else:
+            G = int(min(L / w, (2 * n) ** (1 / d)))
+            G = G if G >= 3 else 1
+            g = np.full(d, G)
+            t = yt / (L / G)
+        idx = t.astype(np.intp)  # t >= 0: truncation floors
+        np.minimum(idx, (g - 1)[:, None], out=idx)
+        # Keys over the grid padded by one cell a side, so a neighbour is a
+        # fixed key offset; the padding is empty on the plane and a copy of
+        # the far side's cells on the torus.
+        shape = [int(k) + 2 for k in g]
+        stride = [math.prod(shape[k + 1 :]) for k in range(d)]
+        key = sum(stride) + idx[0] * stride[0]
+        for k in range(1, d):
+            key += idx[k] * stride[k]
+        order = np.argsort(key)
+        key = key[order]
+        size = np.bincount(key, minlength=math.prod(shape))
+        start = np.cumsum(size) - size
+        if L is not None and g[0] > 1:
+            wrapped = np.arange(-1, g[0] + 1) % g[0] + 1
+            size, start = size.reshape(shape), start.reshape(shape)
+            for axis in range(d):
+                size, start = size.take(wrapped, axis), start.take(wrapped, axis)
+            size, start = size.ravel(), start.ravel()
+        later = np.arange(1, n + 1)  # each point's successor in cell order
+        first, count = [later], [start[key] + size[key] - later]
+        for o in itertools.product((-1, 0, 1), repeat=d):
+            if o > (0,) * d:  # the forward half of the neighbours
+                cell = key + sum(a * b for a, b in zip(o, stride))
+                first.append(start[cell])
+                count.append(size[cell])
+        first, count = np.concatenate(first), np.concatenate(count)
+        ends = np.cumsum(count)
+        segment = np.repeat(np.arange(len(count)), count)
+        cols = np.arange(ends[-1]) + (first - ends + count)[segment]
+        return np.concatenate([order] * (len(count) // n))[segment], order[cols]
 
     def _keep(self, indptr: np.ndarray, indices: np.ndarray) -> NeighborTable:
         """The current table when it holds these sets, else a new one."""
@@ -343,34 +425,62 @@ def member_weights(table: NeighborTable, params: ModelParams) -> tuple[csr_matri
 def velocity_diameter(state: EnsembleState) -> float:
     """Largest pairwise velocity difference norm; zero at consensus.
 
-    The diameter of a point set is attained at two of its convex-hull
-    vertices, so above PAIR_DIAMETER_MAX_N planar velocities only the hull's
-    vertices and the points Qhull found coplanar with its facets (option Qc)
-    are compared.  Up to PAIR_DIAMETER_MAX_N points Domain.squared_distances
-    compares them over domains.pair_indices.  pdist is the fallback where
-    that kernel cannot go: sets with d != 2 above the crossover, sets Qhull
-    rejects (collinear or equal points) and larger hulls.  Either way the
-    result is pdist(v).max() bit for bit: both sum each pair's squared
-    differences left to right from 0, and the root, monotone and correctly
-    rounded, of the largest sum is the largest root.
+    Up to PAIR_DIAMETER_MAX_N points Domain.squared_distances compares every
+    pair over domains.pair_indices.  A larger set is first cut to the points
+    that can belong to a diameter (_diameter_candidates), in any d, and the
+    same kernel compares the survivors; pdist runs only where more than
+    PAIR_DIAMETER_MAX_N points survive or the cut meets a non-finite value.
+    Either way the result is pdist(v).max() bit for bit: both sum each
+    pair's squared differences left to right from 0, and the root, monotone
+    and correctly rounded, of the largest sum is the largest root.
     """
     if state.n < 2:
         return 0.0
     v = state.velocities
     if state.n > PAIR_DIAMETER_MAX_N:
-        from scipy.spatial import ConvexHull, QhullError
-        from scipy.spatial.distance import pdist
-
-        if v.shape[1] == 2:
-            try:
-                hull = ConvexHull(v, qhull_options="Qc")
-            except QhullError:
-                pass
-            else:
-                v = v[np.concatenate([hull.vertices, hull.coplanar[:, 0]])]
+        keep = _diameter_candidates(v)
+        v = v if keep is None else v[keep]
         if len(v) > PAIR_DIAMETER_MAX_N:
+            from scipy.spatial.distance import pdist
+
             return float(pdist(v).max())
     return math.sqrt(_PLANE.squared_distances(v, *pair_indices(len(v))).max())
+
+
+def _diameter_candidates(v: np.ndarray) -> np.ndarray | None:
+    """A mask of the velocities v that a largest pair can contain; None,
+    every point, where the cut cannot decide.
+
+    p is the point farthest from the mean and q the point farthest from p,
+    so D0 = |v_p - v_q|, rounded as the pair kernel rounds it, is a real
+    pair's length.  With c the midpoint of p and q, r_i = |v_i - c| and
+    R = max r_i, a pair (i, k) is at most r_i + R long, so v_i is dropped
+    where r_i + R falls short of D0.
+
+    Rounding, with u and r(n) as for NeighborSearch.  A pair's kernel value
+    s is at most r(d + 2) times its true square plus d 2^-1075 (squares that
+    underflow); a root r_i understates the true |v_i - c| by at most a
+    factor r(d + 4) and an absolute a = sqrt(d) 2^-537.  Kept where
+    fl(fl(fl(r_i + R) K) + A) >= D0, with K = r(2 d + 16) and A = 2^-530 >=
+    2 a, a dropped v_i is truly closer than D0 / r(d + 5) to every point,
+    so each of its pairs rounds below s_pq once D0 >= 2^-500 makes the
+    underflow term negligible; p and q therefore survive.  The cut cannot
+    decide below that D0, or where an intermediate is not finite.
+    """
+    sq = _PLANE.squared_lengths
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = sq(v - v.T.copy().mean(axis=1)).argmax()  # axis 0 of v: several times slower
+        from_p = sq(v - v[p])
+        q = from_p.argmax()
+        d0 = math.sqrt(from_p[q])
+        r = np.sqrt(sq(v - 0.5 * (v[p] + v[q])))
+    R = r.max()
+    if not (2.0**-500 <= d0 < math.inf and R < math.inf):
+        return None
+    r += R
+    r *= _r(2 * v.shape[1] + 16)
+    r += 2.0**-530
+    return r >= d0
 
 
 def total_momentum(state: EnsembleState) -> np.ndarray:

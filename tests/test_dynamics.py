@@ -1,5 +1,6 @@
 """Interaction rules, normalization, and diagnostics."""
 import math
+import tracemalloc
 from functools import partial
 from itertools import product
 
@@ -21,6 +22,7 @@ from densiflock.dynamics import (
     MODELS,
     PAIR_DIAMETER_MAX_N,
     POLICY_KINDS,
+    _diameter_candidates,
     member_weights,
 )
 from densiflock.errors import ConfigError
@@ -406,26 +408,41 @@ def test_velocity_diameter_matches_brute_force(ens):
     assert velocity_diameter(state) == brute
 
 
+def two_discs(rng, n):
+    """random_clusters' velocity law: r (cos a, sin a), r and a uniform, and
+    half the points moved by r (0.5, 1)."""
+    r, angle = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2 * np.pi, n)
+    v = r[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    v[: n // 2] += r[: n // 2, None] * np.array([0.5, 1.0])
+    return v
+
+
 @st.composite
 def velocity_sets(draw):
     """Velocity sets each diameter path must get exactly right: below 3
     points, up to the pair kernel's PAIR_DIAMETER_MAX_N, or above it up to
-    500 points (the hull's and pdist's), in d = 1..3, random, drawn from a
+    2500 points (the cut's and pdist's), in d = 1..3, random, drawn from a
     few repeated points, all equal, on a line parallel to one axis,
-    collinear, collinear up to a relative noise of 1e-15..1e-6, or on a circle
-    (every point a hull vertex), at magnitudes 1e-3..1e3 around an offset."""
-    kind = draw(st.sampled_from(
-        ["random", "duplicates", "equal", "axis", "collinear", "near_collinear", "circle"]
-    ))
+    collinear, collinear up to a relative noise of 1e-15..1e-6, on a circle
+    (every point as far from the centre), random_clusters' two discs, or
+    heavy-tailed (Cauchy, whose far points can leave most of the set to
+    pdist), at magnitudes 1e-3..1e3 or 1e-150..1e150 around an offset."""
+    kind = draw(st.sampled_from([
+        "random", "duplicates", "equal", "axis", "collinear", "near_collinear", "circle",
+        "two_discs", "heavy_tailed",
+    ]))
     d = draw(st.sampled_from([2, 2, 2, 1, 3]))
     n = draw(st.one_of(
         st.integers(1, 2),
         st.integers(3, PAIR_DIAMETER_MAX_N),
-        st.integers(PAIR_DIAMETER_MAX_N + 1, 500),
+        st.integers(PAIR_DIAMETER_MAX_N + 1, 2500),
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** draw(st.integers(-3, 3))
-    offset = rng.normal(size=d) * 10.0 ** draw(st.integers(-3, 3))
+    # Cauchy tails reach 1e10 and more: their squares stay finite below 1e140.
+    top = 140 if kind == "heavy_tailed" else 150
+    exponents = st.one_of(st.integers(-3, 3), st.integers(-150, top))
+    scale = 10.0 ** draw(exponents)
+    offset = rng.normal(size=d) * 10.0 ** draw(exponents)
     if kind == "random":
         v = rng.normal(size=(n, d))
     elif kind == "duplicates":
@@ -439,6 +456,10 @@ def velocity_sets(draw):
     elif kind == "circle":
         angle = rng.uniform(0, 2 * np.pi, n)
         v = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(n)])[:, :d]
+    elif kind == "two_discs":
+        v = np.column_stack([two_discs(rng, n), np.zeros(n)])[:, :d]
+    elif kind == "heavy_tailed":
+        v = rng.standard_cauchy(size=(n, d))
     else:
         v = rng.normal(size=(n, 1)) * rng.normal(size=d)
         if kind == "near_collinear":
@@ -449,9 +470,53 @@ def velocity_sets(draw):
 @given(velocity_sets())
 @settings(max_examples=300, deadline=None)
 def test_velocity_diameter_is_the_full_pdist_maximum(v):
-    # The pair kernel's and the hull's diameters are the full pdist's, bit for bit.
+    # The pair kernel's and the cut's diameters are the full pdist's, bit for bit.
     state = EnsembleState(0.0, np.zeros_like(v), v)
     assert velocity_diameter(state) == (pdist(v).max() if len(v) > 1 else 0.0)
+
+
+@pytest.mark.parametrize("case", ["two_discs", "heavy_tailed", "mean_overflows"])
+def test_velocity_diameter_cut_and_its_fallback(case):
+    # random_clusters' velocities at N = 2048 cut to a few points for the
+    # pair kernel.  This Cauchy set's two farthest points lie on the two
+    # axes, so the bulk near the origin sits on the circle over their pair
+    # and survives: pdist runs over the survivors.  A set whose mean and
+    # midpoint overflow goes whole to pdist.
+    if case == "two_discs":
+        v = two_discs(np.random.default_rng(0), 2048)
+    elif case == "heavy_tailed":
+        v = np.random.default_rng(4).standard_cauchy(size=(2048, 2))
+    else:
+        v = np.random.default_rng(0).uniform(0.5, 1.0, size=(300, 2)) * np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(v.mean(axis=0)).all()
+    keep = _diameter_candidates(v)
+    if case == "two_discs":
+        assert 2 <= keep.sum() <= PAIR_DIAMETER_MAX_N
+    elif case == "heavy_tailed":
+        assert keep.sum() > PAIR_DIAMETER_MAX_N
+    else:
+        assert keep is None
+    assert velocity_diameter(EnsembleState(0.0, np.zeros_like(v), v)) == pdist(v).max()
+
+
+def test_one_axis_velocities_cut_to_their_extremes():
+    # A three_body, chain or group_vs_individual run keeps its velocities on
+    # the x axis; above PAIR_DIAMETER_MAX_N points the cut keeps the two
+    # extremes, where pdist over all 3000 points traces some 34 MiB.
+    rng = np.random.default_rng(3)
+    v = np.zeros((3000, 2))
+    v[:, 0] = rng.normal(size=3000)
+    state = EnsembleState(0.0, np.zeros_like(v), v)
+    assert _diameter_candidates(v).sum() == 2
+    tracemalloc.start()
+    try:
+        diameter = velocity_diameter(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diameter == pdist(v).max()
+    assert peak < 2**20
 
 
 def test_total_momentum_group_vs_individual_numbers():

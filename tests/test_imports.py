@@ -1,6 +1,8 @@
 """Package modules import only from lower layers."""
 import ast
 import importlib.util
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -120,8 +122,13 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# The oracle_n11 and observe_n64 benchmark configs, a cs run at N = 64 and a
-# di run at N = 200, each as config text.
+# The oracle_n11 and observe_n64 benchmark configs, a cs run at N = 64, a di
+# run at N = 200 and the di_scale_n2048 benchmark config at seeds 3 and 7331,
+# each as config text.
+DI_SCALE_N2048 = (
+    "scenario = random_clusters\nmodel = di\nn = 2048\nm = 3\ndelta = 2.0\nkappa = 1.0\n"
+    f"L = {25.0 * math.sqrt(32.0)!r}\nmargin = 2.0\ndt = 0.01\nt_end = 0.04\nsample_every = 4\n"
+)
 SPATIAL_RUNS = (
     "scenario = three_body\nmodel = di\nn = 10\nm = 3\ndelta = 8.7\nm_policy = constant\n"
     "beta = 7.5\ngamma = 8.75\nv_c = 1.0\ndt = 0.001\nt_end = 10.0\nsample_every = 100\n",
@@ -131,42 +138,47 @@ SPATIAL_RUNS = (
     "dt = 0.01\nt_end = 0.5\nsample_every = 10\nseed = 3\n",
     "scenario = random_clusters\nmodel = di\nn = 200\nm = 3\ndelta = 2.0\nL = 35.0\n"
     "dt = 0.01\nt_end = 0.02\nsample_every = 1\nseed = 3\n",
+    DI_SCALE_N2048 + "seed = 3\n",
+    DI_SCALE_N2048 + "seed = 7331\n",
 )
 
 
-def test_runs_up_to_128_particles_leave_scipy_spatial_unloaded():
-    # Only the di shell's kd-tree and the velocity diameter's hull and pdist
-    # above PAIR_DIAMETER_MAX_N points need scipy.spatial; the import, the
-    # small runs and the cs stages load none of it.  The N = 200 run loads
-    # it, and its diameter must still be pdist's.
+def test_runs_leave_scipy_spatial_unloaded():
+    # The di shell's cell list and the velocity diameter's cut replace the
+    # kd-tree and the hull, so no run of these configs, at N = 2048 either,
+    # loads scipy.spatial; the import, the small runs and the cs stages never
+    # did.  The diameters above PAIR_DIAMETER_MAX_N points are still pdist's.
     code = f"""
-import sys
+import json, sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
 import densiflock, densiflock.cli
-loaded = ["scipy.spatial" in sys.modules]
+loaded, records = ["scipy.spatial" in sys.modules], []
 for text in {SPATIAL_RUNS!r}:
-    record = densiflock.run_simulation(densiflock.parse_config(text).spec)
+    records.append(densiflock.run_simulation(densiflock.parse_config(text).spec))
     loaded.append("scipy.spatial" in sys.modules)
 from scipy.spatial.distance import pdist
-last = record.samples[-1]
-print(loaded, last.state.n, last.vmax == pdist(last.state.velocities).max())
+large = sorted({{
+    (s.state.n, bool(s.vmax == pdist(s.state.velocities).max()))
+    for record in records for s in record.samples if s.state.n > 128
+}})
+print(json.dumps([loaded, large]))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["[False,", "False,", "False,", "False,", "True]", "200", "True"]
+    assert json.loads(out.stdout) == [[False] * 7, [[200, True], [2048, True]]]
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _call_scopes(tree, wanted):
-    """Name of the innermost function around each call for which
-    wanted(call) holds; "<module>" at the top level."""
+def _call_scopes(tree, wanted, kind=ast.Call):
+    """Name of the innermost function around each node of the kind (a call
+    by default) for which wanted(node) holds; "<module>" at the top level."""
     owner = {}
     for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
             owner[child] = node
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and wanted(node):
+        if isinstance(node, kind) and wanted(node):
             scope = owner.get(node)
             while scope is not None and not isinstance(scope, FUNCTIONS):
                 scope = owner.get(scope)
@@ -184,11 +196,11 @@ def _opens_to_write(call):
     return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
 
 
-def _scopes_in_package(wanted):
+def _scopes_in_package(wanted, kind=ast.Call):
     return [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name in _call_scopes(ast.parse(path.read_text()), wanted)
+        for name in _call_scopes(ast.parse(path.read_text()), wanted, kind)
     ]
 
 
@@ -235,3 +247,30 @@ def test_integrate_asks_the_search_only_for_tables_and_idle_calls():
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "search"
     }
     assert read == {"table", "idle_calls"}
+
+
+IMPORTS = (ast.Import, ast.ImportFrom)
+
+
+def _imports_scipy_spatial(node):
+    if isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        modules = [alias.name for alias in node.names]
+    return any(module.startswith("scipy.spatial") for module in modules)
+
+
+def _imports_pdist(node):
+    return isinstance(node, ast.ImportFrom) and node.module == "scipy.spatial.distance" and [
+        alias.name for alias in node.names
+    ] == ["pdist"]
+
+
+def test_only_the_pdist_fallback_imports_scipy_spatial():
+    # The shell's cell list and the diameter's cut keep scipy.spatial off the
+    # run path; pdist stays the diameter's fallback for large survivor sets.
+    assert (
+        _scopes_in_package(_imports_scipy_spatial, IMPORTS)
+        == _scopes_in_package(_imports_pdist, IMPORTS)
+        == ["dynamics.velocity_diameter"]
+    )

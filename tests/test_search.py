@@ -1,5 +1,6 @@
 """The incremental neighbor search: Verlet shell, a filter at every call, epoch identity, idle calls."""
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from densiflock import Domain, ModelParams, NeighborSearch
-from densiflock.dynamics import MODELS, SHELL_SKIN
+from densiflock.dynamics import MODELS, PAIR_DIAMETER_MAX_N, SHELL_SKIN
 from densiflock.experiments import oracle_run
 from oracles import dense_distances, dense_table
 
@@ -223,6 +224,29 @@ def test_search_refuses_exactly_the_positions_the_kd_tree_refuses(L):
     assert 0 < refused < 68
 
 
+def assert_shell_is_the_kd_tree_shell(domain, delta, x):
+    """The shell's pairs are cKDTree.query_pairs' within delta + s and the
+    pairs whose Domain.squared_distances is at most (delta + s)^2; returns
+    the shell build's traced peak in bytes."""
+    search = NeighborSearch(ModelParams("di", len(x), m=3, delta=delta), domain)
+    tracemalloc.start()
+    try:
+        i, j = search._shell(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (i < j).all()
+    shell = set(zip(i.tolist(), j.tolist()))
+    assert len(shell) == len(i)
+    reach = delta + SHELL_SKIN * delta
+    y = domain.wrap(x)
+    assert shell == cKDTree(y, boxsize=domain.L).query_pairs(reach)
+    a, b = np.triu_indices(len(y), 1)
+    near = domain.squared_distances(y, a, b) <= reach**2
+    assert shell == set(zip(a[near].tolist(), b[near].tolist()))
+    return peak
+
+
 @st.composite
 def shells(draw):
     """(params, positions) for one di shell build: 2..128 uniform points over
@@ -239,13 +263,88 @@ def shells(draw):
 @given(case=shells())
 @settings(max_examples=100, deadline=None)
 def test_all_pairs_shell_is_the_kd_tree_shell(periodic, case):
-    # Up to PAIR_DIAMETER_MAX_N particles the shell compares every pair; its
-    # pairs are the ones cKDTree.query_pairs finds within delta + s.
+    # Up to PAIR_DIAMETER_MAX_N particles the shell compares every pair.
     params, span, x = case
-    domain = Domain(span) if periodic else Domain()
-    search = NeighborSearch(params, domain)
-    i, j = search._shell(x)
-    assert (i < j).all()
-    reach = params.delta + SHELL_SKIN * params.delta
-    expected = cKDTree(domain.wrap(x), boxsize=domain.L).query_pairs(reach)
-    assert set(zip(i.tolist(), j.tolist())) == expected
+    assert_shell_is_the_kd_tree_shell(Domain(span) if periodic else Domain(), params.delta, x)
+
+
+@st.composite
+def crowds(draw):
+    """(delta, span, positions) for one shell build above PAIR_DIAMETER_MAX_N:
+    129..600 points spread uniformly, in a few tight clusters or along a
+    line, over a span of 10^-0.5 to 10^4, so the shell holds from nearly all
+    pairs to none."""
+    n = draw(st.integers(PAIR_DIAMETER_MAX_N + 1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    span = 10.0 ** draw(st.floats(-0.5, 4.0))
+    kind = draw(st.sampled_from(["uniform", "clusters", "line"]))
+    if kind == "uniform":
+        x = rng.uniform(-span, 2 * span, size=(n, 2))
+    elif kind == "clusters":
+        centres = rng.uniform(0, span, size=(draw(st.integers(1, 5)), 2))
+        x = centres[rng.integers(0, len(centres), n)] + rng.normal(size=(n, 2))
+    else:
+        x = rng.uniform(0, span, size=(n, 1)) * rng.normal(size=2) + rng.normal(size=(n, 2)) * 1e-3
+    return draw(st.floats(0.3, 3.0)), span, x
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["plane", "box"])
+@given(case=crowds())
+@settings(max_examples=60, deadline=None)
+def test_cell_list_shell_is_the_kd_tree_shell(periodic, case):
+    # Above PAIR_DIAMETER_MAX_N particles the shell takes its candidates from
+    # the cell list; no pair within delta + s is lost, on the plane or the
+    # torus, whether the cells are many or a torus has fewer than 3 a side.
+    delta, span, x = case
+    assert_shell_is_the_kd_tree_shell(Domain(span) if periodic else Domain(), delta, x)
+
+
+def _cell_boundary_points(reach, k):
+    """Points on the lines x = i h and y = i h, and one ulp either side, for h
+    the reach and the sides L / G of G = k - 1 and k cells in a box of side
+    L = k * reach, each line crossed by three others, so that neighbours
+    along an axis sit a cell side apart."""
+    L = k * reach
+    lines = [np.arange(k) * reach, np.arange(k - 1) * (L / (k - 1)), np.arange(k) * (L / k)]
+    lines = np.concatenate(lines)
+    lines = np.concatenate([lines, np.nextafter(lines, -np.inf), np.nextafter(lines, np.inf)])
+    lines = np.unique(lines[(lines >= 0) & (lines < L)])
+    across, along = np.repeat([0.0, reach, L / 2], len(lines)), np.tile(lines, 3)
+    return L, np.concatenate([np.column_stack([along, across]), np.column_stack([across, along])])
+
+
+def _sprawl():
+    """Two tight clusters 10^5 apart and a thin line between them: the
+    planar grid would want some 10^9 cells at the shell's reach."""
+    rng = np.random.default_rng(11)
+    ends = np.array([[0.0, 0.0], [1e5, 1e5]])
+    blobs = ends[rng.integers(0, 2, 200)] + rng.normal(size=(200, 2))
+    line = rng.uniform(0, 1e5, (100, 1)) * np.ones(2) + rng.normal(size=(100, 2))
+    return np.concatenate([blobs, line])
+
+
+@pytest.mark.parametrize("case", ["boundaries", "few_cells", "three_cells", "sprawl", "huge_box"])
+@pytest.mark.parametrize("periodic", [False, True], ids=["plane", "box"])
+def test_cell_list_shell_edge_cases(periodic, case):
+    # The box an exact multiple of delta + s with points on the cell
+    # boundaries and one ulp either side; a torus just below and just above
+    # 3 cells a side; and sets whose natural grid would hold some 10^9 to
+    # 10^11 cells, whose build the cap keeps under 1 MiB.
+    rng = np.random.default_rng(5)
+    delta = 0.7 if case == "boundaries" else 2.0
+    reach = delta * (1 + SHELL_SKIN)
+    if case == "boundaries":
+        # Without the rounding allowance on the cell side, this torus loses 12
+        # pairs exactly delta + s long.
+        L, x = _cell_boundary_points(reach, 21)
+    elif case in ("few_cells", "three_cells"):
+        L = 3 * reach if case == "few_cells" else 3.01 * reach
+        x = rng.uniform(0, L, (200, 2))
+    elif case == "sprawl":
+        L, x = 2e5, _sprawl()
+    else:
+        L = 1e6
+        x = rng.uniform(0, L, (200, 2))
+    peak = assert_shell_is_the_kd_tree_shell(Domain(L) if periodic else Domain(), delta, x)
+    if case in ("sprawl", "huge_box"):
+        assert peak < 2**20
